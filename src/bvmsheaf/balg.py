@@ -14,6 +14,10 @@ class AlgebraError(ValueError):
     """Raised for ill-formed algebras, elements or homomorphisms."""
 
 
+# Atom counts whose powerset algebra has passed _check_axioms in this process.
+_AXIOMS_CHECKED: set[int] = set()
+
+
 @dataclass(frozen=True)
 class BoolAlg:
     """Powerset algebra over a finite tuple of distinct atom labels."""
@@ -25,8 +29,10 @@ class BoolAlg:
             raise AlgebraError("an algebra needs at least one atom")
         if len(set(self.atoms)) != len(self.atoms):
             raise AlgebraError(f"duplicate atom labels: {self.atoms}")
-        if len(self.atoms) <= 4:
+        n = len(self.atoms)
+        if n <= 4 and n not in _AXIOMS_CHECKED:
             _check_axioms(self)
+            _AXIOMS_CHECKED.add(n)
 
     @property
     def atom_count(self) -> int:
@@ -162,7 +168,15 @@ class Elem:
 
 
 def _check_axioms(alg: BoolAlg) -> None:
-    """Exhaustive boolean-algebra axiom check (run for algebras <= 2^4 elements)."""
+    """Exhaustive boolean-algebra axiom check (run for algebras <= 2^4 elements).
+
+    Runs once per atom count per process: the first algebra of each size is
+    checked in full and its size recorded in _AXIOMS_CHECKED.  The verdict
+    cannot differ between two algebras of one size, because every operation
+    the check uses (&, |, ~ and == on Elem) reads only the bitmasks, and the
+    only other thing it compares is the algebra with itself; the labels
+    never enter.
+    """
     elems = list(alg.elements())
     top, bot = alg.top, alg.bottom
     for a in elems:

@@ -25,8 +25,6 @@ def _common() -> argparse.ArgumentParser:
                         help="emit the report as JSON")
     common.add_argument("--depth", type=int, default=2,
                         help="quantifier depth for formula suites (default 2)")
-    common.add_argument("--seed", type=int, default=2026,
-                        help="seed for any sampled diagnostics (default fixed)")
     common.add_argument("--max-antichain", type=int, default=None,
                         help="cap the antichain size searched by mixing checks")
     return common
@@ -82,12 +80,23 @@ def _parse_filter_elem(m, text: str):
         raise InputError(str(exc)) from exc
 
 
+def _check_options(args) -> None:
+    if args.depth < 0:
+        raise InputError(f"--depth must be at least 0, got {args.depth}")
+    if args.max_antichain is not None and args.max_antichain < 1:
+        raise InputError(
+            f"--max-antichain must be at least 1, got {args.max_antichain}")
+
+
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_options(args)
         ws = load_workspace(args.file)
         return _dispatch(args, ws)
-    except InputError as exc:
+    except (InputError, bvm.ModelError) as exc:
+        # every model comes from the input, so a ModelError (a free variable
+        # or an unknown constant in a formula argument) is an input error
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except ParseError as exc:

@@ -101,9 +101,12 @@ def _split_key(key: str, arity: int) -> tuple:
 def model_from_json(ws: "Workspace", data) -> BVModel:
     alg = ws.resolve_algebra(data.get("algebra"))
     try:
-        domain = tuple(data["domain"])
+        domain = data["domain"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad model object: {exc}") from exc
+    if not isinstance(domain, list) or not all(isinstance(e, str) for e in domain):
+        raise InputError(f"a model domain must be an array of ids, got {domain!r}")
+    domain = tuple(domain)
     eq = {}
     for key, val in (data.get("eq") or {}).items():
         parts = _split_key(key, 2)

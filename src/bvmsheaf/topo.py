@@ -161,7 +161,14 @@ def generate_topology(points, base) -> FinTop:
 
 @dataclass(frozen=True)
 class FinPoset:
-    """A finite partial order; leq is the full relation, checked exhaustively."""
+    """A finite partial order; leq is the full relation, checked exhaustively.
+
+    The down sets and the pairwise common refinements (a bitmask AND of two
+    down sets) are tabulated once per instance, right after the checks, so
+    down, compatible and refinements are lookups.  The tables are read off
+    leq by the same definitions the queries had, and the instance is frozen,
+    so every answer is unchanged.
+    """
 
     elements: tuple[str, ...]
     leq: frozenset  # of (str, str) pairs
@@ -182,6 +189,17 @@ class FinPoset:
             for c in elems:
                 if (b, c) in self.leq and (a, c) not in self.leq:
                     raise TopologyError(f"not transitive at {a},{b},{c}")
+        # down set of each element, as a bitmask over the element order
+        masks = {a: sum(1 << i for i, b in enumerate(self.elements)
+                        if (b, a) in self.leq)
+                 for a in self.elements}
+        object.__setattr__(self, "_down", {
+            a: frozenset(b for i, b in enumerate(self.elements) if m >> i & 1)
+            for a, m in masks.items()})
+        object.__setattr__(self, "_refinements", {
+            (a, b): tuple(s for i, s in enumerate(self.elements)
+                          if (masks[a] & masks[b]) >> i & 1)
+            for a in self.elements for b in self.elements})
 
     @staticmethod
     def from_pairs(elements, pairs) -> "FinPoset":
@@ -203,21 +221,21 @@ class FinPoset:
         return (a, b) in self.leq
 
     def down(self, a: str) -> frozenset:
-        return frozenset(b for b in self.elements if self.le(b, a))
+        return self._down.get(a, frozenset())
 
     def compatible(self, a: str, b: str) -> bool:
         """True when a and b have a common refinement."""
-        return any(self.le(s, a) and self.le(s, b) for s in self.elements)
+        return bool(self._refinements.get((a, b)))
 
     def refinements(self, a: str, b: str) -> list[str]:
-        return [s for s in self.elements if self.le(s, a) and self.le(s, b)]
+        return list(self._refinements.get((a, b), ()))
 
     def is_predense_below(self, family, p: str) -> bool:
         """family is a dense covering of p: every q <= p is compatible with
         some member of the family."""
         family = list(family)
         return all(
-            any(self.refinements(q, r) for r in family)
+            any(self.compatible(q, r) for r in family)
             for q in self.down(p)
         )
 
@@ -278,7 +296,14 @@ class RoAlgebra:
     def _check_complete(self, ros) -> None:
         """All computed joins agree with Reg of the union (the complete-BA
         structure of RO(X)); exhaustive over subfamilies for |RO| <= 16,
-        else over pairs, triples and the full family."""
+        else over pairs, triples and the full family.
+
+        Each regular open is turned into its element bits once, and a
+        subfamily's join is the OR of its members' bits.  Reg of a union is
+        computed once per union and the regular open of a join once per
+        join, so every subfamily is still compared, at the cost of a few
+        int operations instead of rebuilding both sides.
+        """
         families: list[tuple] = []
         if len(ros) + 1 <= 16:
             pool = [frozenset()] + list(ros)
@@ -288,13 +313,19 @@ class RoAlgebra:
             families.extend(combinations(ros, 2))
             families.extend(combinations(ros, 3))
             families.append(tuple(ros))
+        bits = {frozenset(): 0, **{u: self.from_subset(u).bits for u in ros}}
         reg_cache: dict = {}
+        join_cache: dict = {}  # element bits of a join -> its regular open
         for fam in families:
-            union = frozenset().union(*fam) if fam else frozenset()
+            union = frozenset().union(*fam)
+            join = 0
+            for u in fam:
+                join |= bits[u]
             if union not in reg_cache:
                 reg_cache[union] = self.space.regularize(union)
-            join = self.alg.join_all(self.from_subset(u) for u in fam if u)
-            if self.to_subset(join) != reg_cache[union]:
+            if join not in join_cache:
+                join_cache[join] = self.to_subset(Elem(self.alg, join))
+            if join_cache[join] != reg_cache[union]:
                 raise TopologyError(
                     f"RO(X) join mismatch on {[subset_label(u) for u in fam]}"
                 )

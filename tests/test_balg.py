@@ -2,7 +2,8 @@
 
 import pytest
 
-from bvmsheaf.balg import (AlgebraError, BAHom, Filter, antichains,
+from bvmsheaf import balg
+from bvmsheaf.balg import (AlgebraError, BAHom, Elem, Filter, antichains,
                            dual_map, left_adjoint, mk_powerset, quotient,
                            stone_space, ultrafilters)
 
@@ -31,6 +32,29 @@ def test_axioms_hold_on_construction():
     # 4 atoms still run the exhaustive check; a bad algebra cannot exist by
     # construction, so just confirm the check runs clean
     mk_powerset(["a", "b", "c", "d"])
+
+
+def test_axiom_check_runs_once_per_atom_count(monkeypatch):
+    checked = []
+    check = balg._check_axioms
+    monkeypatch.setattr(balg, "_AXIOMS_CHECKED", set())
+    monkeypatch.setattr(balg, "_check_axioms",
+                        lambda alg: checked.append(alg.atoms) or check(alg))
+    mk_powerset(["a", "b"])
+    mk_powerset(["x", "y"])
+    mk_powerset(["a"])
+    assert checked == [("a", "b"), ("a",)]
+    with pytest.raises(AlgebraError):  # label checks still run every time
+        mk_powerset(["x", "x"])
+
+
+def test_axiom_check_still_catches_broken_operations(monkeypatch):
+    monkeypatch.setattr(balg, "_AXIOMS_CHECKED", set())
+    monkeypatch.setattr(Elem, "__or__",
+                        lambda self, other: Elem(self.alg, self.bits & other.bits))
+    with pytest.raises(AlgebraError):
+        mk_powerset(["p", "q"])
+    assert not balg._AXIOMS_CHECKED
 
 
 def test_atoms_join_prime():

@@ -126,6 +126,30 @@ def test_grammar_error_exit_two_with_position(capsys):
     assert code == 2 and "position" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("eval", "M_R", "R(x)"), "free variable 'x'"),
+    (("eval", "M_R", "R(c_zz)"), "unknown constant 'c_zz'"),
+    (("check-mixing", "MNM", "--max-antichain", "0"), "--max-antichain"),
+    (("check-full", "M_R", "--depth", "-3"), "--depth"),
+])
+def test_bad_arguments_exit_two_with_one_line(capsys, argv, message):
+    code, out, err = _run(capsys, *fx(*argv))
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and message in err
+    assert err.count("\n") == 1
+
+
+def test_string_domain_rejected(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({
+        "algebras": {"B": {"atoms": ["a"]}},
+        "models": {"m": {"algebra": "B", "domain": "st"}}}))
+    with pytest.raises(InputError):
+        load_workspace([str(path)])
+    code, _, err = _run(capsys, "validate", "m", "-f", str(path))
+    assert code == 2 and "domain" in err
+
+
 def test_malformed_file_exit_two(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -96,6 +96,15 @@ def test_ro_algebra_subset_dictionary_roundtrip():
             assert ro.from_subset(ro.to_subset(e)) == e
 
 
+def test_ro_completeness_check_catches_corrupted_atoms():
+    for x in all_topologies(("p", "q", "r")):
+        for label in ro_algebra(x).atom_subsets:
+            ro = ro_algebra(x)
+            ro.atom_subsets[label] = frozenset()  # drop the atom's points
+            with pytest.raises(TopologyError):
+                ro._check_complete(x.regular_opens())
+
+
 def test_clop_and_extremally_disconnected():
     assert clop_algebra(SIER).alg.atom_count == 1
     assert is_extremally_disconnected(SIER)
@@ -234,6 +243,18 @@ def test_poset_validation():
         FinPoset.from_pairs(("a", "b"), [("a", "b"), ("b", "a")])
     chain = FinPoset.from_pairs(("a", "b", "c"), [("a", "b"), ("b", "c")])
     assert chain.le("a", "c")  # transitive closure computed
+
+
+def test_poset_lookups_match_definitions_from_le():
+    for n in range(5):
+        labels = tuple("abcd"[:n])
+        for po in all_posets(labels):
+            for a in labels:
+                assert po.down(a) == frozenset(b for b in labels if po.le(b, a))
+                for b in labels:
+                    common = [s for s in labels if po.le(s, a) and po.le(s, b)]
+                    assert po.refinements(a, b) == common
+                    assert po.compatible(a, b) == bool(common)
 
 
 def test_opens_poset_labels():
