@@ -9,8 +9,9 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from .balg import BAHom, BoolAlg, Elem, Filter, stone_space
-from .bvm import (BVModel, BVMorphism, ModelError, _class_reps, eval_formula,
-                  has_mixing, open_pool, quotient_model, tarski_quotient)
+from .bvm import (BVModel, BVMorphism, ModelError, _class_reps, _smallest_cover,
+                  closed_pool, eval_formula, generalize, has_mixing, open_pool,
+                  quotient_model, tarski_quotient)
 from .logic import Eq, Exists, Formula, Rel, Signature, Var, free_vars
 from .sheaf import (Bundle, EtaleSpace, NotSeparatedError, Presheaf,
                     PresheafMorphism, SheafError, _section_id, alg_poset,
@@ -371,7 +372,18 @@ class PhiBundle:
         return out
 
 
+def _stone_reps(m: BVModel) -> tuple:
+    """The Stone space, and the class representatives at each of its points."""
+    stone = stone_space(m.alg)
+    reps = {pt: _class_reps(m, stone.ultrafilter(pt)) for pt in stone.points}
+    return stone, reps
+
+
 def phi_bundle(m: BVModel, f: Formula) -> PhiBundle:
+    return _phi_bundle(m, f, *_stone_reps(m))
+
+
+def _phi_bundle(m: BVModel, f: Formula, stone, reps: dict) -> PhiBundle:
     free = tuple(sorted(free_vars(f)))
     if not free:
         raise ModelError("phi_bundle needs a formula with free variables")
@@ -383,14 +395,12 @@ def phi_bundle(m: BVModel, f: Formula) -> PhiBundle:
         tup: eval_formula(m, f, dict(zip(free, tup)))
         for tup in product(m.domain, repeat=len(free))
     }
-    stone = stone_space(m.alg)
     n_b = frozenset(b_phi.atom_labels())
     stalks, a_phi = {}, set()
     for pt in sorted(n_b):
         g = stone.ultrafilter(pt)
-        rep_g = _class_reps(m, g)
         classes = sorted({
-            tuple(rep_g[t] for t in tup)
+            tuple(reps[pt][t] for t in tup)
             for tup, val in values.items() if val in g
         })
         stalks[pt] = tuple(classes)
@@ -403,14 +413,12 @@ def phi_bundle(m: BVModel, f: Formula) -> PhiBundle:
     return pb
 
 
-def _minimal_tuple_cover(m: BVModel, pb: PhiBundle):
-    """Smallest witness-tuple set whose values join to b_phi."""
-    tuples = sorted(pb.values)
-    for size in range(len(tuples) + 1):
-        for combo in combinations(tuples, size):
-            if m.alg.join_all(pb.values[t] for t in combo) == pb.b_phi:
-                return combo
-    return None
+def _minimal_tuple_cover(pb: PhiBundle):
+    """Smallest witness-tuple set whose values join to b_phi.  The existential
+    closure is the finite join of all tuple values, so this never returns
+    None."""
+    return _smallest_cover({t: pb.values[t].bits for t in sorted(pb.values)},
+                           pb.b_phi.bits)
 
 
 def global_sections_of_bundle(pb: PhiBundle) -> list[dict]:
@@ -449,8 +457,11 @@ def fullness_clauses(m: BVModel, f: Formula,
                      with_product_clause: bool) -> FullnessClauses:
     """Evaluate the four (five under mixing) equivalent fullness clauses for
     one formula, each by its own computation."""
-    pb = phi_bundle(m, f)
-    cover = _minimal_tuple_cover(m, pb)
+    return _clauses(phi_bundle(m, f), with_product_clause)
+
+
+def _clauses(pb: PhiBundle, with_product_clause: bool) -> FullnessClauses:
+    cover = _minimal_tuple_cover(pb)
     finite_cover = cover is not None
     a_phi_full = pb.a_phi == pb.n_b_phi
     if pb.space is None:
@@ -463,7 +474,7 @@ def fullness_clauses(m: BVModel, f: Formula,
         product_section = (not pb.n_b_phi) or any(
             pb.b_phi <= val for val in pb.values.values()
         )
-    return FullnessClauses(f, finite_cover, a_phi_full, a_phi_closed,
+    return FullnessClauses(pb.formula, finite_cover, a_phi_full, a_phi_closed,
                            has_section, product_section)
 
 
@@ -479,8 +490,6 @@ def fullness_via_sections(m: BVModel, depth: int = 2) -> FullnessSectionsReport:
     quantifier-free one-variable formulas, and from depth 2 on also
     two-free-variable atoms and quantified one-variable formulas obtained by
     re-generalizing a strided sample of the closed pool."""
-    from .bvm import closed_pool, generalize
-
     mixing = has_mixing(m).passed
     pool: list[Formula] = list(open_pool(m.sig, m.domain, "x"))
     if depth >= 2:
@@ -495,7 +504,8 @@ def fullness_via_sections(m: BVModel, depth: int = 2) -> FullnessSectionsReport:
             if "x" in free_vars(g):
                 deep.append(g)
         pool.extend(deep[:10])
+    stone, reps = _stone_reps(m)
     clauses = tuple(
-        fullness_clauses(m, f, with_product_clause=mixing) for f in pool
+        _clauses(_phi_bundle(m, f, stone, reps), mixing) for f in pool
     )
     return FullnessSectionsReport(clauses, all(c.agree for c in clauses), mixing)

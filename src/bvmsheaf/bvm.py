@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product
 
 from .balg import BAHom, BoolAlg, Elem, Filter, antichains, quotient
 from .logic import (And, Const, Eq, Exists, Forall, Formula, Implies, Not,
-                    Or, Rel, Signature, Var, free_vars)
+                    Or, Rel, Signature, Var, free_vars, map_terms)
 
 
 class ModelError(ValueError):
@@ -154,29 +154,35 @@ def _resolve(m: BVModel, term, env: dict) -> str:
 def eval_formula(m: BVModel, f: Formula, env: dict | None = None) -> Elem:
     """The boolean truth value of a closed formula: conjunction is meet,
     negation is complement, the quantifiers are the finite join and meet
-    over the domain."""
-    env = env or {}
+    over the domain, all computed on bitmasks (is_full's Los test checks it)."""
+    return Elem(m.alg, _eval_bits(m, f, env or {}, m.alg.top.bits))
+
+
+def _eval_bits(m: BVModel, f: Formula, env: dict, top: int) -> int:
+    """eval_formula on the bitmasks of the eq/rels tables; top is the top
+    bitmask.  Every subformula is evaluated, so a bad term always raises."""
     if isinstance(f, Rel):
-        tup = tuple(_resolve(m, t, env) for t in f.args)
-        return m.rels[f.sym][tup]
+        return m.rels[f.sym][tuple(_resolve(m, t, env) for t in f.args)].bits
     if isinstance(f, Eq):
-        return m.eq[_resolve(m, f.lhs, env), _resolve(m, f.rhs, env)]
+        return m.eq[_resolve(m, f.lhs, env), _resolve(m, f.rhs, env)].bits
     if isinstance(f, Not):
-        return ~eval_formula(m, f.body, env)
+        return top & ~_eval_bits(m, f.body, env, top)
     if isinstance(f, And):
-        return eval_formula(m, f.lhs, env) & eval_formula(m, f.rhs, env)
+        return _eval_bits(m, f.lhs, env, top) & _eval_bits(m, f.rhs, env, top)
     if isinstance(f, Or):
-        return eval_formula(m, f.lhs, env) | eval_formula(m, f.rhs, env)
+        return _eval_bits(m, f.lhs, env, top) | _eval_bits(m, f.rhs, env, top)
     if isinstance(f, Implies):
-        return ~eval_formula(m, f.lhs, env) | eval_formula(m, f.rhs, env)
+        return top & ~_eval_bits(m, f.lhs, env, top) | _eval_bits(m, f.rhs, env, top)
     if isinstance(f, Exists):
-        return m.alg.join_all(
-            eval_formula(m, f.body, {**env, f.var: d}) for d in m.domain
-        )
+        out = 0
+        for d in m.domain:
+            out |= _eval_bits(m, f.body, {**env, f.var: d}, top)
+        return out
     if isinstance(f, Forall):
-        return m.alg.meet_all(
-            eval_formula(m, f.body, {**env, f.var: d}) for d in m.domain
-        )
+        out = top
+        for d in m.domain:
+            out &= _eval_bits(m, f.body, {**env, f.var: d}, top)
+        return out
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -294,20 +300,10 @@ def _atomic(sig: Signature, terms: list) -> list[Formula]:
 def generalize(f: Formula, const: str, var: str) -> Formula:
     """Replace every occurrence of the constant by a (fresh) variable."""
 
-    def term(t):
+    def term(t, bound):
         return Var(var) if isinstance(t, Const) and t.name == const else t
 
-    if isinstance(f, Rel):
-        return Rel(f.sym, tuple(term(t) for t in f.args))
-    if isinstance(f, Eq):
-        return Eq(term(f.lhs), term(f.rhs))
-    if isinstance(f, Not):
-        return Not(generalize(f.body, const, var))
-    if isinstance(f, (And, Or, Implies)):
-        return type(f)(generalize(f.lhs, const, var), generalize(f.rhs, const, var))
-    if isinstance(f, (Exists, Forall)):
-        return type(f)(f.var, generalize(f.body, const, var))
-    raise TypeError(f"not a formula: {f!r}")
+    return map_terms(f, term)
 
 
 def open_pool(sig: Signature, elements, var: str, max_conj_atoms: int = 20):
@@ -316,13 +312,13 @@ def open_pool(sig: Signature, elements, var: str, max_conj_atoms: int = 20):
     consts = [Const(f"c_{e}") for e in elements]
     atoms = [a for a in _atomic(sig, consts + [Var(var)])
              if var in free_vars(a)]
-    atoms = _dedupe(atoms)
+    atoms = list(dict.fromkeys(atoms))
     conj_base = _spread(atoms, max_conj_atoms)
     pool = list(atoms)
     pool.extend(Not(a) for a in atoms)
     pool.extend(And(a, b) for i, a in enumerate(conj_base)
                 for b in conj_base[i + 1:])
-    return _dedupe(pool)
+    return list(dict.fromkeys(pool))
 
 
 def closed_pool(sig: Signature, elements, depth: int,
@@ -332,7 +328,7 @@ def closed_pool(sig: Signature, elements, depth: int,
     pool plus nested quantifications obtained by re-generalizing a strided
     selection of the previous level's quantified formulas."""
     consts = [Const(f"c_{e}") for e in elements]
-    closed_atoms = _dedupe(_atomic(sig, consts))
+    closed_atoms = list(dict.fromkeys(_atomic(sig, consts)))
     pool = list(closed_atoms)
     pool.extend(Not(a) for a in closed_atoms)
     prev_quantified: list[Formula] = []
@@ -347,21 +343,12 @@ def closed_pool(sig: Signature, elements, depth: int,
                 g = generalize(f, const, var)
                 if g != f:
                     nested.append(Exists(var, g))
-        level.extend(_dedupe(nested))
+        level.extend(dict.fromkeys(nested))
         level.append(Exists(var, Eq(Var(var), Var(var))))
         level.append(Forall(var, Eq(Var(var), Var(var))))
         pool.extend(level)
         prev_quantified = level
-    return _dedupe(pool)
-
-
-def _dedupe(formulas) -> list[Formula]:
-    seen, out = set(), []
-    for f in formulas:
-        if f not in seen:
-            seen.add(f)
-            out.append(f)
-    return out
+    return list(dict.fromkeys(pool))
 
 
 # -- fullness (Los) and mixing ----------------------------------------------
@@ -389,41 +376,46 @@ def is_full(m: BVModel, depth: int = 2, formulas=None) -> FullnessReport:
         witnesses.
 
     The equivalence of (a) and (b) is a theorem; the report asserts it on
-    the instance.
+    the instance.  Every existential is a finite join, so (b) always finds a
+    cover and procedures_agree reduces to full; (a) is what tests
+    eval_formula, against satisfies.
     """
     pool = formulas if formulas is not None else closed_pool(
         m.sig, m.domain, depth)
-    values = {f: eval_formula(m, f) for f in pool}
+    values = [(f, eval_formula(m, f)) for f in pool]
     mismatches = []
     for g_atom in m.alg.atom_elems():
         g = Filter(m.alg, g_atom)
         t = tarski_quotient(m, g)
-        for f in pool:
-            if satisfies(t, f) != (values[f] in g):
+        for f, value in values:
+            if satisfies(t, f) != (value in g):
                 mismatches.append((g.label, f))
-    covers = []
-    covers_ok = True
-    for f in pool:
-        if not isinstance(f, Exists):
-            continue
-        cover = _minimal_witness_cover(m, f)
-        covers.append((f, cover))
-        if cover is None:
-            covers_ok = False
+    covers = [(f, _minimal_witness_cover(m, f, value))
+              for f, value in values if isinstance(f, Exists)]
+    covers_ok = all(cover is not None for _, cover in covers)
     full = not mismatches
     return FullnessReport(full, tuple(mismatches), tuple(covers),
                           full == covers_ok, len(pool))
 
 
-def _minimal_witness_cover(m: BVModel, f: Exists):
-    """Smallest set of domain elements whose body values join to the value
-    of the existential; ties resolved in domain order."""
-    total = eval_formula(m, f)
-    vals = {d: eval_formula(m, f.body, {f.var: d}) for d in m.domain}
-    for size in range(len(m.domain) + 1):
-        from itertools import combinations
-        for combo in combinations(m.domain, size):
-            if m.alg.join_all(vals[d] for d in combo) == total:
+def _minimal_witness_cover(m: BVModel, f: Exists, total: Elem):
+    """Smallest set of domain elements whose body values join to total, the
+    value of the existential; ties resolved in domain order.  The existential
+    is the finite join of all its body values, so this never returns None."""
+    top = m.alg.top.bits
+    return _smallest_cover(
+        {d: _eval_bits(m, f.body, {f.var: d}, top) for d in m.domain}, total.bits)
+
+
+def _smallest_cover(vals: dict, total: int):
+    """The first key combination, smallest first and in key order, whose
+    bitmasks join to total; None if there is none."""
+    for size in range(len(vals) + 1):
+        for combo in combinations(vals, size):
+            joined = 0
+            for k in combo:
+                joined |= vals[k]
+            if joined == total:
                 return combo
     return None
 
@@ -558,22 +550,12 @@ def check_morphism(mor: BVMorphism) -> MorphismReport:
 def transport(f: Formula, phi: dict) -> Formula:
     """Rename the element constants of a formula along a domain map."""
 
-    def term(t):
+    def term(t, bound):
         if isinstance(t, Const) and t.name.startswith("c_") and t.name[2:] in phi:
             return Const(f"c_{phi[t.name[2:]]}")
         return t
 
-    if isinstance(f, Rel):
-        return Rel(f.sym, tuple(term(t) for t in f.args))
-    if isinstance(f, Eq):
-        return Eq(term(f.lhs), term(f.rhs))
-    if isinstance(f, Not):
-        return Not(transport(f.body, phi))
-    if isinstance(f, (And, Or, Implies)):
-        return type(f)(transport(f.lhs, phi), transport(f.rhs, phi))
-    if isinstance(f, (Exists, Forall)):
-        return type(f)(f.var, transport(f.body, phi))
-    raise TypeError(f"not a formula: {f!r}")
+    return map_terms(f, term)
 
 
 def is_elementary(mor: BVMorphism, depth: int = 2) -> bool:

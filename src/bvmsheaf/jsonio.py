@@ -134,8 +134,11 @@ def model_from_json(ws: "Workspace", data) -> BVModel:
                 if e not in domain:
                     raise InputError(
                         f"relation {sym} mentions unknown element {e!r}")
-    sig = Signature.make(arities, consts.keys())
-    return BVModel.make(alg, domain, eq=eq, rels=rels, consts=consts, sig=sig)
+    try:
+        sig = Signature.make(arities, consts.keys())
+        return BVModel.make(alg, domain, eq=eq, rels=rels, consts=consts, sig=sig)
+    except ValueError as exc:
+        raise InputError(f"bad model object: {exc}") from exc
 
 
 def model_to_json(m: BVModel) -> dict:

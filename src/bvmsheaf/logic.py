@@ -290,28 +290,32 @@ def free_vars(f: Formula) -> frozenset[str]:
     raise TypeError(f"not a formula: {f!r}")
 
 
+def map_terms(f: Formula, fn, bound: frozenset = frozenset()) -> Formula:
+    """Rebuild f with every term t replaced by fn(t, bound), where bound is
+    the set of variables bound by the quantifiers enclosing that occurrence."""
+    if isinstance(f, Rel):
+        return Rel(f.sym, tuple(fn(t, bound) for t in f.args))
+    if isinstance(f, Eq):
+        return Eq(fn(f.lhs, bound), fn(f.rhs, bound))
+    if isinstance(f, Not):
+        return Not(map_terms(f.body, fn, bound))
+    if isinstance(f, (And, Or, Implies)):
+        return type(f)(map_terms(f.lhs, fn, bound), map_terms(f.rhs, fn, bound))
+    if isinstance(f, (Exists, Forall)):
+        return type(f)(f.var, map_terms(f.body, fn, bound | {f.var}))
+    raise TypeError(f"not a formula: {f!r}")
+
+
 def substitute(f: Formula, var: str, const: str) -> Formula:
     """Replace the free occurrences of var by the constant; constants cannot
     be captured, so no renaming is ever needed."""
 
-    def sub_term(t: Term) -> Term:
-        if isinstance(t, Var) and t.name == var:
+    def sub_term(t: Term, bound: frozenset) -> Term:
+        if isinstance(t, Var) and t.name == var and var not in bound:
             return Const(const)
         return t
 
-    if isinstance(f, Rel):
-        return Rel(f.sym, tuple(sub_term(t) for t in f.args))
-    if isinstance(f, Eq):
-        return Eq(sub_term(f.lhs), sub_term(f.rhs))
-    if isinstance(f, Not):
-        return Not(substitute(f.body, var, const))
-    if isinstance(f, (And, Or, Implies)):
-        return type(f)(substitute(f.lhs, var, const), substitute(f.rhs, var, const))
-    if isinstance(f, (Exists, Forall)):
-        if f.var == var:
-            return f
-        return type(f)(f.var, substitute(f.body, var, const))
-    raise TypeError(f"not a formula: {f!r}")
+    return map_terms(f, sub_term)
 
 
 def check_wellformed(sig: Signature, f: Formula) -> None:

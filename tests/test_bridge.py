@@ -250,6 +250,8 @@ def test_fullness_clauses_all_true_on_samples():
         rep = fullness_via_sections(m, 2)
         assert rep.all_agree
         for c in rep.clauses:
+            # the shared per-model data gives what the per-formula path gives
+            assert c == fullness_clauses(m, c.formula, rep.mixing_checked)
             assert c.finite_cover and c.a_phi_full
             assert c.a_phi_closed and c.has_global_section
             if rep.mixing_checked:

@@ -68,6 +68,15 @@ def test_eval_unknown_constant():
     assert "c_zz" in str(err.value)
 
 
+def test_eval_errors_under_quantifiers():
+    m = m_r()
+    with pytest.raises(ModelError, match="free variable 'y'"):
+        eval_formula(m, parse(m.sig, "E x. R(y)"))
+    # a bottom conjunct does not hide an unknown constant beside it
+    with pytest.raises(UnknownConstantError):
+        eval_formula(m, parse(m.sig, "A x. (~x = x & R(c_zz))"))
+
+
 def test_quotient_by_trivial_filter_is_isomorphic_copy():
     m = m_r()
     q = quotient_model(m, Filter(B4, B4.top))

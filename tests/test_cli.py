@@ -139,15 +139,23 @@ def test_bad_arguments_exit_two_with_one_line(capsys, argv, message):
     assert err.count("\n") == 1
 
 
-def test_string_domain_rejected(tmp_path, capsys):
+@pytest.mark.parametrize("domain, message", [
+    pytest.param("st", "array of ids", id="string"),
+    pytest.param([], "nonempty domain", id="empty"),
+    pytest.param(["s", "s"], "duplicate domain ids", id="duplicate-ids"),
+])
+def test_malformed_domain_exit_two_with_one_line(tmp_path, capsys, domain,
+                                                 message):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({
         "algebras": {"B": {"atoms": ["a"]}},
-        "models": {"m": {"algebra": "B", "domain": "st"}}}))
-    with pytest.raises(InputError):
+        "models": {"m": {"algebra": "B", "domain": domain}}}))
+    with pytest.raises(InputError, match=message):
         load_workspace([str(path)])
-    code, _, err = _run(capsys, "validate", "m", "-f", str(path))
-    assert code == 2 and "domain" in err
+    code, out, err = _run(capsys, "validate", "m", "-f", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and message in err
+    assert err.count("\n") == 1
 
 
 def test_malformed_file_exit_two(tmp_path, capsys):
