@@ -372,18 +372,20 @@ class PhiBundle:
         return out
 
 
-def _stone_reps(m: BVModel) -> tuple:
-    """The Stone space, and the class representatives at each of its points."""
+def _stone_data(m: BVModel) -> tuple:
+    """The Stone space, the class representatives at each of its points, and
+    an empty memo of its subspaces keyed by point set."""
     stone = stone_space(m.alg)
     reps = {pt: _class_reps(m, stone.ultrafilter(pt)) for pt in stone.points}
-    return stone, reps
+    return stone, reps, {}
 
 
 def phi_bundle(m: BVModel, f: Formula) -> PhiBundle:
-    return _phi_bundle(m, f, *_stone_reps(m))
+    return _phi_bundle(m, f, *_stone_data(m))
 
 
-def _phi_bundle(m: BVModel, f: Formula, stone, reps: dict) -> PhiBundle:
+def _phi_bundle(m: BVModel, f: Formula, stone, reps: dict,
+                subspaces: dict) -> PhiBundle:
     free = tuple(sorted(free_vars(f)))
     if not free:
         raise ModelError("phi_bundle needs a formula with free variables")
@@ -406,7 +408,9 @@ def _phi_bundle(m: BVModel, f: Formula, stone, reps: dict) -> PhiBundle:
         stalks[pt] = tuple(classes)
         if classes:
             a_phi.add(pt)
-    space = stone.space.subspace(n_b) if n_b else None
+    if n_b and n_b not in subspaces:
+        subspaces[n_b] = stone.space.subspace(n_b)
+    space = subspaces.get(n_b)
     pb = PhiBundle(f, free, b_phi, frozenset(a_phi), n_b, stalks, values, space)
     if space is not None and not space.is_dense_in(pb.a_phi, n_b):
         raise ModelError("A_phi is not dense in N_{b_phi}")
@@ -504,8 +508,8 @@ def fullness_via_sections(m: BVModel, depth: int = 2) -> FullnessSectionsReport:
             if "x" in free_vars(g):
                 deep.append(g)
         pool.extend(deep[:10])
-    stone, reps = _stone_reps(m)
+    stone_data = _stone_data(m)
     clauses = tuple(
-        _clauses(_phi_bundle(m, f, stone, reps), mixing) for f in pool
+        _clauses(_phi_bundle(m, f, *stone_data), mixing) for f in pool
     )
     return FullnessSectionsReport(clauses, all(c.agree for c in clauses), mixing)

@@ -10,7 +10,8 @@ canonical string labels).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, islice, product
+from math import prod
 
 from .balg import BAHom, BoolAlg, Elem
 from .topo import FinPoset, FinTop, ro_algebra, subset_label
@@ -121,18 +122,25 @@ class Presheaf:
 
 @dataclass(frozen=True)
 class SheafReport:
+    """passed: no failure anywhere.  separated: no failure with reason
+    "multiple collations" anywhere; for is_topological_sheaf the flag covers
+    only the levels scanned before the failure list filled.  failures: the
+    first few (level, covering, family, reason) quadruples."""
+
     passed: bool
     separated: bool
-    failures: tuple  # (level, covering, family, reason) quadruples
+    failures: tuple
 
     @property
     def ok(self) -> bool:
         return self.passed
 
 
-def _coverings(base: FinPoset, p: str, kind: str):
-    """All dense (predense below p) or sup (join = p) coverings drawn from
-    the elements strictly below p.
+_MAX_FAILURES = 3  # failures a report lists
+
+
+def _sup_coverings(base: FinPoset, p: str):
+    """All sup coverings (join = p) drawn from the elements strictly below p.
 
     Coverings containing p itself are skipped: any compatible family over
     such a covering contains f_p, every collation is forced to equal f_p,
@@ -141,12 +149,8 @@ def _coverings(base: FinPoset, p: str, kind: str):
     below = sorted(base.down(p) - {p})
     for size in range(1, len(below) + 1):
         for combo in combinations(below, size):
-            if kind == "dense":
-                if base.is_predense_below(combo, p):
-                    yield combo
-            else:
-                if base.sup(combo) == p:
-                    yield combo
+            if base.sup(combo) == p:
+                yield combo
 
 
 def _compatible_families(ps: Presheaf, covering):
@@ -177,39 +181,90 @@ def _collations(ps: Presheaf, p: str, family: dict):
             if all(ps.res(q, p, f) == fq for q, fq in family.items())]
 
 
-def _sheaf_scan(ps: Presheaf, kind: str, mode: str, max_failures: int = 3):
-    """mode 'sheaf' wants exactly one collation, 'separated' at most one."""
+def _sheaf_scan(ps: Presheaf) -> SheafReport:
+    """Exactly one collation for every compatible family over every sup
+    covering, scanned until the failure list is full."""
     failures = []
     separated = True
     for p in ps.base.elements:
-        for covering in _coverings(ps.base, p, kind):
+        for covering in _sup_coverings(ps.base, p):
             for family in _compatible_families(ps, covering):
                 n = len(_collations(ps, p, family))
                 if n > 1:
                     separated = False
                     failures.append((p, covering, family, "multiple collations"))
-                elif n == 0 and mode == "sheaf":
+                elif n == 0:
                     failures.append((p, covering, family, "no collation"))
-                if len(failures) >= max_failures:
+                if len(failures) >= _MAX_FAILURES:
                     return SheafReport(False, separated, tuple(failures))
     return SheafReport(not failures, separated, tuple(failures))
 
 
+def _minimal_below(base: FinPoset, p: str) -> tuple:
+    return tuple(m for m in sorted(base.down(p)) if len(base.down(m)) == 1)
+
+
+def _dense_test(ps: Presheaf, onto: bool) -> SheafReport:
+    """Restrict each F(p) to the product of F(m) over the minimal m <= p:
+    two sections with the same restrictions are a "multiple collations"
+    failure, and with onto set, a tuple no section restricts to is a "no
+    collation" failure.  Injectivity is checked at every level; only the
+    failure list is capped."""
+    failures = []
+    separated = True
+    for p in ps.base.elements:
+        mins = _minimal_below(ps.base, p)
+        if mins == (p,):
+            continue
+        groups = {}
+        for f in ps.sections[p]:
+            key = tuple(ps.res(m, p, f) for m in mins)
+            groups.setdefault(key, []).append(f)
+        for key, fs in groups.items():
+            if len(fs) > 1:
+                separated = False
+                failures.append(
+                    (p, mins, dict(zip(mins, key)), "multiple collations"))
+        if onto and len(groups) < prod(len(ps.sections[m]) for m in mins):
+            missing = (key for key in product(*(ps.sections[m] for m in mins))
+                       if key not in groups)
+            failures.extend((p, mins, dict(zip(mins, key)), "no collation")
+                            for key in islice(missing, _MAX_FAILURES))
+    return SheafReport(not failures, separated, tuple(failures[:_MAX_FAILURES]))
+
+
 def is_separated(ps: Presheaf) -> SheafReport:
     """At most one collation for every compatible family over every dense
-    covering."""
-    return _sheaf_scan(ps, "dense", "separated")
+    covering, decided as: each F(p) -> prod F(m), over the minimal m <= p,
+    is injective.
+
+    On a finite poset q and r are compatible iff some minimal m lies below
+    both, so a set S below p is a dense covering iff every minimal m <= p
+    lies below a member of S.  Two collations of one family over S thus
+    agree on every minimal m <= p, so injectivity makes them equal.
+    Conversely two sections of F(p) that agree on those m both collate the
+    family they induce on the dense covering of the minimal elements, which
+    is compatible because minimal elements have no common refinement."""
+    return _dense_test(ps, onto=False)
 
 
 def is_stonean_sheaf(ps: Presheaf) -> SheafReport:
-    """Exactly one collation for the dense Grothendieck topology."""
-    return _sheaf_scan(ps, "dense", "sheaf")
+    """Exactly one collation for the dense Grothendieck topology, decided
+    as: each F(p) -> prod F(m), over the minimal m <= p, is bijective.
+
+    Every tuple in the product is a compatible family over the dense
+    covering of the minimal elements, so bijectivity is necessary.  It is
+    sufficient: a compatible family over a dense covering S of p induces a
+    tuple on the minimal m <= p (compatibility makes it well defined), its
+    preimage f restricts to each s in S with the same minimal restrictions
+    as the family's member at s, and injectivity at s makes them equal."""
+    return _dense_test(ps, onto=True)
 
 
 def is_topological_sheaf(ps: Presheaf) -> SheafReport:
     """Exactly one collation for the sup Grothendieck topology (the base
     must admit the needed suprema, e.g. O(X)+ or B+)."""
-    return _sheaf_scan(ps, "sup", "sheaf")
+    return _sheaf_scan(ps)
 
 
 # -- etale spaces -------------------------------------------------------------

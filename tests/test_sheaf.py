@@ -1,21 +1,23 @@
 """Presheaves, sheaf predicates, etale spaces, stonean sheafification."""
 
 import random
+from itertools import combinations
 
 import pytest
 
 from bvmsheaf.balg import BAHom, mk_powerset
 from bvmsheaf.sheaf import (Bundle, EtaleSpace, Presheaf, PresheafMorphism,
-                            SheafError, _section_id, alg_poset, check_etale,
-                            check_local_homeo, check_presheaf_morphism,
+                            SheafError, _collations, _section_id, alg_poset,
+                            check_etale, check_local_homeo,
+                            check_presheaf_morphism,
                             find_presheaf_isomorphism, gamma0, gamma1,
                             gamma_half, is_separated, is_stonean_sheaf,
                             is_topological_sheaf, lambda0, lambda1,
                             lift_i_star, sheafify)
 from bvmsheaf.topo import FinPoset, FinTop, opens_poset, subset_label
 
-from util import (all_topologies, is_ro_base, random_subpresheaf,
-                  section_sheaf)
+from util import (all_posets, all_topologies, is_ro_base,
+                  random_subpresheaf, section_sheaf)
 
 SIER = FinTop(("0", "1"),
               frozenset({frozenset(), frozenset({"1"}), frozenset({"0", "1"})}))
@@ -549,6 +551,78 @@ def test_sheaf_scan_matches_unpruned_oracle():
             _sheaf_scan_literal(ps, "dense", "separated")
         assert is_topological_sheaf(ps).passed == \
             _sheaf_scan_literal(ps, "sup", "sheaf")
+
+
+def _random_functorial_presheaf(rng: random.Random, po: FinPoset):
+    """A presheaf with 1 to 3 sections per level and random restrictions,
+    each image chosen among the sections that agree with the images already
+    chosen further down; None when some level has no such section."""
+    levels = sorted(po.elements, key=lambda p: len(po.down(p)))
+    sections = {p: tuple(f"{p}.{i}" for i in range(rng.randint(1, 3)))
+                for p in po.elements}
+    restrict = {}
+    for p in levels:
+        below = [q for q in levels if q != p and po.le(q, p)]
+        for f in sections[p]:
+            image = {}
+            for q in below:
+                fits = [g for g in sections[q]
+                        if all(restrict[r, q][g] == image[r]
+                               for r in below if r != q and po.le(r, q))]
+                if not fits:
+                    return None
+                image[q] = rng.choice(fits)
+                restrict.setdefault((q, p), {})[f] = image[q]
+    return Presheaf.make(po, sections, restrict)
+
+
+def _assert_real_witness(ps: Presheaf, failure):
+    level, covering, family, reason = failure
+    assert all(ps.base.le(q, level) for q in covering)
+    assert ps.base.is_predense_below(covering, level)
+    assert sorted(family) == sorted(covering)
+    for a, b in combinations(covering, 2):
+        for r in ps.base.refinements(a, b):
+            assert ps.res(r, a, family[a]) == ps.res(r, b, family[b])
+    n = len(_collations(ps, level, family))
+    assert n > 1 if reason == "multiple collations" else n == 0
+
+
+def test_dense_predicates_match_unpruned_oracle_on_all_small_posets():
+    rng = random.Random(89)
+    checked = 0
+    for size in range(1, 5):
+        for po in all_posets([f"e{i}" for i in range(size)]):
+            for _ in range(6):
+                ps = _random_functorial_presheaf(rng, po)
+                if ps is None:
+                    continue
+                checked += 1
+                sep = is_separated(ps)
+                sheaf = is_stonean_sheaf(ps)
+                assert sep.passed == _sheaf_scan_literal(ps, "dense", "separated")
+                assert sheaf.passed == _sheaf_scan_literal(ps, "dense", "sheaf")
+                assert sheaf.separated == sep.passed == sep.separated
+                assert all(f[3] == "multiple collations" for f in sep.failures)
+                for failure in sep.failures + sheaf.failures:
+                    _assert_real_witness(ps, failure)
+    assert checked >= 1000
+
+
+def test_separated_flag_survives_the_failure_cap():
+    # three "no collation" failures at e1 and e3 fill the failure list
+    # before the doubled level e3 is reached by a scan
+    po = FinPoset.from_pairs(("e0", "e1", "e2", "e3"),
+                             [("e0", "e1"), ("e1", "e3")])
+    ps = Presheaf.make(
+        po,
+        {"e0": ("e0.0", "e0.1", "e0.2"), "e1": ("e1.0",),
+         "e2": ("e2.0", "e2.1"), "e3": ("e3.0", "e3.1")},
+        {("e0", "e1"): {"e1.0": "e0.2"},
+         ("e1", "e3"): {"e3.0": "e1.0", "e3.1": "e1.0"},
+         ("e0", "e3"): {"e3.0": "e0.2", "e3.1": "e0.2"}})
+    assert not is_separated(ps).passed
+    assert is_stonean_sheaf(ps).separated == is_separated(ps).passed
 
 
 def test_germ_equivalence_is_directly_witnessed():
