@@ -113,14 +113,20 @@ class AdjunctionWitness:
 
 
 def unit_morphism(m: BVModel) -> BVMorphism:
-    rlm = R(L(m))
+    return _unit(m, R(L(m)))
+
+
+def _unit(m: BVModel, rlm: BVModel) -> BVMorphism:
     rep1 = _class_reps(m, Filter(m.alg, m.alg.top))
     return BVMorphism(m, rlm, BAHom.identity(m.alg), dict(rep1))
 
 
 def counit_morphism(f: Presheaf) -> PresheafMorphism:
     """eps_F at level b maps the class of tau in L(R(F))(b) to tau|b."""
-    rf = R(f)
+    return _counit(f, R(f))
+
+
+def _counit(f: Presheaf, rf: BVModel) -> PresheafMorphism:
     lrf = L(rf)
     top_label = f.alg.top.label
     theta = {}
@@ -135,21 +141,25 @@ def counit_morphism(f: Presheaf) -> PresheafMorphism:
 def adjunction_witness(m: BVModel, f: Presheaf | None = None) -> AdjunctionWitness:
     """Builds the unit at M and the counit at F (default F = L(M)), checks
     the counit's naturality squares, and verifies both triangle identities
-    componentwise."""
+    componentwise.  L(M), R(L(M)) and L(R(L(M))) are built once each; with
+    the default F the counit at F is the counit at L(M)."""
     from .bvm import check_morphism
     from .sheaf import check_presheaf_morphism
 
+    lm = L(m)
+    rlm = R(lm)
+    unit = _unit(m, rlm)
+    eps_lm = _counit(lm, rlm)
     if f is None:
-        f = L(m)
-    unit = unit_morphism(m)
-    counit = counit_morphism(f)
+        f, rf, counit = lm, rlm, eps_lm
+    else:
+        rf = R(f)
+        counit = _counit(f, rf)
     bad_square = check_presheaf_morphism(counit)
     if bad_square is not None:
         raise SheafError(f"counit naturality fails at {bad_square}")
 
     # Id_L at M: eps_{L(M)} o L(eta_M) is the identity on each level of L(M).
-    lm = L(m)
-    eps_lm = counit_morphism(lm)
     lrlm = eps_lm.source  # L(R(L(M)))
     rep1 = unit.phi       # eta: tau -> its class rep at F_1
     top_label = m.alg.top.label
@@ -162,7 +172,6 @@ def adjunction_witness(m: BVModel, f: Presheaf | None = None) -> AdjunctionWitne
                 triangle_l_ok = False
 
     # Id_R at F: R(eps_F) o eta_{R(F)} is the identity on R(F).
-    rf = R(f)
     rep1_rf = _class_reps(rf, Filter(rf.alg, rf.alg.top))
     f_top = f.alg.top.label
     triangle_r_ok = all(

@@ -10,7 +10,8 @@ canonical string labels).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice, product
+from functools import cached_property
+from itertools import chain, combinations, islice, product
 from math import prod
 
 from .balg import BAHom, BoolAlg, Elem
@@ -272,7 +273,15 @@ def is_topological_sheaf(ps: Presheaf) -> SheafReport:
 @dataclass
 class EtaleSpace:
     """A finite bundle of germs: total set, projection, and the basic opens
-    (with provenance) that generate its topology."""
+    (with provenance) that generate its topology.
+
+    Germ sets are computed as int masks.  The germ index and the distinct
+    nonzero basic masks are derived from total and basics on first use, so
+    a space built from its fields alone works the same.  A set is open iff
+    it is the OR of the basics inside it, as on frozensets; dropping
+    duplicate and empty basics changes no such union, so every answer is
+    unchanged.
+    """
 
     base: FinTop
     total: tuple
@@ -281,33 +290,51 @@ class EtaleSpace:
     stalks: dict         # base point -> tuple of germs
     germ_of: dict        # (level, section, base point) -> germ
 
-    def basic_list(self) -> list[frozenset]:
-        return list(self.basics.values())
+    @cached_property
+    def _bit(self) -> dict:
+        """Germ -> its bit: the germs of total, then any only a basic names."""
+        germs = dict.fromkeys(chain(self.total, *self.basics.values()))
+        return {g: 1 << i for i, g in enumerate(germs)}
 
-    def is_open(self, s) -> bool:
-        s = frozenset(s)
-        return s == frozenset().union(
-            *(b for b in self.basics.values() if b <= s)) if s else True
+    @cached_property
+    def _basic_masks(self) -> tuple:
+        return tuple({self._bits(b) for b in self.basics.values()} - {0})
 
-    def interior(self, s) -> frozenset:
-        s = frozenset(s)
-        out = frozenset()
-        for b in self.basics.values():
-            if b <= s:
+    def _bits(self, s) -> int:
+        return sum(self._bit.get(g, 0) for g in set(s))
+
+    def _set(self, m: int) -> frozenset:
+        return frozenset(g for g, b in self._bit.items() if b & m)
+
+    def _interior(self, m: int) -> int:
+        out = 0
+        for b in self._basic_masks:
+            if b & m == b:
                 out |= b
         return out
 
+    def is_open(self, s) -> bool:
+        s = frozenset(s)
+        m = self._bits(s)
+        # a germ outside the index has no bit, and no basic covers it
+        return m.bit_count() == len(s) and self._interior(m) == m
+
+    def interior(self, s) -> frozenset:
+        return self._set(self._interior(self._bits(s)))
+
     def closure(self, s) -> frozenset:
-        return frozenset(self.total) - self.interior(frozenset(self.total) - frozenset(s))
+        total = self._bits(self.total)
+        return self._set(total & ~self._interior(total & ~self._bits(s)))
 
     def check_base_property(self) -> None:
-        """Pairwise intersections of basics are unions of basics."""
-        basics = self.basic_list()
-        for b1 in basics:
-            for b2 in basics:
-                meet = b1 & b2
-                if meet and not self.is_open(meet):
-                    raise SheafError("basic opens do not form a base")
+        """Pairwise intersections of basics are unions of basics, checked
+        once per distinct nonzero meet of two distinct basic masks: a basic
+        met with itself is open, and deduping the basics changes neither the
+        set of meets nor any union, so the verdict is the pairwise scan's."""
+        basics = self._basic_masks
+        meets = {b1 & b2 for b1, b2 in combinations(basics, 2)} - {0}
+        if any(self._interior(m) != m for m in meets):
+            raise SheafError("basic opens do not form a base")
 
 
 def check_local_homeo(e: EtaleSpace) -> list[str]:
@@ -400,24 +427,24 @@ def lambda0(ps: Presheaf, x: FinTop) -> EtaleSpace:
 
 
 def gamma0(e: EtaleSpace, u) -> list[dict]:
-    """All continuous right inverses of the projection over the open set u."""
+    """All continuous right inverses of the projection over the open set u.
+
+    A choice is continuous iff the preimage of every basic is open in the
+    subspace u, that is, equal to v & u for an open v of the base."""
     u = frozenset(u)
     if not u or u not in e.base.opens:
         raise SheafError(f"{subset_label(u)} is not a nonempty open of the base")
     points = sorted(u)
-    sub = e.base.subspace(u)
+    um = e.base._check_subset(u)
+    sub_opens = {v & um for v in e.base._masks}
+    point_bits = [e.base._bit[p] for p in points]
+    bit = e._bit
     out = []
     for combo in product(*(e.stalks[p] for p in points)):
-        s = dict(zip(points, combo))
-        chosen = frozenset(combo)
-        ok = True
-        for b in e.basics.values():
-            pre = frozenset(p for p in points if s[p] in b)
-            if not sub.is_open(pre):
-                ok = False
-                break
-        if ok:
-            out.append(s)
+        germ_bits = [bit.get(g, 0) for g in combo]
+        if all(sum(pb for pb, gb in zip(point_bits, germ_bits) if gb & b) in sub_opens
+               for b in e._basic_masks):
+            out.append(dict(zip(points, combo)))
     return out
 
 
@@ -428,16 +455,18 @@ def lambda1(ps: Presheaf, x: FinTop) -> EtaleSpace:
     ro = ro_algebra(x)
     opens = list(levels)
     label_of = dict(levels)
+    mask_of = {u: x._check_subset(u) for u in opens}
 
-    def dense_agree(uf, f, ug, g, inside) -> bool:
-        # D_{f,g} predense below `inside` in O(X)
-        d = [v for v in opens
-             if v <= uf & ug and ps.res(label_of[v], label_of[uf], f)
-             == ps.res(label_of[v], label_of[ug], g)]
-        return all(
-            any(v & w for w in d)
-            for v in opens if v and v <= inside
-        )
+    def agree_mask(uf, f, ug, g) -> int:
+        # the union of D_{f,g}: the opens below uf & ug where f and g agree
+        meet = mask_of[uf] & mask_of[ug]
+        d = 0
+        for v in opens:
+            vm = mask_of[v]
+            if vm & meet == vm and ps.res(label_of[v], label_of[uf], f) \
+                    == ps.res(label_of[v], label_of[ug], g):
+                d |= vm
+        return d
 
     total, proj, stalks, germ_of, basics = [], {}, {}, {}, {}
     points = tuple(sorted(ro.atom_subsets))
@@ -445,8 +474,8 @@ def lambda1(ps: Presheaf, x: FinTop) -> EtaleSpace:
         frozenset(c) for r in range(len(points) + 1)
         for c in combinations(points, r)))
     for g_label in points:
-        g_sub = ro.atom_subsets[g_label]
-        in_filter = [u for u in opens if g_sub <= x.regularize(u)]
+        g_mask = x._check_subset(ro.atom_subsets[g_label])
+        in_filter = [u for u in opens if g_mask & x._reg(mask_of[u]) == g_mask]
         pairs = [(u, f) for u in in_filter for f in ps.sections[label_of[u]]]
         parent = {pr: pr for pr in pairs}
 
@@ -457,12 +486,16 @@ def lambda1(ps: Presheaf, x: FinTop) -> EtaleSpace:
             return z
 
         for (uf, f), (ug, g) in combinations(pairs, 2):
-            for u in in_filter:
-                if u <= uf & ug and dense_agree(uf, f, ug, g, u):
+            # D_{f,g} is predense below some u of the filter inside uf & ug:
+            # no nonempty open lies in u outside the union of D_{f,g}
+            meet = mask_of[uf] & mask_of[ug]
+            inside = [mask_of[u] for u in in_filter if mask_of[u] & meet == mask_of[u]]
+            if inside:
+                d = agree_mask(uf, f, ug, g)
+                if any(not x._int(um & ~d) for um in inside):
                     ra, rb = find((uf, f)), find((ug, g))
                     if ra != rb:
                         parent[rb] = ra
-                    break
         classes = {pr: find(pr) for pr in pairs}
         reps = sorted({(label_of[u], f) for u, f in
                        (classes[pr] for pr in pairs)})

@@ -5,7 +5,7 @@ boolean completions, and the homomorphisms induced by open continuous maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 from .balg import AlgebraError, BAHom, BoolAlg, Elem
 
@@ -29,7 +29,17 @@ def subset_label(subset) -> str:
 
 @dataclass(frozen=True)
 class FinTop:
-    """A finite topological space as an explicit family of open point sets."""
+    """A finite topological space as an explicit family of open point sets.
+
+    Point sets are computed as int masks, bit i standing for points[i].  The
+    point index and the open masks are built once, after the checks, and the
+    interior of a mask (the OR of the open masks inside it) is memoized per
+    instance; closure, Reg and the density, open and closed tests are read
+    off it.  A mask encodes the same set as the frozenset it replaces, so
+    every answer is unchanged.  The index and the memo are set with
+    object.__setattr__, not as fields, so equality, hashing and repr still
+    see only points and opens.
+    """
 
     points: tuple[str, ...]
     opens: frozenset  # of frozenset[str]
@@ -43,78 +53,104 @@ class FinTop:
         for u in self.opens:
             if not u <= pts:
                 raise TopologyError(f"open set {subset_label(u)} not within points")
-        if frozenset() not in self.opens or pts not in self.opens:
+        bit = {p: 1 << i for i, p in enumerate(self.points)}
+        open_bits = {u: sum(bit[p] for p in u) for u in self.opens}
+        masks = frozenset(open_bits.values())
+        top = (1 << len(self.points)) - 1
+        if 0 not in masks or top not in masks:
             raise TopologyError("opens must contain the empty set and the full set")
-        for u in self.opens:
-            for v in self.opens:
-                if u | v not in self.opens:
+        for u, a in open_bits.items():
+            for v, b in open_bits.items():
+                if a | b not in masks:
                     raise TopologyError(
                         f"opens not closed under union: {subset_label(u)} u {subset_label(v)}"
                     )
-                if u & v not in self.opens:
+                if a & b not in masks:
                     raise TopologyError(
                         f"opens not closed under intersection: {subset_label(u)} n {subset_label(v)}"
                     )
+        object.__setattr__(self, "_bit", bit)
+        object.__setattr__(self, "_masks", masks)
+        object.__setattr__(self, "_top", top)
+        object.__setattr__(self, "_int_memo", {})
 
     @property
     def full(self) -> frozenset:
         return frozenset(self.points)
 
-    def _check_subset(self, a) -> frozenset:
+    def _check_subset(self, a) -> int:
+        """The mask of the point set a; raises for points outside the space."""
         a = frozenset(a)
-        if not a <= self.full:
-            raise TopologyError(f"{subset_label(a)} is not a subset of the space")
-        return a
+        try:
+            return sum(self._bit[p] for p in a)
+        except KeyError:
+            raise TopologyError(
+                f"{subset_label(a)} is not a subset of the space") from None
+
+    def _set(self, m: int) -> frozenset:
+        return frozenset(p for i, p in enumerate(self.points) if m >> i & 1)
+
+    def _int(self, m: int) -> int:
+        out = self._int_memo.get(m)
+        if out is None:
+            out = 0
+            for u in self._masks:
+                if u & m == u:
+                    out |= u
+            self._int_memo[m] = out
+        return out
+
+    def _cl(self, m: int) -> int:
+        return self._top ^ self._int(self._top ^ m)
+
+    def _reg(self, m: int) -> int:
+        return self._int(self._cl(m))
 
     def is_open(self, a) -> bool:
-        return frozenset(a) in self.opens
+        return self._check_subset(a) in self._masks
 
     def is_closed(self, a) -> bool:
-        return self.full - frozenset(a) in self.opens
+        return (self._top ^ self._check_subset(a)) in self._masks
 
     def interior(self, a) -> frozenset:
         """Largest open set inside a."""
-        a = self._check_subset(a)
-        out = frozenset()
-        for u in self.opens:
-            if u <= a:
-                out |= u
-        return out
+        return self._set(self._int(self._check_subset(a)))
 
     def closure(self, a) -> frozenset:
         """Smallest closed superset of a."""
-        a = self._check_subset(a)
-        return self.full - self.interior(self.full - a)
+        return self._set(self._cl(self._check_subset(a)))
 
     def regularize(self, a) -> frozenset:
         """Reg(a): the interior of the closure of a."""
-        return self.interior(self.closure(a))
+        return self._set(self._reg(self._check_subset(a)))
 
     def regularize_pointwise(self, a) -> frozenset:
         """Reg(a) computed from its local characterization, independently of
-        Int(Cl(.)): the points with an open neighborhood U such that a n U is
-        dense in U."""
-        a = self._check_subset(a)
+        Int(Cl(.)) and of the masks: the union of the nonempty opens U such
+        that a n U is dense in U."""
+        a = frozenset(a)
+        self._check_subset(a)
         out = set()
         for u in self.opens:
-            if u and self.is_dense_in(a & u, u):
+            if u and all(v & a for v in self.opens if v and v <= u):
                 out |= u
         return frozenset(out)
 
     def is_regular_open(self, a) -> bool:
         a = frozenset(a)
-        return a in self.opens and self.regularize(a) == a
+        return a in self.opens and self._reg(m := self._check_subset(a)) == m
 
     def is_dense(self, a) -> bool:
-        return self.closure(a) == self.full
+        return self._cl(self._check_subset(a)) == self._top
 
     def is_nowhere_dense(self, a) -> bool:
-        return not self.interior(self.closure(a))
+        return not self._reg(self._check_subset(a))
 
     def is_dense_in(self, a, u) -> bool:
-        """a is dense in the open set u: every nonempty open subset of u meets a."""
+        """a is dense in the open set u: every nonempty open subset of u meets
+        a, that is, no nonempty open lies inside u - a."""
         a, u = self._check_subset(a), self._check_subset(u)
-        return all(v & a for v in self.opens if v and v <= u)
+        return not self._int(u & ~a)
 
     def nonempty_opens(self) -> list[frozenset]:
         return sorted((u for u in self.opens if u), key=lambda u: (len(u), sorted(u)))
@@ -131,8 +167,8 @@ class FinTop:
         return len(self.opens) == 2 ** len(self.points)
 
     def subspace(self, s) -> "FinTop":
-        s = self._check_subset(s)
-        if not s:
+        s = frozenset(s)
+        if not self._check_subset(s):
             raise TopologyError("a subspace needs at least one point")
         return FinTop(tuple(p for p in self.points if p in s),
                       frozenset(u & s for u in self.opens))
@@ -298,58 +334,71 @@ class RoAlgebra:
         structure of RO(X)); exhaustive over subfamilies for |RO| <= 16,
         else over pairs, triples and the full family.
 
-        Each regular open is turned into its element bits once, and a
-        subfamily's join is the OR of its members' bits.  Reg of a union is
-        computed once per union and the regular open of a join once per
-        join, so every subfamily is still compared, at the cost of a few
-        int operations instead of rebuilding both sides.
+        A subfamily's union is the OR of its members' point masks and its
+        join the OR of their element bits.  When every subfamily is compared,
+        the distinct (union, join) pairs are collected one member at a time
+        and each is compared once, which passes iff the scan passes.  On a
+        mismatch, and for the larger families, the subfamilies are scanned
+        in order, so the first mismatch reported is unchanged.
         """
-        families: list[tuple] = []
-        if len(ros) + 1 <= 16:
-            pool = [frozenset()] + list(ros)
-            for size in range(len(pool) + 1):
-                families.extend(combinations(pool, size))
+        pool = [frozenset()] + list(ros)
+        points = [self.space._check_subset(u) for u in pool]
+        elems = [0] + [self.from_subset(u).bits for u in ros]
+        atoms = self._atom_masks()
+        if len(pool) <= 16:
+            pairs = {(0, 0)}
+            for p, e in zip(points, elems):
+                pairs |= {(u | p, j | e) for u, j in pairs}
+            if all(self._join_mask(j, atoms) == self.space._reg(u) for u, j in pairs):
+                return
+            families = chain.from_iterable(
+                combinations(range(len(pool)), size) for size in range(len(pool) + 1))
         else:
-            families.extend(combinations(ros, 2))
-            families.extend(combinations(ros, 3))
-            families.append(tuple(ros))
-        bits = {frozenset(): 0, **{u: self.from_subset(u).bits for u in ros}}
-        reg_cache: dict = {}
-        join_cache: dict = {}  # element bits of a join -> its regular open
+            rest = range(1, len(pool))
+            families = chain(combinations(rest, 2), combinations(rest, 3), [tuple(rest)])
         for fam in families:
-            union = frozenset().union(*fam)
-            join = 0
-            for u in fam:
-                join |= bits[u]
-            if union not in reg_cache:
-                reg_cache[union] = self.space.regularize(union)
-            if join not in join_cache:
-                join_cache[join] = self.to_subset(Elem(self.alg, join))
-            if join_cache[join] != reg_cache[union]:
+            union = join = 0
+            for i in fam:
+                union |= points[i]
+                join |= elems[i]
+            if self._join_mask(join, atoms) != self.space._reg(union):
                 raise TopologyError(
-                    f"RO(X) join mismatch on {[subset_label(u) for u in fam]}"
+                    f"RO(X) join mismatch on {[subset_label(pool[i]) for i in fam]}"
                 )
+
+    def _atom_masks(self) -> list[int]:
+        """Point mask of each atom, in the algebra's bit order."""
+        return [self.space._check_subset(self.atom_subsets[a]) for a in self.alg.atoms]
+
+    def _join_mask(self, bits: int, atoms: list[int]) -> int:
+        """Point mask of Reg of the union of the atoms in bits."""
+        union = 0
+        for i, a in enumerate(atoms):
+            if bits >> i & 1:
+                union |= a
+        return self.space._reg(union)
+
+    @staticmethod
+    def _elem_bits(m: int, atoms: list[int]) -> int:
+        """Element bits of the atoms inside the point mask m."""
+        return sum(1 << i for i, a in enumerate(atoms) if a & m == a)
 
     def to_subset(self, e: Elem) -> frozenset:
         """The regular open realized by e: Reg of the union of its atoms."""
         if e.alg != self.alg:
             raise AlgebraError("element of a different algebra")
-        union = frozenset().union(
-            *(self.atom_subsets[a] for a in e.atom_labels())
-        ) if not e.is_bottom else frozenset()
-        return self.space.regularize(union)
+        return self.space._set(self._join_mask(e.bits, self._atom_masks()))
 
     def from_subset(self, u) -> Elem:
         u = frozenset(u)
         if not self.space.is_regular_open(u) and u:
             raise TopologyError(f"{subset_label(u)} is not regular open")
-        return self.alg.from_labels(
-            a for a, sub in self.atom_subsets.items() if sub <= u
-        )
+        return Elem(self.alg, self._elem_bits(self.space._check_subset(u), self._atom_masks()))
 
     def reg_embed(self, u) -> Elem:
         """U |-> Reg(U) as an element, for arbitrary open U."""
-        return self.from_subset(self.space.regularize(u))
+        m = self.space._reg(self.space._check_subset(u))
+        return Elem(self.alg, self._elem_bits(m, self._atom_masks()))
 
 
 def ro_algebra(x: FinTop) -> RoAlgebra:

@@ -127,6 +127,18 @@ def test_adjunction_witness_on_sampled_separated_presheaves():
         assert aw.triangle_l_ok and aw.triangle_r_ok
 
 
+def test_adjunction_witness_default_f_is_explicit_l_of_m():
+    """The default F reuses L(M), R(L(M)) and the counit at L(M); every
+    witness field equals the one computed from an explicit F = L(M)."""
+    rng = random.Random(43)
+    nonext = BVModel.make(B4, ["s", "t"], eq={("s", "t"): B4.top},
+                          sig=Signature.make({}))
+    models = [mnm(), m_r(), nonext]
+    models += [random_separated_presheaf(rng)[1] for _ in range(10)]
+    for m in models:
+        assert adjunction_witness(m) == adjunction_witness(m, L(m))
+
+
 def test_counit_iso_iff_level_surjective():
     rng = random.Random(47)
     seen_not_surjective = 0

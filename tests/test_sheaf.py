@@ -1,7 +1,7 @@
 """Presheaves, sheaf predicates, etale spaces, stonean sheafification."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -198,6 +198,88 @@ def test_lambda1_etale_properties_on_samples():
         sub = random_subpresheaf(rng, full)
         assert not check_etale(lambda1(sub, DISC2))
     assert not check_etale(lambda1(sier_presheaf(), SIER))
+
+
+def _etale_samples() -> list:
+    """lambda0 and lambda1 of the sample presheaves, and seeded random
+    germ bundles over SIER and DISC2 whose basic families are often not a
+    base."""
+    rng = random.Random(83)
+    full = section_sheaf(DISC2, {"x": 2, "y": 2})
+    cases = [(sier_presheaf(), SIER), (_pv_doubled_presheaf(), PV_SPACE),
+             (full, DISC2)]
+    cases += [(random_subpresheaf(rng, full), DISC2) for _ in range(4)]
+    cases += [(constant_singleton(x), x) for x in all_topologies(("p", "q", "r"))]
+    spaces = [lam(ps, x) for ps, x in cases for lam in (lambda0, lambda1)]
+    germs = tuple(f"g{i}" for i in range(6))
+    for _ in range(200):
+        base = rng.choice((SIER, DISC2))
+        proj = {g: rng.choice(base.points) for g in germs}
+        stalks = {pt: tuple(g for g in germs if proj[g] == pt) for pt in base.points}
+        basics = {f"b{i}": frozenset(g for g in germs if rng.random() < 0.4)
+                  for i in range(rng.randint(1, 6))}
+        spaces.append(EtaleSpace(base, germs, proj, basics, stalks, {}))
+    return spaces
+
+
+def _literal_is_open(e: EtaleSpace, s: frozenset) -> bool:
+    return not s or s == frozenset().union(
+        *(b for b in e.basics.values() if b <= s))
+
+
+def _literal_base_property(e: EtaleSpace) -> bool:
+    basics = list(e.basics.values())
+    return all(not b1 & b2 or _literal_is_open(e, b1 & b2)
+               for b1 in basics for b2 in basics)
+
+
+def _literal_gamma0(e: EtaleSpace, u: frozenset) -> list:
+    points = sorted(u)
+    sub = e.base.subspace(u)
+    out = []
+    for combo in product(*(e.stalks[p] for p in points)):
+        s = dict(zip(points, combo))
+        if all(sub.is_open(frozenset(p for p in points if s[p] in b))
+               for b in e.basics.values()):
+            out.append(s)
+    return out
+
+
+def test_etale_mask_kernel_matches_literal_definitions():
+    """check_base_property, is_open, interior, closure and gamma0 agree with
+    the frozenset scans they replaced, on bases and on non-bases."""
+    rng = random.Random(89)
+    verdicts = set()
+    for e in _etale_samples():
+        literal = _literal_base_property(e)
+        verdicts.add(literal)
+        try:
+            e.check_base_property()
+            assert literal
+        except SheafError:
+            assert not literal
+        total = frozenset(e.total)
+        for _ in range(20):
+            s = frozenset(g for g in e.total if rng.random() < 0.5)
+            if rng.random() < 0.2:
+                s |= {"foreign"}
+            inner = frozenset().union(*(b for b in e.basics.values() if b <= s))
+            assert e.is_open(s) == _literal_is_open(e, s)
+            assert e.interior(s) == inner
+            assert e.closure(s) == total - frozenset().union(
+                *(b for b in e.basics.values() if b <= total - s))
+        for u in e.base.nonempty_opens():
+            assert gamma0(e, u) == _literal_gamma0(e, u)
+    assert verdicts == {True, False}
+
+
+def test_check_base_property_rejects_a_non_base():
+    # {a,b} and {b,c} meet in {b}, which is no union of basics
+    e = EtaleSpace(DISC2, ("a", "b", "c"), {"a": "x", "b": "x", "c": "y"},
+                   {"ab": frozenset({"a", "b"}), "bc": frozenset({"b", "c"})},
+                   {"x": ("a", "b"), "y": ("c",)}, {})
+    with pytest.raises(SheafError, match="^basic opens do not form a base$"):
+        e.check_base_property()
 
 
 def test_gamma1_counts_products_of_stalk_sizes():

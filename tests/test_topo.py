@@ -43,6 +43,72 @@ def test_subset_argument_errors():
         SIER.is_dense_in({"1"}, {"nope"})
 
 
+@pytest.mark.parametrize("op, arg, label", [
+    ("is_closed", {"zz"}, "{zz}"),
+    ("is_closed", {"0", "zz"}, "{0,zz}"),
+    ("is_open", {"zz"}, "{zz}"),
+    ("is_open", {"1", "zz"}, "{1,zz}"),
+    ("interior", {"zz"}, "{zz}"),
+    ("closure", {"0", "zz"}, "{0,zz}"),
+])
+def test_open_and_closed_tests_reject_points_outside_the_space(op, arg, label):
+    with pytest.raises(TopologyError, match=f"^{label} is not a subset of the space$"):
+        getattr(SIER, op)(arg)
+
+
+def test_open_and_closed_tests_on_the_sierpinski_space():
+    table = [(frozenset(), True, True), ({"1"}, True, False),
+             ({"0"}, False, True), ({"0", "1"}, True, True)]
+    for a, is_open, is_closed in table:
+        assert SIER.is_open(a) is is_open
+        assert SIER.is_closed(a) is is_closed
+
+
+def _literal_interior(x, a):
+    return frozenset().union(*(u for u in x.opens if u <= a))
+
+
+def _literal_closure(x, a):
+    return x.full - _literal_interior(x, x.full - a)
+
+
+def _literal_regularize(x, a):
+    return _literal_interior(x, _literal_closure(x, a))
+
+
+def test_mask_kernel_matches_literal_definitions():
+    """Every topology on at most 4 points and every subset: the mask kernel
+    agrees with the frozenset formulas it replaced, and Reg with its local
+    characterization."""
+    def by_size(u):
+        return (len(u), sorted(u))
+
+    for n in range(1, 5):
+        for x in all_topologies(("p", "q", "r", "s")[:n]):
+            subsets = [frozenset(p for i, p in enumerate(x.points) if m >> i & 1)
+                       for m in range(1 << n)]
+            for a in subsets:
+                reg = _literal_regularize(x, a)
+                assert x.interior(a) == _literal_interior(x, a)
+                assert x.closure(a) == _literal_closure(x, a)
+                assert x.regularize(a) == reg
+                assert x.regularize_pointwise(a) == reg
+                assert x.is_open(a) == (a in x.opens)
+                assert x.is_closed(a) == (x.full - a in x.opens)
+                assert x.is_regular_open(a) == (a in x.opens and reg == a)
+                assert x.is_dense(a) == (_literal_closure(x, a) == x.full)
+                assert x.is_nowhere_dense(a) == (not _literal_regularize(x, a))
+                for u in subsets:
+                    assert x.is_dense_in(a, u) == all(
+                        v & a for v in x.opens if v and v <= u)
+            opens = sorted(x.opens, key=by_size)
+            assert x.regular_opens() == [
+                u for u in opens if u and _literal_regularize(x, u) == u]
+            assert x.clopens() == [u for u in opens if x.full - u in x.opens]
+            for s in subsets[1:]:
+                assert x.subspace(s).opens == frozenset(u & s for u in x.opens)
+
+
 def test_regularize_trivial_cases():
     for x in (SIER, DISC2):
         assert x.regularize(frozenset()) == frozenset()
