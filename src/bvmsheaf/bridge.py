@@ -11,12 +11,12 @@ from itertools import combinations, product
 from .balg import BAHom, BoolAlg, Elem, Filter, stone_space
 from .bvm import (BVModel, BVMorphism, ModelError, _class_reps, _smallest_cover,
                   closed_pool, eval_formula, generalize, has_mixing, open_pool,
-                  quotient_model, tarski_quotient)
+                  tarski_quotient)
 from .logic import Eq, Exists, Formula, Rel, Signature, Var, free_vars
 from .sheaf import (Bundle, EtaleSpace, NotSeparatedError, Presheaf,
                     PresheafMorphism, SheafError, _section_id, alg_poset,
                     elem_from_label, gamma0, gamma1, is_separated,
-                    is_topological_sheaf, lambda0, lambda1)
+                    is_stonean_sheaf, lambda0, lambda1)
 from .topo import FinPoset, FinTop, subset_label
 
 
@@ -32,19 +32,25 @@ class StructuredPresheaf(Presheaf):
 
 def L(m: BVModel) -> StructuredPresheaf:
     """The separated presheaf of quotients F_M(b) = M/F_b on B+, with
-    restriction maps collapsing classes downward."""
+    restriction maps collapsing classes downward, read off the bits.
+
+    tau and sigma are one class of M/F_b iff b <= [tau=sigma], since F_b is
+    the up-set of b; the representative is the least id of the class, as in
+    quotient_model.  A relation instance over representatives is top in
+    M/F_b iff b <= its value, since the projection c |-> c /\\ b sends the
+    value to b exactly then."""
     poset = alg_poset(m.alg)
-    sections, restrict, rel_top = {}, {}, {}
-    reps_at = {}
+    eq = {pair: v.bits for pair, v in m.eq.items()}
+    sections, restrict, rel_top, reps_at = {}, {}, {}, {}
     for label in poset.elements:
-        b = elem_from_label(m.alg, label)
-        filt = Filter(m.alg, b)
-        reps_at[label] = _class_reps(m, filt)
-        qm = quotient_model(m, filt)
-        sections[label] = qm.domain
-        for sym, table in qm.rels.items():
+        bb = elem_from_label(m.alg, label).bits
+        rep = reps_at[label] = {
+            a: min(b for b in m.domain if eq[b, a] & bb == bb) for a in m.domain}
+        sections[label] = tuple(r for r in m.domain if rep[r] == r)
+        for sym, table in m.rels.items():
             for tup, val in table.items():
-                rel_top[label, sym, tup] = val.is_top
+                if all(rep[t] == t for t in tup):
+                    rel_top[label, sym, tup] = val.bits & bb == bb
     for la in poset.elements:
         for lb in poset.elements:
             if poset.le(la, lb) and la != lb:
@@ -60,7 +66,15 @@ def R(f: Presheaf) -> BVModel:
     """The boolean valued model on F(1) with [f=g] the join of the levels
     where the restrictions agree.  Requires a separated presheaf on B+;
     relation tables are rebuilt when the presheaf carries model structure,
-    otherwise the result interprets equality only."""
+    otherwise the result interprets equality only.
+
+    The joins run over the atoms: for separated F, s|b = t|b iff s|a = t|a
+    for every atom a <= b (F(b) -> prod F(a) over the atoms below b is
+    injective), so [s=t] is the join of the atoms where s and t agree.  Each
+    relation value is likewise the join of the atoms where rel_top holds,
+    which assumes rel_top is atom-determined (top at b iff top at every atom
+    below b).  Both producers give that: L (b <= val) and _gamma1_structured
+    (a conjunction over the points of the level)."""
     if f.alg is None:
         raise SheafError("R needs a presheaf on an algebra base")
     rep = is_separated(f)
@@ -70,29 +84,21 @@ def R(f: Presheaf) -> BVModel:
     alg = f.alg
     top_label = alg.top.label
     domain = f.sections[top_label]
-    levels = [(label, elem_from_label(alg, label)) for label in f.base.elements]
-    eq = {}
-    for s in domain:
-        for t in domain:
-            eq[s, t] = alg.join_all(
-                b for label, b in levels
-                if f.res(label, top_label, s) == f.res(label, top_label, t)
-            )
+    atoms = [(a.label, a.bits) for a in alg.atom_elems()]
+    res = {(a, s): f.res(a, top_label, s) for a, _ in atoms for s in domain}
+
+    def join(holds) -> Elem:
+        return Elem(alg, sum(bit for a, bit in atoms if holds(a)))
+
+    eq = {(s, t): join(lambda a: res[a, s] == res[a, t])
+          for s in domain for t in domain}
     structured = isinstance(f, StructuredPresheaf) and f.sig is not None
     if structured:
         sig = f.sig
-        rels = {}
-        for sym, arity in sig.rel_arity.items():
-            table = {}
-            for tup in product(domain, repeat=arity):
-                table[tup] = alg.join_all(
-                    b for label, b in levels
-                    if f.rel_top.get(
-                        (label, sym,
-                         tuple(f.res(label, top_label, t) for t in tup)),
-                        False)
-                )
-            rels[sym] = table
+        rels = {sym: {tup: join(lambda a: f.rel_top.get(
+                          (a, sym, tuple(res[a, t] for t in tup)), False))
+                      for tup in product(domain, repeat=arity)}
+                for sym, arity in sig.rel_arity.items()}
         consts = dict(f.const_top)
     else:
         sig = Signature.make({}, ())
@@ -231,11 +237,13 @@ class MixSheafReport:
 
 def mixing_iff_sheaf(m: BVModel) -> MixSheafReport:
     """Three independent computations compared: the antichain mixing search,
-    the sup-topology sheaf predicate on L(M), and the global sections of the
-    etale space being exactly the induced ones."""
+    the sheaf predicate on L(M), and the global sections of the etale space
+    being exactly the induced ones.  The sheaf leg is the dense (minimal
+    level) test: on B+ a family below p is predense below p iff its join is
+    p, so the dense and the sup coverings are the same sets."""
     mix = has_mixing(m)
     lm = L(m)
-    sheaf_rep = is_topological_sheaf(lm)
+    sheaf_rep = is_stonean_sheaf(lm)
     stone = stone_space(m.alg)
     ext = ext_to_stone(lm)
     e0 = lambda0(ext, stone.space)

@@ -10,7 +10,7 @@ canonical string labels).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, combinations, islice, product
 from math import prod
 
@@ -26,8 +26,10 @@ class NotSeparatedError(SheafError):
     pass
 
 
+@lru_cache(maxsize=64)
 def alg_poset(alg: BoolAlg) -> FinPoset:
-    """B+ as a poset, elements labelled canonically (atom joins)."""
+    """B+ as a poset, elements labelled canonically (atom joins).  Built
+    once per algebra: both are frozen, so equal algebras share the poset."""
     elems = [e for e in alg.elements() if not e.is_bottom]
     leq = frozenset(
         (a.label, b.label) for a in elems for b in elems if a <= b
@@ -451,8 +453,11 @@ def gamma0(e: EtaleSpace, u) -> list[dict]:
 def lambda1(ps: Presheaf, x: FinTop) -> EtaleSpace:
     """The stonean etale space: stalks indexed by ultrafilters on RO(X),
     germs identified by dense agreement below a filter element."""
+    return _lambda1(ps, x, ro_algebra(x))
+
+
+def _lambda1(ps: Presheaf, x: FinTop, ro) -> EtaleSpace:
     levels = _levels_of_opens(ps, x)
-    ro = ro_algebra(x)
     opens = list(levels)
     label_of = dict(levels)
     mask_of = {u: x._check_subset(u) for u in opens}
@@ -608,10 +613,10 @@ def sheafify(ps: Presheaf, x: FinTop):
     The result is a presheaf on O(St(RO(X)))+ (all nonempty subsets of the
     discrete finite Stone space); the unit sends f in F(U) to the section
     G |-> [f]_G over N_Reg(U)."""
-    e = lambda1(ps, x)
+    ro = ro_algebra(x)
+    e = _lambda1(ps, x, ro)
     bundle = Bundle(e)
     sheaf = gamma_half(bundle)
-    ro = ro_algebra(x)
     stone_ro = BoolAlg(tuple(sorted(e.base.points)))
     i = BAHom.from_dict(ro.alg, stone_ro, {a: a for a in stone_ro.atoms})
     theta = {}

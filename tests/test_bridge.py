@@ -16,7 +16,7 @@ from bvmsheaf.logic import Signature, parse
 from bvmsheaf.sheaf import (NotSeparatedError, Presheaf, alg_poset,
                             is_separated)
 
-from util import random_separated_presheaf
+from util import level_join_R, quotient_L, random_separated_presheaf
 
 B2 = mk_powerset(["a1"])
 B4 = mk_powerset(["a1", "a2"])
@@ -347,3 +347,51 @@ def test_r_of_l_is_quotient_by_trivial_filter_in_general():
         q = quotient_model(m, Filter(m.alg, m.alg.top))
         assert find_model_isomorphism(q, rlm) is not None
     assert seen_non_extensional > 0
+
+
+def _assert_same_presheaf(lm, oracle):
+    assert (lm.base, lm.alg, lm.sig) == (oracle.base, oracle.alg, oracle.sig)
+    assert lm.sections == oracle.sections
+    assert lm.restrict == oracle.restrict
+    assert lm.rel_top == oracle.rel_top
+    assert lm.const_top == oracle.const_top
+
+
+def _assert_same_model(m, oracle):
+    assert (m.alg, m.sig, m.domain) == (oracle.alg, oracle.sig, oracle.domain)
+    assert list(m.eq.items()) == list(oracle.eq.items())
+    assert m.rels == oracle.rels
+    assert m.consts == oracle.consts
+
+
+@pytest.mark.parametrize("seed,count,max_atoms", [
+    (2026, 200, 3),   # the models_200 sample of the acceptance criteria
+    (4404, 300, 4),
+])
+def test_l_and_r_match_quotient_and_level_join_oracles(seed, count, max_atoms):
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = random_model(rng, max_atoms, 4)
+        lm = L(m)
+        _assert_same_presheaf(lm, quotient_L(m))
+        _assert_same_model(R(lm), level_join_R(lm))
+
+
+def test_r_matches_level_join_oracle_on_separated_presheaves():
+    rng = random.Random(4405)
+    for _ in range(60):
+        f, _ = random_separated_presheaf(rng, max_atoms=4, max_stalk=4)
+        _assert_same_model(R(f), level_join_R(f))
+
+
+def test_r_matches_level_join_oracle_on_gamma1_presheaves():
+    # the presheaf mixify hands to R: rel_top is a conjunction over points
+    from bvmsheaf.bridge import _gamma1_structured, _stone_etale
+    rng = random.Random(4406)
+    for _ in range(40):
+        m = random_model(rng, 3, 3)
+        _, _, e1, point_of, tarski, germ_class = _stone_etale(m)
+        g1 = _gamma1_structured(m, e1, point_of, tarski, germ_class)
+        rg1 = R(g1)
+        _assert_same_model(rg1, level_join_R(g1))
+        assert rg1 == mixify(m)[0]

@@ -812,3 +812,60 @@ def test_lambda1_collapses_nonseparated_doubling_on_pv_space():
     assert all(len(sh.sections[p]) == 1 for p in sh.base.elements)
     assert is_stonean_sheaf(sh).passed
     assert unit.theta["{q,r}"]["c1"] == unit.theta["{q,r}"]["c2"]
+
+
+def test_alg_poset_is_built_once_per_algebra():
+    from bvmsheaf.balg import BoolAlg
+    for n in range(1, 5):
+        atoms = tuple(f"a{i + 1}" for i in range(n))
+        alg, twin = BoolAlg(atoms), BoolAlg(atoms)
+        assert alg_poset(alg) is alg_poset(twin)
+        elems = [e for e in alg.elements() if not e.is_bottom]
+        assert alg_poset(alg) == FinPoset(
+            tuple(e.label for e in elems),
+            frozenset((a.label, b.label) for a in elems for b in elems
+                      if set(a.atom_labels()) <= set(b.atom_labels())))
+
+
+def _choice_sheaf(alg, sizes: dict) -> Presheaf:
+    """The presheaf on B+ of all stalk choices over the atoms below each
+    level: a stonean sheaf."""
+    from bvmsheaf.sheaf import elem_from_label
+    po = alg_poset(alg)
+    atoms_of = {lev: elem_from_label(alg, lev).atom_labels()
+                for lev in po.elements}
+    secs = {lev: {_section_id(s): s for s in (
+        dict(zip(atoms, combo)) for combo in product(
+            *(range(sizes[a]) for a in atoms)))}
+        for lev, atoms in atoms_of.items()}
+    restrict = {(q, p): {sid: _section_id({a: s[a] for a in atoms_of[q]})
+                         for sid, s in secs[p].items()}
+                for p in po.elements for q in po.down(p) if q != p}
+    return Presheaf.make(po, {lev: tuple(sorted(s)) for lev, s in secs.items()},
+                         restrict, alg=alg)
+
+
+def test_dense_and_sup_sheaf_predicates_agree_on_b_plus():
+    """On B+ a family below p is predense below p iff its join is p, so the
+    dense and the sup coverings are the same sets and is_stonean_sheaf (by
+    minimal levels) decides what is_topological_sheaf scans."""
+    from bvmsheaf.bridge import L
+    from bvmsheaf.bvm import random_model
+    rng = random.Random(91)
+    verdicts = set()
+    for n in range(1, 5):
+        alg = mk_powerset([f"a{i + 1}" for i in range(n)])
+        for trial in range(12):
+            if trial % 2:
+                source = _choice_sheaf(
+                    alg, {a: rng.randint(1, 2) for a in alg.atoms})
+            else:
+                m = random_model(rng, max_atoms=n, max_domain=3)
+                while m.alg != alg:
+                    m = random_model(rng, max_atoms=n, max_domain=3)
+                source = L(m)
+            f = random_subpresheaf(rng, source)
+            dense, sup = is_stonean_sheaf(f), is_topological_sheaf(f)
+            assert (dense.passed, dense.separated) == (sup.passed, sup.separated)
+            verdicts.add((n, dense.passed))
+    assert {(4, True), (4, False)} <= verdicts

@@ -206,3 +206,69 @@ def random_separated_presheaf(rng, max_atoms: int = 3, max_stalk: int = 3):
     from bvmsheaf.bridge import L
     m = random_model(rng, max_atoms=max_atoms, max_domain=max_stalk)
     return random_subpresheaf(rng, L(m)), m
+
+
+def quotient_L(m):
+    """L(M) built level by level from the quotient models M/F_b, each over
+    its own quotient algebra: the construction L replaced by the equality
+    bits, kept as its oracle."""
+    from bvmsheaf.balg import Filter
+    from bvmsheaf.bridge import StructuredPresheaf
+    from bvmsheaf.bvm import _class_reps, quotient_model
+    from bvmsheaf.sheaf import alg_poset, elem_from_label
+    poset = alg_poset(m.alg)
+    sections, restrict, rel_top = {}, {}, {}
+    reps_at = {}
+    for label in poset.elements:
+        filt = Filter(m.alg, elem_from_label(m.alg, label))
+        reps_at[label] = _class_reps(m, filt)
+        qm = quotient_model(m, filt)
+        sections[label] = qm.domain
+        for sym, table in qm.rels.items():
+            for tup, val in table.items():
+                rel_top[label, sym, tup] = val.is_top
+    for la in poset.elements:
+        for lb in poset.elements:
+            if poset.le(la, lb) and la != lb:
+                restrict[la, lb] = {r: reps_at[la][r] for r in sections[lb]}
+    top_label = m.alg.top.label
+    const_top = {c: reps_at[top_label][t] for c, t in m.consts.items()}
+    ps = Presheaf.make(poset, sections, restrict, alg=m.alg)
+    return StructuredPresheaf(ps.base, ps.sections, ps.restrict, m.alg,
+                              m.sig, rel_top, const_top)
+
+
+def level_join_R(f):
+    """R(F) with every truth value the join over all 2^n - 1 levels where
+    the restrictions agree (or rel_top holds): the definition R replaced by
+    the atoms, kept as its oracle.  F must be separated on B+."""
+    from itertools import product as _product
+    from bvmsheaf.bridge import StructuredPresheaf
+    from bvmsheaf.bvm import BVModel
+    from bvmsheaf.logic import Signature
+    from bvmsheaf.sheaf import elem_from_label
+    alg = f.alg
+    top_label = alg.top.label
+    domain = f.sections[top_label]
+    levels = [(label, elem_from_label(alg, label)) for label in f.base.elements]
+    eq = {}
+    for s in domain:
+        for t in domain:
+            eq[s, t] = alg.join_all(
+                b for label, b in levels
+                if f.res(label, top_label, s) == f.res(label, top_label, t))
+    if isinstance(f, StructuredPresheaf) and f.sig is not None:
+        sig, rels = f.sig, {}
+        for sym, arity in sig.rel_arity.items():
+            rels[sym] = {
+                tup: alg.join_all(
+                    b for label, b in levels
+                    if f.rel_top.get(
+                        (label, sym,
+                         tuple(f.res(label, top_label, t) for t in tup)),
+                        False))
+                for tup in _product(domain, repeat=arity)}
+        consts = dict(f.const_top)
+    else:
+        sig, rels, consts = Signature.make({}, ()), {}, {}
+    return BVModel(alg, sig, tuple(domain), eq, rels, consts)
