@@ -14,13 +14,11 @@ class AlgebraError(ValueError):
     """Raised for ill-formed algebras, elements or homomorphisms."""
 
 
-# Atom counts whose powerset algebra has passed _check_axioms in this process.
-_AXIOMS_CHECKED: set[int] = set()
-
-
 @dataclass(frozen=True)
 class BoolAlg:
-    """Powerset algebra over a finite tuple of distinct atom labels."""
+    """Powerset algebra over a finite tuple of distinct atom labels.  The
+    boolean-algebra laws hold by construction (the operations are &, | and ~
+    on bitmasks), so only the labels are checked."""
 
     atoms: tuple[str, ...]
 
@@ -29,10 +27,6 @@ class BoolAlg:
             raise AlgebraError("an algebra needs at least one atom")
         if len(set(self.atoms)) != len(self.atoms):
             raise AlgebraError(f"duplicate atom labels: {self.atoms}")
-        n = len(self.atoms)
-        if n <= 4 and n not in _AXIOMS_CHECKED:
-            _check_axioms(self)
-            _AXIOMS_CHECKED.add(n)
 
     @property
     def atom_count(self) -> int:
@@ -134,9 +128,6 @@ class Elem:
     def __lt__(self, other: "Elem") -> bool:
         return self <= other and self.bits != other.bits
 
-    def minus(self, other: "Elem") -> "Elem":
-        return self & ~other
-
     @property
     def is_bottom(self) -> bool:
         return self.bits == 0
@@ -152,10 +143,6 @@ class Elem:
     def atom_labels(self) -> tuple[str, ...]:
         return tuple(a for i, a in enumerate(self.alg.atoms) if self.bits >> i & 1)
 
-    def atoms_below(self) -> list["Elem"]:
-        return [Elem(self.alg, 1 << i) for i in range(self.alg.atom_count)
-                if self.bits >> i & 1]
-
     @property
     def label(self) -> str:
         """Canonical display name: '0' for bottom, else the atom join."""
@@ -165,33 +152,6 @@ class Elem:
 
     def __repr__(self):
         return f"<{self.label}>"
-
-
-def _check_axioms(alg: BoolAlg) -> None:
-    """Exhaustive boolean-algebra axiom check (run for algebras <= 2^4 elements).
-
-    Runs once per atom count per process: the first algebra of each size is
-    checked in full and its size recorded in _AXIOMS_CHECKED.  The verdict
-    cannot differ between two algebras of one size, because every operation
-    the check uses (&, |, ~ and == on Elem) reads only the bitmasks, and the
-    only other thing it compares is the algebra with itself; the labels
-    never enter.
-    """
-    elems = list(alg.elements())
-    top, bot = alg.top, alg.bottom
-    for a in elems:
-        if not (a & ~a == bot and (a | ~a) == top):
-            raise AlgebraError(f"complement laws fail at {a}")
-        for b in elems:
-            if a & b != b & a or a | b != b | a:
-                raise AlgebraError(f"commutativity fails at {a}, {b}")
-            if a & (a | b) != a or a | (a & b) != a:
-                raise AlgebraError(f"absorption fails at {a}, {b}")
-            for c in elems:
-                if a & (b | c) != (a & b) | (a & c):
-                    raise AlgebraError(f"distributivity fails at {a}, {b}, {c}")
-                if a & (b & c) != (a & b) & c or a | (b | c) != (a | b) | c:
-                    raise AlgebraError(f"associativity fails at {a}, {b}, {c}")
 
 
 @dataclass(frozen=True)
@@ -218,10 +178,6 @@ class Filter:
     @property
     def is_ultrafilter(self) -> bool:
         return self.gen.is_atom
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.gen.is_top
 
     def members(self) -> list[Elem]:
         return [e for e in self.alg.elements() if self.gen <= e]

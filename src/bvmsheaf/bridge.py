@@ -118,18 +118,9 @@ class AdjunctionWitness:
     counit_is_iso: bool
 
 
-def unit_morphism(m: BVModel) -> BVMorphism:
-    return _unit(m, R(L(m)))
-
-
 def _unit(m: BVModel, rlm: BVModel) -> BVMorphism:
     rep1 = _class_reps(m, Filter(m.alg, m.alg.top))
     return BVMorphism(m, rlm, BAHom.identity(m.alg), dict(rep1))
-
-
-def counit_morphism(f: Presheaf) -> PresheafMorphism:
-    """eps_F at level b maps the class of tau in L(R(F))(b) to tau|b."""
-    return _counit(f, R(f))
 
 
 def _counit(f: Presheaf, rf: BVModel) -> PresheafMorphism:

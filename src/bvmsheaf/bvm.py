@@ -78,9 +78,6 @@ class BVModel:
             }
         return BVModel(alg, sig, domain, full_eq, full_rels, dict(consts or {}))
 
-    def eq_value(self, a: str, b: str) -> Elem:
-        return self.eq[a, b]
-
     def resolve_constant(self, name: str) -> str:
         if name in self.consts:
             return self.consts[name]
@@ -567,47 +564,6 @@ def is_elementary(mor: BVMorphism, depth: int = 2) -> bool:
         if lhs != rhs:
             return False
     return True
-
-
-def find_model_isomorphism(m: BVModel, n: BVModel):
-    """Search for an isomorphism of boolean valued models; None if there is
-    none.  Atom bijections are enumerated outright (few atoms), the domain
-    bijection by backtracking with equality-table pruning."""
-    from itertools import permutations
-
-    if m.alg.atom_count != n.alg.atom_count or len(m.domain) != len(n.domain):
-        return None
-    if m.sig.rel_arity != n.sig.rel_arity:
-        return None
-
-    def extend(i, order, phi, used):
-        if len(order) == len(phi):
-            mor = BVMorphism(m, n, i, dict(phi))
-            return mor if check_morphism(mor).is_isomorphism else None
-        a = order[len(phi)]
-        for b in n.domain:
-            if b in used:
-                continue
-            if any(i(m.eq[a, a2]) != n.eq[b, phi[a2]] for a2 in phi):
-                continue
-            if i(m.eq[a, a]) != n.eq[b, b]:
-                continue
-            phi[a] = b
-            used.add(b)
-            out = extend(i, order, phi, used)
-            if out is not None:
-                return out
-            del phi[a]
-            used.discard(b)
-        return None
-
-    for perm in permutations(n.alg.atoms):
-        i = BAHom.from_dict(m.alg, n.alg,
-                            {p: a for p, a in zip(perm, m.alg.atoms)})
-        out = extend(i, list(m.domain), {}, set())
-        if out is not None:
-            return out
-    return None
 
 
 # -- fixed validity list and random models -----------------------------------

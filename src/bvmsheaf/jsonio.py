@@ -77,12 +77,6 @@ def topology_from_json(data) -> FinTop:
         raise InputError(f"bad topology object: {exc}") from exc
 
 
-def topology_to_json(x: FinTop) -> dict:
-    return {"points": list(x.points),
-            "opens": [sorted(u) for u in
-                      sorted(x.opens, key=lambda u: (len(u), sorted(u)))]}
-
-
 def poset_from_json(data) -> FinPoset:
     try:
         return FinPoset.from_pairs(tuple(data["elements"]),

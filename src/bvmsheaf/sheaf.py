@@ -48,8 +48,9 @@ class Presheaf:
     """Contravariant set assignment on a finite poset.
 
     sections maps each base element to a tuple of section ids; restrict maps
-    each pair (q, p) with q <= p to a dict F(p) -> F(q).  Functoriality is
-    validated exhaustively at construction time via make()."""
+    each pair (q, p) with q <= p to a dict F(p) -> F(q).  make() rejects
+    duplicate section ids and keys that are not such a pair, and validates
+    functoriality exhaustively."""
 
     base: FinPoset
     sections: dict
@@ -61,6 +62,13 @@ class Presheaf:
              alg: BoolAlg | None = None) -> "Presheaf":
         sections = {p: tuple(fs) for p, fs in sections.items()}
         restrict = {pair: dict(r) for pair, r in restrict.items()}
+        for p, fs in sections.items():
+            if len(set(fs)) != len(fs):
+                raise SheafError(f"duplicate section ids at level {p}")
+        for q, p in restrict:
+            if not base.le(q, p):
+                raise SheafError(
+                    f"restriction {q} <= {p} is not a pair q <= p of the base")
         for p in base.elements:
             if p not in sections:
                 raise SheafError(f"no section set at level {p}")
@@ -98,29 +106,6 @@ class Presheaf:
                         if via != direct:
                             raise SheafError(
                                 f"composition fails on {r} <= {q} <= {p} at {f}")
-
-    def stalk_at_filter(self, levels: list) -> dict:
-        """Equivalence classes of sections over a filter of levels:
-        (p, f) ~ (q, g) iff they agree on some common lower level in the
-        filter.  Returns a map (level, section) -> class representative."""
-        pairs = [(p, f) for p in levels for f in self.sections[p]]
-        parent = {x: x for x in pairs}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for (p, f), (q, g) in combinations(pairs, 2):
-            for r in levels:
-                if self.base.le(r, p) and self.base.le(r, q) and \
-                        self.res(r, p, f) == self.res(r, q, g):
-                    ra, rb = find((p, f)), find((q, g))
-                    if ra != rb:
-                        parent[rb] = ra
-                    break
-        return {x: find(x) for x in pairs}
 
 
 @dataclass(frozen=True)
@@ -339,55 +324,6 @@ class EtaleSpace:
             raise SheafError("basic opens do not form a base")
 
 
-def check_local_homeo(e: EtaleSpace) -> list[str]:
-    """The etale-space core: continuous projection, basics mapping
-    homeomorphically onto opens of the base, discrete stalks."""
-    problems = []
-    for u in e.base.opens:
-        pre = frozenset(g for g in e.total if e.proj[g] in u)
-        if not e.is_open(pre):
-            problems.append(f"projection not continuous at {subset_label(u)}")
-    for key, b in e.basics.items():
-        image = frozenset(e.proj[g] for g in b)
-        if image not in e.base.opens:
-            problems.append(f"basic {key} does not project onto an open set")
-        if len(image) != len(b):
-            problems.append(f"projection not injective on basic {key}")
-        for u in e.base.opens:
-            if u <= image:
-                slice_ = frozenset(g for g in b if e.proj[g] in u)
-                if not e.is_open(slice_):
-                    problems.append(f"projection not a homeomorphism on {key}")
-                    break
-    for point, stalk in e.stalks.items():
-        stalk = frozenset(stalk)
-        for g in stalk:
-            isolated = any(b & stalk == {g} for b in e.basics.values())
-            if not isolated:
-                problems.append(f"stalk at {point} not discrete at {g}")
-    return problems
-
-
-def check_etale(e: EtaleSpace) -> list[str]:
-    """The full stonean etale suite: the local homeomorphism core plus the
-    separation properties specific to the ultrafilter-indexed space (closed
-    stalks, Hausdorff, zero-dimensionality via clopen basics)."""
-    problems = check_local_homeo(e)
-    total = frozenset(e.total)
-    for point, stalk in e.stalks.items():
-        if not e.is_open(total - frozenset(stalk)):
-            problems.append(f"stalk at {point} not closed")
-    for g1, g2 in combinations(e.total, 2):
-        if not any(g1 in b1 and g2 in b2 and not b1 & b2
-                   for b1 in e.basics.values() for b2 in e.basics.values()):
-            problems.append(f"germs {g1}, {g2} not Hausdorff separated")
-    for b in e.basics.values():
-        if not e.is_open(total - b):
-            problems.append("a basic open is not clopen")
-            break
-    return problems
-
-
 def _levels_of_opens(ps: Presheaf, x: FinTop) -> dict:
     """Map each nonempty open of x to the presheaf level labelled by it."""
     out = {}
@@ -399,33 +335,50 @@ def _levels_of_opens(ps: Presheaf, x: FinTop) -> dict:
     return out
 
 
+def _stalk(ps: Presheaf, point: str, levels, key, germ_of: dict) -> tuple:
+    """The germs at point of the sections over levels, two sections sharing
+    a germ iff key gives them the same value.  Each germ is named after the
+    first (level, section) with its key; germ_of is filled in and the stalk
+    returned in the order of those names."""
+    reps = {}
+    for lev in levels:
+        for f in ps.sections[lev]:
+            lev0, f0 = reps.setdefault(key(lev, f), (lev, f))
+            germ_of[lev, f, point] = f"{point}:{lev0}:{f0}"
+    return tuple(f"{point}:{lev}:{f}" for lev, f in sorted(reps.values()))
+
+
+def _etale(base: FinTop, stalks: dict, basics: dict, germ_of: dict) -> EtaleSpace:
+    """The etale space with these stalks, germs in stalk order, checked to
+    have basics that form a base."""
+    total = tuple(chain.from_iterable(stalks.values()))
+    proj = {g: point for point, stalk in stalks.items() for g in stalk}
+    e = EtaleSpace(base, total, proj, basics, stalks, germ_of)
+    e.check_base_property()
+    return e
+
+
 def lambda0(ps: Presheaf, x: FinTop) -> EtaleSpace:
-    """The classical etale space of germs by point-local agreement."""
+    """The classical etale space of germs by point-local agreement.
+
+    Two sections over opens around x have the same germ at x iff they
+    restrict to the same section on U_x, the smallest open around x.  Proof:
+    U_x lies inside every open around x, so agreement on some open around x
+    restricts to agreement on U_x, and U_x is itself an open around x.  So
+    the restriction to U_x is each section's germ key."""
     levels = _levels_of_opens(ps, x)
-    total, proj, stalks, germ_of = [], {}, {}, {}
+    stalks, germ_of = {}, {}
     for point in x.points:
-        filt = [levels[u] for u in levels if point in u]
-        classes = ps.stalk_at_filter(filt)
-        reps = sorted(set(classes.values()))
-        stalk = []
-        for rep in reps:
-            germ = f"{point}:{rep[0]}:{rep[1]}"
-            stalk.append(germ)
-            for (lev, sec), r in classes.items():
-                if r == rep:
-                    germ_of[lev, sec, point] = germ
-        stalks[point] = tuple(stalk)
-        total.extend(stalk)
-        for g in stalk:
-            proj[g] = point
+        around = [u for u in levels if point in u]
+        u_x = levels[min(around, key=len)]
+        stalks[point] = _stalk(ps, point, [levels[u] for u in around],
+                               lambda lev, f: ps.res(u_x, lev, f), germ_of)
     basics = {}
     for u, lev in levels.items():
         for f in ps.sections[lev]:
             key = f"{lev}:{f}"
             basics[key] = frozenset(germ_of[lev, f, pt] for pt in u)
-    e = EtaleSpace(x, tuple(total), proj, basics, stalks, germ_of)
-    e.check_base_property()
-    return e
+    return _etale(x, stalks, basics, germ_of)
 
 
 def gamma0(e: EtaleSpace, u) -> list[dict]:
@@ -457,79 +410,45 @@ def lambda1(ps: Presheaf, x: FinTop) -> EtaleSpace:
 
 
 def _lambda1(ps: Presheaf, x: FinTop, ro) -> EtaleSpace:
+    """Lambda1 with RO(X) given.
+
+    Let g be an atom of RO(X) and f in F(U), h in F(V) with U and V in the
+    ultrafilter at g (g inside Reg U and Reg V).  Every minimal nonempty
+    open m inside g lies in U: m meets U, being a nonempty open inside
+    Cl U, and m & U = m by minimality.  Then f and h have the same germ at g
+    iff f|m = h|m for every such m.  Proof, <=: the union W of those m is
+    open and dense in g, so W is in the filter, and the opens where f and h
+    agree cover W.  Proof, =>: any W of the filter meets each such m, so it
+    contains m by minimality; a family of opens where f and h agree that is
+    predense below W has a member meeting m, and that member contains m.
+    So the tuple of restrictions to those m is each section's germ key."""
     levels = _levels_of_opens(ps, x)
-    opens = list(levels)
-    label_of = dict(levels)
-    mask_of = {u: x._check_subset(u) for u in opens}
-
-    def agree_mask(uf, f, ug, g) -> int:
-        # the union of D_{f,g}: the opens below uf & ug where f and g agree
-        meet = mask_of[uf] & mask_of[ug]
-        d = 0
-        for v in opens:
-            vm = mask_of[v]
-            if vm & meet == vm and ps.res(label_of[v], label_of[uf], f) \
-                    == ps.res(label_of[v], label_of[ug], g):
-                d |= vm
-        return d
-
-    total, proj, stalks, germ_of, basics = [], {}, {}, {}, {}
+    mask_of = {u: x._check_subset(u) for u in levels}
+    minimal = [u for u in levels if not any(v < u for v in levels)]
+    stalks, germ_of, basics = {}, {}, {}
     points = tuple(sorted(ro.atom_subsets))
     base = FinTop(points, frozenset(
         frozenset(c) for r in range(len(points) + 1)
         for c in combinations(points, r)))
     for g_label in points:
         g_mask = x._check_subset(ro.atom_subsets[g_label])
-        in_filter = [u for u in opens if g_mask & x._reg(mask_of[u]) == g_mask]
-        pairs = [(u, f) for u in in_filter for f in ps.sections[label_of[u]]]
-        parent = {pr: pr for pr in pairs}
-
-        def find(z):
-            while parent[z] != z:
-                parent[z] = parent[parent[z]]
-                z = parent[z]
-            return z
-
-        for (uf, f), (ug, g) in combinations(pairs, 2):
-            # D_{f,g} is predense below some u of the filter inside uf & ug:
-            # no nonempty open lies in u outside the union of D_{f,g}
-            meet = mask_of[uf] & mask_of[ug]
-            inside = [mask_of[u] for u in in_filter if mask_of[u] & meet == mask_of[u]]
-            if inside:
-                d = agree_mask(uf, f, ug, g)
-                if any(not x._int(um & ~d) for um in inside):
-                    ra, rb = find((uf, f)), find((ug, g))
-                    if ra != rb:
-                        parent[rb] = ra
-        classes = {pr: find(pr) for pr in pairs}
-        reps = sorted({(label_of[u], f) for u, f in
-                       (classes[pr] for pr in pairs)})
-        stalk = []
-        for rep in reps:
-            germ = f"{g_label}:{rep[0]}:{rep[1]}"
-            stalk.append(germ)
-            for (u, f), r in classes.items():
-                if (label_of[r[0]], r[1]) == rep:
-                    germ_of[label_of[u], f, g_label] = germ
-        stalks[g_label] = tuple(stalk)
-        total.extend(stalk)
-        for germ in stalk:
-            proj[germ] = g_label
+        mins = [levels[m] for m in minimal if mask_of[m] & g_mask == mask_of[m]]
+        in_filter = [lev for u, lev in levels.items()
+                     if g_mask & x._reg(mask_of[u]) == g_mask]
+        stalks[g_label] = _stalk(
+            ps, g_label, in_filter,
+            lambda lev, f: tuple(ps.res(m, lev, f) for m in mins), germ_of)
     ro_elems = [e for e in ro.alg.elements() if not e.is_bottom]
-    for u in opens:
+    for u, lev in levels.items():
         reg_u = ro.reg_embed(u)
         for q in ro_elems:
             if not q <= reg_u:
                 continue
             q_points = frozenset(q.atom_labels())
-            for f in ps.sections[label_of[u]]:
-                key = f"{label_of[u]}:{f}@{q.label}"
-                basics[key] = frozenset(
-                    germ_of[label_of[u], f, pt] for pt in q_points
-                )
-    e = EtaleSpace(base, tuple(total), proj, basics, stalks, germ_of)
-    e.check_base_property()
-    return e
+            for f in ps.sections[lev]:
+                key = f"{lev}:{f}@{q.label}"
+                basics[key] = frozenset(germ_of[lev, f, pt] for pt in q_points)
+    return _etale(base, stalks, basics, germ_of)
 
 
 @dataclass
@@ -700,69 +619,3 @@ def check_presheaf_morphism(mor: PresheafMorphism):
                 if down_then_theta != theta_then_down:
                     return (u_label, v_label)
     return None
-
-
-def find_presheaf_isomorphism(f0: Presheaf, f1: Presheaf):
-    """Backtracking search for a base-poset isomorphism together with
-    level-wise section bijections commuting with restrictions; None when the
-    presheaves are not isomorphic."""
-    from itertools import permutations
-
-    e0, e1 = f0.base.elements, f1.base.elements
-    if len(e0) != len(e1):
-        return None
-    if sorted(len(f0.sections[p]) for p in e0) != \
-            sorted(len(f1.sections[p]) for p in e1):
-        return None
-    for perm in permutations(e1):
-        base_map = dict(zip(e0, perm))
-        if any((f0.base.le(a, b)) != (f1.base.le(base_map[a], base_map[b]))
-               for a in e0 for b in e0):
-            continue
-        if any(len(f0.sections[p]) != len(f1.sections[base_map[p]]) for p in e0):
-            continue
-        assign = _match_sections(f0, f1, base_map)
-        if assign is not None:
-            return base_map, assign
-    return None
-
-
-def _match_sections(f0: Presheaf, f1: Presheaf, base_map: dict):
-    """Level-wise bijections commuting with restrictions, or None."""
-    from itertools import permutations
-
-    order = sorted(f0.base.elements,
-                   key=lambda p: -len(f0.base.down(p)))  # top-down
-
-    def extend(idx, assign):
-        if idx == len(order):
-            return dict(assign)
-        p = order[idx]
-        targets = f1.sections[base_map[p]]
-        for perm in permutations(targets):
-            level_map = dict(zip(f0.sections[p], perm))
-            ok = True
-            for q, amap in assign.items():
-                if f0.base.le(q, p):
-                    for f in f0.sections[p]:
-                        if amap[f0.res(q, p, f)] != \
-                                f1.res(base_map[q], base_map[p], level_map[f]):
-                            ok = False
-                            break
-                elif f0.base.le(p, q):
-                    for f in f0.sections[q]:
-                        if level_map[f0.res(p, q, f)] != \
-                                f1.res(base_map[p], base_map[q], amap[f]):
-                            ok = False
-                            break
-                if not ok:
-                    break
-            if ok:
-                assign[p] = level_map
-                out = extend(idx + 1, assign)
-                if out is not None:
-                    return out
-                del assign[p]
-        return None
-
-    return extend(0, {})

@@ -5,7 +5,6 @@ boolean completions, and the homomorphisms induced by open continuous maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
 
 from .balg import AlgebraError, BAHom, BoolAlg, Elem
 
@@ -124,18 +123,6 @@ class FinTop:
         """Reg(a): the interior of the closure of a."""
         return self._set(self._reg(self._check_subset(a)))
 
-    def regularize_pointwise(self, a) -> frozenset:
-        """Reg(a) computed from its local characterization, independently of
-        Int(Cl(.)) and of the masks: the union of the nonempty opens U such
-        that a n U is dense in U."""
-        a = frozenset(a)
-        self._check_subset(a)
-        out = set()
-        for u in self.opens:
-            if u and all(v & a for v in self.opens if v and v <= u):
-                out |= u
-        return frozenset(out)
-
     def is_regular_open(self, a) -> bool:
         a = frozenset(a)
         return a in self.opens and self._reg(m := self._check_subset(a)) == m
@@ -175,24 +162,6 @@ class FinTop:
 
     def __repr__(self):
         return f"FinTop({len(self.points)} points, {len(self.opens)} opens)"
-
-
-def generate_topology(points, base) -> FinTop:
-    """Smallest topology on the points containing every set in base."""
-    pts = frozenset(points)
-    family = {frozenset(), pts} | {frozenset(b) for b in base}
-    # close under pairwise intersections, then all unions of the result
-    while True:
-        extra = {u & v for u in family for v in family} - family
-        if not extra:
-            break
-        family |= extra
-    while True:
-        extra = {u | v for u in family for v in family} - family
-        if not extra:
-            break
-        family |= extra
-    return FinTop(tuple(points), frozenset(family))
 
 
 @dataclass(frozen=True)
@@ -318,6 +287,9 @@ class RoAlgebra:
 
     Atoms are the minimal nonzero regular opens; atom_subsets keeps the
     bidirectional dictionary between atom labels and concrete point sets.
+    RO(X) of a finite space is a complete boolean algebra by construction,
+    the join of any family being Reg of its union, so the constructor does
+    not re-prove it; the test suite does, on every small topology.
     """
 
     def __init__(self, space: FinTop):
@@ -327,44 +299,6 @@ class RoAlgebra:
                  if not any(v < u for v in ros)]
         self.atom_subsets = {subset_label(u): u for u in atoms}
         self.alg = BoolAlg(tuple(sorted(self.atom_subsets)))
-        self._check_complete(ros)
-
-    def _check_complete(self, ros) -> None:
-        """All computed joins agree with Reg of the union (the complete-BA
-        structure of RO(X)); exhaustive over subfamilies for |RO| <= 16,
-        else over pairs, triples and the full family.
-
-        A subfamily's union is the OR of its members' point masks and its
-        join the OR of their element bits.  When every subfamily is compared,
-        the distinct (union, join) pairs are collected one member at a time
-        and each is compared once, which passes iff the scan passes.  On a
-        mismatch, and for the larger families, the subfamilies are scanned
-        in order, so the first mismatch reported is unchanged.
-        """
-        pool = [frozenset()] + list(ros)
-        points = [self.space._check_subset(u) for u in pool]
-        elems = [0] + [self.from_subset(u).bits for u in ros]
-        atoms = self._atom_masks()
-        if len(pool) <= 16:
-            pairs = {(0, 0)}
-            for p, e in zip(points, elems):
-                pairs |= {(u | p, j | e) for u, j in pairs}
-            if all(self._join_mask(j, atoms) == self.space._reg(u) for u, j in pairs):
-                return
-            families = chain.from_iterable(
-                combinations(range(len(pool)), size) for size in range(len(pool) + 1))
-        else:
-            rest = range(1, len(pool))
-            families = chain(combinations(rest, 2), combinations(rest, 3), [tuple(rest)])
-        for fam in families:
-            union = join = 0
-            for i in fam:
-                union |= points[i]
-                join |= elems[i]
-            if self._join_mask(join, atoms) != self.space._reg(union):
-                raise TopologyError(
-                    f"RO(X) join mismatch on {[subset_label(pool[i]) for i in fam]}"
-                )
 
     def _atom_masks(self) -> list[int]:
         """Point mask of each atom, in the algebra's bit order."""
@@ -442,18 +376,6 @@ def is_extremally_disconnected(x: FinTop) -> bool:
     clop = {u for u in x.opens if x.is_closed(u)}
     ro = {u for u in x.opens if x.regularize(u) == u}
     return clop == ro
-
-
-@dataclass(frozen=True)
-class DensityReport:
-    is_dense: bool
-    is_nowhere_dense: bool
-    is_dense_below: bool | None
-
-
-def density_predicates(x: FinTop, a, u=None) -> DensityReport:
-    below = x.is_dense_in(a, u) if u is not None else None
-    return DensityReport(x.is_dense(a), x.is_nowhere_dense(a), below)
 
 
 def boolean_completion(p: FinPoset):

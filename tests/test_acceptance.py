@@ -14,17 +14,18 @@ import pytest
 from bvmsheaf.balg import Filter, mk_powerset, stone_space, ultrafilters
 from bvmsheaf.bridge import (L, R, adjunction_witness, fullness_via_sections,
                              mixify, mixing_iff_sheaf)
-from bvmsheaf.bvm import (BVModel, eval_formula, find_model_isomorphism,
-                          has_mixing, is_full, open_pool, random_model,
-                          standard_validities, tarski_quotient, validate)
+from bvmsheaf.bvm import (BVModel, eval_formula, has_mixing, is_full,
+                          open_pool, random_model, standard_validities,
+                          tarski_quotient, validate)
 from bvmsheaf.logic import Signature, substitute
-from bvmsheaf.sheaf import (find_presheaf_isomorphism, is_stonean_sheaf,
-                            lambda1, sheafify)
+from bvmsheaf.sheaf import is_stonean_sheaf, lambda1, sheafify
 from bvmsheaf.topo import FinTop, boolean_completion, induced_ro_hom, ro_algebra
 
 from util import (all_continuous_maps, all_homs, all_posets, all_topologies,
                   brute_force_left_adjoint, brute_force_ultrafilters,
-                  random_separated_presheaf, random_subpresheaf, section_sheaf)
+                  find_model_isomorphism, find_presheaf_isomorphism,
+                  random_separated_presheaf, random_subpresheaf,
+                  regularize_pointwise, section_sheaf)
 
 SEED = 2026
 N_MODELS = 200
@@ -94,7 +95,7 @@ def test_criterion_02_regularization():
                    for m in range(2 ** len(pts))]
         regs = {a: x.regularize(a) for a in subsets}
         for a in subsets:
-            assert regs[a] == x.regularize_pointwise(a)   # local characterization
+            assert regs[a] == regularize_pointwise(x, a)   # local characterization
             assert x.regularize(regs[a]) == regs[a]        # idempotent
             for b in subsets:
                 if a <= b:

@@ -9,14 +9,15 @@ from bvmsheaf.bridge import (L, R, adjunction_witness,
                              ext_to_stone, fullness_clauses,
                              fullness_via_sections, global_sections_of_bundle,
                              mixify, mixing_iff_sheaf, phi_bundle)
-from bvmsheaf.bvm import (BVModel, check_morphism, find_model_isomorphism,
-                          has_mixing, is_elementary, quotient_model,
-                          random_model, tarski_quotient, validate)
+from bvmsheaf.bvm import (BVModel, check_morphism, has_mixing, is_elementary,
+                          quotient_model, random_model, tarski_quotient,
+                          validate)
 from bvmsheaf.logic import Signature, parse
 from bvmsheaf.sheaf import (NotSeparatedError, Presheaf, alg_poset,
                             is_separated)
 
-from util import level_join_R, quotient_L, random_separated_presheaf
+from util import (find_model_isomorphism, level_join_R, quotient_L,
+                  random_separated_presheaf, stalk_at_filter)
 
 B2 = mk_powerset(["a1"])
 B4 = mk_powerset(["a1", "a2"])
@@ -57,7 +58,7 @@ def test_l_stalks_are_tarski_quotient_domains():
             g = Filter(m.alg, atom)
             levels = [e.label for e in m.alg.elements()
                       if not e.is_bottom and atom <= e]
-            classes = lm.stalk_at_filter(levels)
+            classes = stalk_at_filter(lm, levels)
             stalk_size = len(set(classes.values()))
             assert stalk_size == len(tarski_quotient(m, g).domain)
 
@@ -319,7 +320,7 @@ def test_l_stalk_bijection_respects_equality():
             g = Filter(m.alg, atom)
             levels = [e.label for e in m.alg.elements()
                       if not e.is_bottom and atom <= e]
-            classes = lm.stalk_at_filter(levels)
+            classes = stalk_at_filter(lm, levels)
             rep_g = {}
             for a in m.domain:
                 for b in m.domain:

@@ -8,12 +8,13 @@ import pytest
 from bvmsheaf.balg import Filter, mk_powerset
 from bvmsheaf.bvm import (BVModel, BVMorphism, ModelError, TarskiModel,
                           UnknownConstantError, check_morphism, closed_pool,
-                          eval_formula, find_model_isomorphism, has_mixing,
-                          is_elementary, is_full, open_pool, product_model,
-                          quotient_model, random_model, satisfies,
-                          standard_validities, tarski_quotient, ultraproduct,
-                          validate)
+                          eval_formula, has_mixing, is_elementary, is_full,
+                          open_pool, product_model, quotient_model,
+                          random_model, satisfies, standard_validities,
+                          tarski_quotient, ultraproduct, validate)
 from bvmsheaf.logic import Signature, parse, substitute
+
+from util import find_model_isomorphism
 
 B2 = mk_powerset(["a1"])
 B4 = mk_powerset(["a1", "a2"])

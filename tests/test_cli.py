@@ -1,6 +1,7 @@
 """The batch front door: commands, exit codes, JSON round trips."""
 
 import json
+import re
 
 import pytest
 
@@ -153,6 +154,34 @@ def test_malformed_domain_exit_two_with_one_line(tmp_path, capsys, domain,
     with pytest.raises(InputError, match=message):
         load_workspace([str(path)])
     code, out, err = _run(capsys, "validate", "m", "-f", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and message in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("sections, restrictions, message", [
+    pytest.param({"{0,1}": ["s", "s"], "{1}": ["t"]},
+                 {"{1}<={0,1}": {"s": "t"}},
+                 "duplicate section ids at level {0,1}", id="duplicate-ids"),
+    pytest.param({"{0,1}": ["s"], "{1}": ["t"]},
+                 {"{1}<={0,1}": {"s": "t"}, "{0,1}<={1}": {"t": "s"}},
+                 "{0,1} <= {1} is not a pair", id="reversed-key"),
+    pytest.param({"{0,1}": ["s"], "{1}": ["t"]},
+                 {"{1}<={0,1}": {"s": "t"}, "{9}<={1}": {"t": "t"}},
+                 "{9} <= {1} is not a pair", id="foreign-level"),
+])
+def test_malformed_presheaf_exit_two_with_one_line(tmp_path, capsys, sections,
+                                                   restrictions, message):
+    path = tmp_path / "ps.json"
+    path.write_text(json.dumps({
+        "topologies": {"sier": {"points": ["0", "1"],
+                                "opens": [[], ["1"], ["0", "1"]]}},
+        "presheaves": {"F": {"base": {"topology": "sier"},
+                             "sections": sections,
+                             "restrictions": restrictions}}}))
+    with pytest.raises(InputError, match=re.escape(message)):
+        load_workspace([str(path)])
+    code, out, err = _run(capsys, "sheafify", "F", "-f", str(path))
     assert code == 2 and out == ""
     assert err.startswith("input error:") and message in err
     assert err.count("\n") == 1

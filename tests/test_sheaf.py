@@ -8,15 +8,15 @@ import pytest
 from bvmsheaf.balg import BAHom, mk_powerset
 from bvmsheaf.sheaf import (Bundle, EtaleSpace, Presheaf, PresheafMorphism,
                             SheafError, _collations, _section_id, alg_poset,
-                            check_etale, check_local_homeo,
-                            check_presheaf_morphism,
-                            find_presheaf_isomorphism, gamma0, gamma1,
+                            check_presheaf_morphism, gamma0, gamma1,
                             gamma_half, is_separated, is_stonean_sheaf,
                             is_topological_sheaf, lambda0, lambda1,
                             lift_i_star, sheafify)
 from bvmsheaf.topo import FinPoset, FinTop, opens_poset, subset_label
 
-from util import (all_posets, all_topologies, is_ro_base,
+from util import (all_posets, all_topologies, check_etale, check_local_homeo,
+                  find_presheaf_isomorphism, is_ro_base, pairwise_lambda0,
+                  pairwise_lambda1, random_functorial_presheaf,
                   random_subpresheaf, section_sheaf)
 
 SIER = FinTop(("0", "1"),
@@ -742,6 +742,31 @@ def _dense_agree_oracle(ps, x, label, uf, f, ug, g, inside):
          and ps.res(label[v], label[uf], f) == ps.res(label[v], label[ug], g)]
     return all(any(v & w for w in d)
                for v in x.nonempty_opens() if v <= inside)
+
+
+def test_keyed_germs_match_pairwise_oracle():
+    """lambda0 keys germs by the restriction to U_x and lambda1 by the
+    restrictions to the minimal opens inside the RO atom; the pairwise
+    union-find constructions of tests/util.py are their oracle.  Every field
+    is compared, on seeded random functorial presheaves over every topology
+    of at most 4 points."""
+    rng = random.Random(20261018)
+    merged = {lambda0: 0, lambda1: 0}
+    for n in range(1, 5):
+        for x in all_topologies(("p", "q", "r", "s")[:n]):
+            ps = random_functorial_presheaf(rng, x)
+            for keyed, oracle in ((lambda0, pairwise_lambda0),
+                                  (lambda1, pairwise_lambda1)):
+                got, want = keyed(ps, x), oracle(ps, x)
+                assert got.base == want.base
+                assert got.total == want.total
+                assert got.proj == want.proj
+                assert got.basics == want.basics
+                assert got.stalks == want.stalks
+                assert got.germ_of == want.germ_of
+                merged[keyed] += len(got.germ_of) - len(set(got.germ_of.values()))
+    # the sample is not vacuous: many (level, section) pairs share germs
+    assert all(count > 1000 for count in merged.values())
 
 
 def test_lift_i_star_identity_is_identity():

@@ -4,12 +4,12 @@ import pytest
 
 from bvmsheaf.topo import (ContMap, FinPoset, FinTop, NotOpenMapError,
                            TopologyError, boolean_completion, clop_algebra,
-                           density_predicates, down_topology,
-                           generate_topology, induced_ro_hom,
+                           down_topology, induced_ro_hom,
                            is_extremally_disconnected, opens_poset,
                            ro_algebra, subset_label)
 
-from util import all_continuous_maps, all_posets, all_topologies
+from util import (all_continuous_maps, all_posets, all_topologies,
+                  generate_topology, regularize_pointwise, ro_joins_match)
 
 SIER = FinTop(("0", "1"),
               frozenset({frozenset(), frozenset({"1"}), frozenset({"0", "1"})}))
@@ -92,7 +92,7 @@ def test_mask_kernel_matches_literal_definitions():
                 assert x.interior(a) == _literal_interior(x, a)
                 assert x.closure(a) == _literal_closure(x, a)
                 assert x.regularize(a) == reg
-                assert x.regularize_pointwise(a) == reg
+                assert regularize_pointwise(x, a) == reg
                 assert x.is_open(a) == (a in x.opens)
                 assert x.is_closed(a) == (x.full - a in x.opens)
                 assert x.is_regular_open(a) == (a in x.opens and reg == a)
@@ -120,7 +120,7 @@ def test_regularize_matches_local_characterization():
     for x in all_topologies(("p", "q", "r")):
         for mask in range(8):
             a = frozenset(p for i, p in enumerate(x.points) if mask >> i & 1)
-            assert x.regularize(a) == x.regularize_pointwise(a)
+            assert x.regularize(a) == regularize_pointwise(x, a)
 
 
 def test_regularize_monotone_idempotent_inflationary():
@@ -162,13 +162,20 @@ def test_ro_algebra_subset_dictionary_roundtrip():
             assert ro.from_subset(ro.to_subset(e)) == e
 
 
+def test_ro_algebra_is_complete_with_reg_of_union_joins():
+    """For every subfamily of regular opens of every topology on at most 4
+    points, to_subset of the join is Reg of the union."""
+    for n in range(1, 5):
+        for x in all_topologies(("p", "q", "r", "s")[:n]):
+            assert ro_joins_match(x, ro_algebra(x))
+
+
 def test_ro_completeness_check_catches_corrupted_atoms():
     for x in all_topologies(("p", "q", "r")):
         for label in ro_algebra(x).atom_subsets:
             ro = ro_algebra(x)
             ro.atom_subsets[label] = frozenset()  # drop the atom's points
-            with pytest.raises(TopologyError):
-                ro._check_complete(x.regular_opens())
+            assert not ro_joins_match(x, ro)
 
 
 def test_clop_and_extremally_disconnected():
@@ -284,14 +291,11 @@ def test_continuity_validated():
 
 
 def test_density_predicates():
-    rep = density_predicates(SIER, {"1"})
-    assert rep.is_dense and not rep.is_nowhere_dense
-    rep = density_predicates(SIER, SIER.full)
-    assert rep.is_dense and not rep.is_nowhere_dense
-    rep = density_predicates(DISC2, {"x"}, u={"x", "y"})
-    assert not rep.is_dense and not rep.is_nowhere_dense
-    assert rep.is_dense_below is False
-    assert density_predicates(SIER, frozenset(), u={"1"}).is_dense_below is False
+    assert SIER.is_dense({"1"}) and not SIER.is_nowhere_dense({"1"})
+    assert SIER.is_dense(SIER.full) and not SIER.is_nowhere_dense(SIER.full)
+    assert not DISC2.is_dense({"x"}) and not DISC2.is_nowhere_dense({"x"})
+    assert DISC2.is_dense_in({"x"}, {"x", "y"}) is False
+    assert SIER.is_dense_in(frozenset(), {"1"}) is False
 
 
 def test_poset_predense_and_sup():
