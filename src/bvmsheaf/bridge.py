@@ -6,13 +6,15 @@ the canonical mixification, and the formula bundles characterizing fullness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations, product
+from operator import or_
 
 from .balg import BAHom, BoolAlg, Elem, Filter, stone_space
 from .bvm import (BVModel, BVMorphism, ModelError, _class_reps, _smallest_cover,
-                  closed_pool, eval_formula, generalize, has_mixing, open_pool,
+                  closed_pool, generalize, has_mixing, open_pool,
                   tarski_quotient)
-from .logic import Eq, Exists, Formula, Rel, Signature, Var, free_vars
+from .logic import Eq, Formula, Rel, Signature, Var, free_vars
 from .sheaf import (Bundle, EtaleSpace, NotSeparatedError, Presheaf,
                     PresheafMorphism, SheafError, _section_id, alg_poset,
                     elem_from_label, gamma0, gamma1, is_separated,
@@ -394,17 +396,14 @@ def phi_bundle(m: BVModel, f: Formula) -> PhiBundle:
 
 def _phi_bundle(m: BVModel, f: Formula, stone, reps: dict,
                 subspaces: dict) -> PhiBundle:
+    """phi_bundle on shared Stone data.  phi is evaluated once per tuple, and
+    b_phi = [E free. phi] is by definition the join of the tuple values."""
     free = tuple(sorted(free_vars(f)))
     if not free:
         raise ModelError("phi_bundle needs a formula with free variables")
-    closed = f
-    for v in free:
-        closed = Exists(v, closed)
-    b_phi = eval_formula(m, closed)
-    values = {
-        tup: eval_formula(m, f, dict(zip(free, tup)))
-        for tup in product(m.domain, repeat=len(free))
-    }
+    values = {tup: Elem(m.alg, m._evaluator.bits(f, dict(zip(free, tup))))
+              for tup in product(m.domain, repeat=len(free))}
+    b_phi = Elem(m.alg, reduce(or_, (v.bits for v in values.values()), 0))
     n_b = frozenset(b_phi.atom_labels())
     stalks, a_phi = {}, set()
     for pt in sorted(n_b):
@@ -423,14 +422,6 @@ def _phi_bundle(m: BVModel, f: Formula, stone, reps: dict,
     if space is not None and not space.is_dense_in(pb.a_phi, n_b):
         raise ModelError("A_phi is not dense in N_{b_phi}")
     return pb
-
-
-def _minimal_tuple_cover(pb: PhiBundle):
-    """Smallest witness-tuple set whose values join to b_phi.  The existential
-    closure is the finite join of all tuple values, so this never returns
-    None."""
-    return _smallest_cover({t: pb.values[t].bits for t in sorted(pb.values)},
-                           pb.b_phi.bits)
 
 
 def global_sections_of_bundle(pb: PhiBundle) -> list[dict]:
@@ -473,8 +464,9 @@ def fullness_clauses(m: BVModel, f: Formula,
 
 
 def _clauses(pb: PhiBundle, with_product_clause: bool) -> FullnessClauses:
-    cover = _minimal_tuple_cover(pb)
-    finite_cover = cover is not None
+    # a smallest tuple set whose values join to b_phi (all of them always do)
+    finite_cover = _smallest_cover(
+        {t: pb.values[t].bits for t in sorted(pb.values)}, pb.b_phi.bits) is not None
     a_phi_full = pb.a_phi == pb.n_b_phi
     if pb.space is None:
         a_phi_closed = True

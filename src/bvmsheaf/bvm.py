@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
 from itertools import combinations, product
+from operator import and_, or_
 
 from .balg import BAHom, BoolAlg, Elem, Filter, antichains, quotient
 from .logic import (And, Const, Eq, Exists, Forall, Formula, Implies, Not,
@@ -30,7 +32,9 @@ class UnknownConstantError(ModelError):
 @dataclass
 class BVModel:
     """A B-valued interpretation: domain, equality table, relation tables,
-    constant assignments.  Immutable by convention; operations are pure."""
+    constant assignments.  Immutable by convention; operations are pure.
+    The evaluator kept on the model reads the tables at the model's first
+    evaluation, so they may be changed only before it."""
 
     alg: BoolAlg
     sig: Signature
@@ -84,6 +88,10 @@ class BVModel:
         if name.startswith("c_") and name[2:] in self.domain:
             return name[2:]
         raise UnknownConstantError(name)
+
+    @cached_property
+    def _evaluator(self) -> "_Evaluator":
+        return _Evaluator(self)
 
     @property
     def is_extensional(self) -> bool:
@@ -140,47 +148,71 @@ def validate(m: BVModel) -> ValidationReport:
     return ValidationReport(tuple(bad), extensional)
 
 
-def _resolve(m: BVModel, term, env: dict) -> str:
-    if isinstance(term, Var):
-        if term.name not in env:
-            raise ModelError(f"free variable {term.name!r} in a closed evaluation")
-        return env[term.name]
-    return m.resolve_constant(term.name)
-
-
 def eval_formula(m: BVModel, f: Formula, env: dict | None = None) -> Elem:
-    """The boolean truth value of a closed formula: conjunction is meet,
-    negation is complement, the quantifiers are the finite join and meet
-    over the domain, all computed on bitmasks (is_full's Los test checks it)."""
-    return Elem(m.alg, _eval_bits(m, f, env or {}, m.alg.top.bits))
+    """The boolean truth value of a formula under env (variable -> id):
+    meet, join and complement, the quantifiers finite joins and meets over
+    the domain, computed on bitmasks by the model's evaluator."""
+    return Elem(m.alg, m._evaluator.bits(f, env or {}))
 
 
-def _eval_bits(m: BVModel, f: Formula, env: dict, top: int) -> int:
-    """eval_formula on the bitmasks of the eq/rels tables; top is the top
-    bitmask.  Every subformula is evaluated, so a bad term always raises."""
-    if isinstance(f, Rel):
-        return m.rels[f.sym][tuple(_resolve(m, t, env) for t in f.args)].bits
-    if isinstance(f, Eq):
-        return m.eq[_resolve(m, f.lhs, env), _resolve(m, f.rhs, env)].bits
-    if isinstance(f, Not):
-        return top & ~_eval_bits(m, f.body, env, top)
-    if isinstance(f, And):
-        return _eval_bits(m, f.lhs, env, top) & _eval_bits(m, f.rhs, env, top)
-    if isinstance(f, Or):
-        return _eval_bits(m, f.lhs, env, top) | _eval_bits(m, f.rhs, env, top)
-    if isinstance(f, Implies):
-        return top & ~_eval_bits(m, f.lhs, env, top) | _eval_bits(m, f.rhs, env, top)
-    if isinstance(f, Exists):
-        out = 0
-        for d in m.domain:
-            out |= _eval_bits(m, f.body, {**env, f.var: d}, top)
-        return out
-    if isinstance(f, Forall):
-        out = top
-        for d in m.domain:
-            out &= _eval_bits(m, f.body, {**env, f.var: d}, top)
-        return out
-    raise TypeError(f"not a formula: {f!r}")
+class _Evaluator:
+    """[f] as a bitmask, on the model's tables read into ints and its
+    constants resolved once.  It keeps no reference to the model, so no
+    cycle delays freeing the model."""
+
+    def __init__(self, m: BVModel):
+        self.domain, self.top = m.domain, m.alg.top.bits
+        self.eq = {pair: v.bits for pair, v in m.eq.items()}
+        self.rels = {sym: {tup: v.bits for tup, v in table.items()}
+                     for sym, table in m.rels.items()}
+        self.consts = {c: m.resolve_constant(c)
+                       for c in (*m.consts, *(f"c_{d}" for d in m.domain))}
+
+    def bits(self, f: Formula, env: dict) -> int:
+        """Every subformula is evaluated, so a bad term always raises."""
+        kind = type(f)
+        if kind is Exists or kind is Forall:
+            inner, vals = dict(env), []
+            for d in self.domain:
+                inner[f.var] = d
+                vals.append(self.bits(f.body, inner))
+            if kind is Exists:
+                return reduce(or_, vals, 0)
+            return reduce(and_, vals, self.top)
+        if kind is And:
+            return self.bits(f.lhs, env) & self.bits(f.rhs, env)
+        if kind is Eq:
+            return self._lookup(self.eq, (f.lhs, f.rhs), env)
+        if kind is Rel:
+            return self._lookup(self.rels[f.sym], f.args, env)
+        if kind is Not:
+            return self.top & ~self.bits(f.body, env)
+        if kind is Or:
+            return self.bits(f.lhs, env) | self.bits(f.rhs, env)
+        if kind is Implies:
+            return self.top & ~self.bits(f.lhs, env) | self.bits(f.rhs, env)
+        raise TypeError(f"not a formula: {f!r}")
+
+    def _lookup(self, table: dict, terms, env: dict) -> int:
+        """The table entry at the ids of terms, resolved left to right."""
+        key = tuple([self._id(t, env) for t in terms])
+        try:
+            return table[key]
+        except KeyError:
+            for t, d in zip(terms, key):
+                if isinstance(t, Var) and d not in self.domain:
+                    raise ModelError(f"variable {t.name!r} is bound to {d!r}, "
+                                     "which is not in the domain") from None
+            raise
+
+    def _id(self, t, env: dict) -> str:
+        if isinstance(t, Var):
+            if t.name not in env:
+                raise ModelError(f"free variable {t.name!r} in a closed evaluation")
+            return env[t.name]
+        if t.name not in self.consts:
+            raise UnknownConstantError(t.name)
+        return self.consts[t.name]
 
 
 def quotient_model(m: BVModel, f: Filter) -> BVModel:
@@ -373,35 +405,33 @@ def is_full(m: BVModel, depth: int = 2, formulas=None) -> FullnessReport:
         witnesses.
 
     The equivalence of (a) and (b) is a theorem; the report asserts it on
-    the instance.  Every existential is a finite join, so (b) always finds a
-    cover and procedures_agree reduces to full; (a) is what tests
-    eval_formula, against satisfies.
+    the instance.  An E-rooted formula's body is evaluated once at each d:
+    the join is its value, and the cover is read off the same values.  Every
+    existential is a finite join, so (b) always finds a cover and
+    procedures_agree reduces to full; (a) tests the evaluator.
     """
     pool = formulas if formulas is not None else closed_pool(
         m.sig, m.domain, depth)
-    values = [(f, eval_formula(m, f)) for f in pool]
+    values, covers = [], []
+    for f in pool:
+        if isinstance(f, Exists):
+            body = {d: m._evaluator.bits(f.body, {f.var: d}) for d in m.domain}
+            value = reduce(or_, body.values(), 0)
+            covers.append((f, _smallest_cover(body, value)))
+        else:
+            value = m._evaluator.bits(f, {})
+        values.append((f, value))
     mismatches = []
     for g_atom in m.alg.atom_elems():
         g = Filter(m.alg, g_atom)
         t = tarski_quotient(m, g)
         for f, value in values:
-            if satisfies(t, f) != (value in g):
+            if satisfies(t, f) != bool(value & g_atom.bits):
                 mismatches.append((g.label, f))
-    covers = [(f, _minimal_witness_cover(m, f, value))
-              for f, value in values if isinstance(f, Exists)]
     covers_ok = all(cover is not None for _, cover in covers)
     full = not mismatches
     return FullnessReport(full, tuple(mismatches), tuple(covers),
                           full == covers_ok, len(pool))
-
-
-def _minimal_witness_cover(m: BVModel, f: Exists, total: Elem):
-    """Smallest set of domain elements whose body values join to total, the
-    value of the existential; ties resolved in domain order.  The existential
-    is the finite join of all its body values, so this never returns None."""
-    top = m.alg.top.bits
-    return _smallest_cover(
-        {d: _eval_bits(m, f.body, {f.var: d}, top) for d in m.domain}, total.bits)
 
 
 def _smallest_cover(vals: dict, total: int):

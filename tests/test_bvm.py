@@ -2,19 +2,25 @@
 products, morphisms."""
 
 import random
+from functools import reduce
+from itertools import product
+from operator import or_
 
 import pytest
 
-from bvmsheaf.balg import Filter, mk_powerset
+from bvmsheaf.balg import Filter, mk_powerset, stone_space
+from bvmsheaf.bridge import _phi_bundle, _stone_data
 from bvmsheaf.bvm import (BVModel, BVMorphism, ModelError, TarskiModel,
-                          UnknownConstantError, check_morphism, closed_pool,
-                          eval_formula, has_mixing, is_elementary, is_full,
+                          UnknownConstantError, _smallest_cover,
+                          check_morphism, closed_pool, eval_formula,
+                          generalize, has_mixing, is_elementary, is_full,
                           open_pool, product_model, quotient_model,
                           random_model, satisfies, standard_validities,
                           tarski_quotient, ultraproduct, validate)
-from bvmsheaf.logic import Signature, parse, substitute
+from bvmsheaf.logic import (And, Eq, Exists, Implies, Or, Rel, Signature, Var,
+                            free_vars, parse, substitute)
 
-from util import find_model_isomorphism
+from util import find_model_isomorphism, recursive_eval_bits
 
 B2 = mk_powerset(["a1"])
 B4 = mk_powerset(["a1", "a2"])
@@ -71,11 +77,25 @@ def test_eval_unknown_constant():
 
 def test_eval_errors_under_quantifiers():
     m = m_r()
-    with pytest.raises(ModelError, match="free variable 'y'"):
-        eval_formula(m, parse(m.sig, "E x. R(y)"))
-    # a bottom conjunct does not hide an unknown constant beside it
-    with pytest.raises(UnknownConstantError):
-        eval_formula(m, parse(m.sig, "A x. (~x = x & R(c_zz))"))
+    x = Var("x")
+    rows = [
+        (parse(m.sig, "E x. R(y)"), None, ModelError, "free variable 'y'"),
+        # a bottom conjunct does not hide an unknown constant beside it
+        (parse(m.sig, "A x. (~x = x & R(c_zz))"), None, UnknownConstantError,
+         "c_zz"),
+        # an env id outside the domain names the variable and the id; these
+        # two rows raised a bare KeyError of the table key, ('zz',) and
+        # ('zz', 's'), before the evaluator checked env ids
+        (parse(m.sig, "R(x)"), {"x": "zz"}, ModelError,
+         "variable 'x' is bound to 'zz'"),
+        (parse(m.sig, "E y. (R(y) | x = y)"), {"x": "zz"}, ModelError,
+         "variable 'x' is bound to 'zz'"),
+        (Exists("y", And(Eq(x, x), "junk")), {"x": "s"}, TypeError,
+         "not a formula: 'junk'"),
+    ]
+    for f, env, error, message in rows:
+        with pytest.raises(error, match=message):
+            eval_formula(m, f, env)
 
 
 def test_quotient_by_trivial_filter_is_isomorphic_copy():
@@ -279,3 +299,120 @@ def test_validities_need_a_relation():
     m = mnm()
     with pytest.raises(ModelError):
         standard_validities(m)
+
+
+# -- the model's evaluator against the recursive oracle ------------------------
+
+def _oracle_values(m, pool) -> list:
+    """(formula, value, body values at each d or None) for each pool formula,
+    by the recursive oracle; an E-rooted formula's value is the join of its
+    body values, exactly as the oracle computes it."""
+    top = m.alg.top.bits
+    out = []
+    for f in pool:
+        if isinstance(f, Exists):
+            body = {d: recursive_eval_bits(m, f.body, {f.var: d}, top)
+                    for d in m.domain}
+            out.append((f, reduce(or_, body.values()), body))
+        else:
+            out.append((f, recursive_eval_bits(m, f, {}, top), None))
+    return out
+
+
+@pytest.fixture(scope="module")
+def oracle_models():
+    """The acceptance 200-model sample (seed 2026) and 300 seeded models of
+    up to 4 atoms and 4 elements, each with its closed_pool(., 2) valued by
+    the recursive oracle."""
+    rng = random.Random(2026)
+    models = [random_model(rng) for _ in range(200)]
+    rng = random.Random(23)
+    models += [random_model(rng, 4, 4) for _ in range(300)]
+    return [(m, _oracle_values(m, closed_pool(m.sig, m.domain, 2)))
+            for m in models]
+
+
+def test_eval_formula_matches_recursive_oracle(oracle_models):
+    """The closed pool, the open pool under every env, and the validity list
+    (the pools hold no Or or Implies)."""
+    for m, oracle in oracle_models:
+        for f, value, _ in oracle:
+            assert eval_formula(m, f).bits == value
+        top = m.alg.top.bits
+        for f in standard_validities(m):
+            binary = isinstance(f, (And, Or, Implies))
+            for sub in (f, f.lhs, f.rhs) if binary else (f,):
+                assert eval_formula(m, sub).bits == \
+                    recursive_eval_bits(m, sub, {}, top)
+        for f in open_pool(m.sig, m.domain, "x"):
+            for d in m.domain:
+                env = {"x": d}
+                assert eval_formula(m, f, env).bits == \
+                    recursive_eval_bits(m, f, env, top)
+
+
+def test_is_full_covers_match_recursive_oracle(oracle_models):
+    """Each E-rooted formula's cover is the smallest cover, by the oracle's
+    body values at each d, of the oracle's value; the Los test finds no
+    mismatch, so every value is_full used agrees with M/G."""
+    for m, oracle in oracle_models:
+        rep = is_full(m, 2, [f for f, _, _ in oracle])
+        assert rep.full and not rep.los_mismatches
+        assert rep.formulas_checked == len(oracle)
+        assert rep.witness_covers == tuple(
+            (f, _smallest_cover(body, value))
+            for f, value, body in oracle if body is not None)
+
+
+def _bundle_pool(m):
+    """One-variable open formulas, the two-variable atoms, and quantified
+    one-variable formulas re-generalized from the depth-1 closed pool."""
+    x, y = Var("x"), Var("y")
+    pool = list(open_pool(m.sig, m.domain, "x"))
+    pool.append(Eq(x, y))
+    pool.extend(Rel(sym, (x, y)) for sym, arity in m.sig.rel_arity.items()
+                if arity == 2)
+    for f in closed_pool(m.sig, m.domain, 1)[::29]:
+        g = generalize(f, f"c_{m.domain[0]}", "x")
+        if "x" in free_vars(g):
+            pool.append(g)
+    return pool
+
+
+def test_phi_bundle_matches_recursive_oracle(oracle_models):
+    """Every PhiBundle field, from b_phi (the oracle's value of the
+    existential closure) and the oracle's tuple values.  The Stone data is
+    shared across a model's formulas, as fullness_via_sections shares it;
+    phi_bundle builds the same data per call."""
+    for m, _ in oracle_models:
+        top = m.alg.top.bits
+        stone_data = _stone_data(m)
+        space_of = {}
+        reps = {pt: {a: min(b for b in m.domain if m.eq[b, a].bits >> i & 1)
+                     for a in m.domain}
+                for i, pt in enumerate(m.alg.atoms)}
+        for f in _bundle_pool(m):
+            free = tuple(sorted(free_vars(f)))
+            closed = f
+            for v in free:
+                closed = Exists(v, closed)
+            b_phi = recursive_eval_bits(m, closed, {}, top)
+            values = {tup: recursive_eval_bits(m, f, dict(zip(free, tup)), top)
+                      for tup in product(m.domain, repeat=len(free))}
+            stalks = {
+                pt: tuple(sorted({tuple(reps[pt][t] for t in tup)
+                                  for tup, val in values.items()
+                                  if val >> i & 1}))
+                for i, pt in enumerate(m.alg.atoms) if b_phi >> i & 1}
+            n_b = frozenset(stalks)
+            if n_b and n_b not in space_of:
+                space_of[n_b] = stone_space(m.alg).space.subspace(n_b)
+            pb = _phi_bundle(m, f, *stone_data)
+            assert (pb.formula, pb.free) == (f, free)
+            assert pb.b_phi.bits == b_phi
+            assert [(t, v.bits) for t, v in pb.values.items()] == \
+                list(values.items())
+            assert pb.n_b_phi == n_b
+            assert pb.stalks == stalks
+            assert pb.a_phi == frozenset(pt for pt in stalks if stalks[pt])
+            assert pb.space == space_of.get(n_b)

@@ -8,7 +8,9 @@ all elements, spaces and posets by filtering all candidate families.
 from itertools import combinations, permutations, product
 
 from bvmsheaf.balg import BAHom, BoolAlg, Elem
-from bvmsheaf.bvm import BVModel, BVMorphism, check_morphism
+from bvmsheaf.bvm import BVModel, BVMorphism, ModelError, check_morphism
+from bvmsheaf.logic import (And, Eq, Exists, Forall, Implies, Not, Or, Rel,
+                            Var)
 from bvmsheaf.sheaf import EtaleSpace, Presheaf
 from bvmsheaf.topo import (FinPoset, FinTop, opens_poset, ro_algebra,
                            subset_label)
@@ -527,6 +529,48 @@ def check_etale(e: EtaleSpace) -> list[str]:
             problems.append("a basic open is not clopen")
             break
     return problems
+
+
+# -- formula evaluation by plain recursion ----------------------------------------
+
+def _resolve(m: BVModel, term, env: dict) -> str:
+    if isinstance(term, Var):
+        if term.name not in env:
+            raise ModelError(f"free variable {term.name!r} in a closed evaluation")
+        return env[term.name]
+    return m.resolve_constant(term.name)
+
+
+def recursive_eval_bits(m: BVModel, f, env: dict, top: int) -> int:
+    """[f] under env as a bitmask, read straight off the model's Elem tables
+    on every visit, each quantifier binding its variable in a fresh env;
+    top is the top bitmask.  The oracle for the model's evaluator."""
+    if isinstance(f, Rel):
+        return m.rels[f.sym][tuple(_resolve(m, t, env) for t in f.args)].bits
+    if isinstance(f, Eq):
+        return m.eq[_resolve(m, f.lhs, env), _resolve(m, f.rhs, env)].bits
+    if isinstance(f, Not):
+        return top & ~recursive_eval_bits(m, f.body, env, top)
+    if isinstance(f, And):
+        return (recursive_eval_bits(m, f.lhs, env, top)
+                & recursive_eval_bits(m, f.rhs, env, top))
+    if isinstance(f, Or):
+        return (recursive_eval_bits(m, f.lhs, env, top)
+                | recursive_eval_bits(m, f.rhs, env, top))
+    if isinstance(f, Implies):
+        return (top & ~recursive_eval_bits(m, f.lhs, env, top)
+                | recursive_eval_bits(m, f.rhs, env, top))
+    if isinstance(f, Exists):
+        out = 0
+        for d in m.domain:
+            out |= recursive_eval_bits(m, f.body, {**env, f.var: d}, top)
+        return out
+    if isinstance(f, Forall):
+        out = top
+        for d in m.domain:
+            out &= recursive_eval_bits(m, f.body, {**env, f.var: d}, top)
+        return out
+    raise TypeError(f"not a formula: {f!r}")
 
 
 # -- isomorphism searches -------------------------------------------------------
