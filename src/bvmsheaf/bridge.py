@@ -381,6 +381,22 @@ class PhiBundle:
                     out[tup, c.label] = frozenset(germs)
         return out
 
+    def clauses(self, with_product_clause: bool) -> "FullnessClauses":
+        """The four (five under mixing) equivalent fullness clauses, each by
+        its own computation."""
+        # a smallest tuple set whose values join to b_phi (all of them always do)
+        finite_cover = _smallest_cover(
+            {t: self.values[t].bits for t in sorted(self.values)},
+            self.b_phi.bits) is not None
+        a_phi_full = self.a_phi == self.n_b_phi
+        a_phi_closed = self.space is None or self.space.is_closed(self.a_phi)
+        product_section = ((not self.n_b_phi) or any(
+            self.b_phi <= val for val in self.values.values())
+            if with_product_clause else None)
+        has_section = bool(global_sections_of_bundle(self))
+        return FullnessClauses(self.formula, finite_cover, a_phi_full,
+                               a_phi_closed, has_section, product_section)
+
 
 def _stone_data(m: BVModel) -> tuple:
     """The Stone space, the class representatives at each of its points, and
@@ -397,24 +413,24 @@ def phi_bundle(m: BVModel, f: Formula) -> PhiBundle:
 def _phi_bundle(m: BVModel, f: Formula, stone, reps: dict,
                 subspaces: dict) -> PhiBundle:
     """phi_bundle on shared Stone data.  phi is evaluated once per tuple, and
-    b_phi = [E free. phi] is by definition the join of the tuple values."""
+    b_phi = [E free. phi] is by definition the join of the tuple values, and
+    G_pt holds a value iff the value has pt's atom bit."""
     free = tuple(sorted(free_vars(f)))
     if not free:
         raise ModelError("phi_bundle needs a formula with free variables")
-    values = {tup: Elem(m.alg, m._evaluator.bits(f, dict(zip(free, tup))))
-              for tup in product(m.domain, repeat=len(free))}
-    b_phi = Elem(m.alg, reduce(or_, (v.bits for v in values.values()), 0))
+    bits = {tup: m._evaluator.bits(f, dict(zip(free, tup)))
+            for tup in product(m.domain, repeat=len(free))}
+    b_phi = Elem(m.alg, reduce(or_, bits.values(), 0))
     n_b = frozenset(b_phi.atom_labels())
     stalks, a_phi = {}, set()
     for pt in sorted(n_b):
-        g = stone.ultrafilter(pt)
-        classes = sorted({
-            tuple(reps[pt][t] for t in tup)
-            for tup, val in values.items() if val in g
-        })
+        atom = 1 << m.alg.atom_index(pt)
+        classes = sorted({tuple(reps[pt][t] for t in tup)
+                          for tup, val in bits.items() if val & atom})
         stalks[pt] = tuple(classes)
         if classes:
             a_phi.add(pt)
+    values = {tup: Elem(m.alg, val) for tup, val in bits.items()}
     if n_b and n_b not in subspaces:
         subspaces[n_b] = stone.space.subspace(n_b)
     space = subspaces.get(n_b)
@@ -458,28 +474,8 @@ class FullnessClauses:
 
 def fullness_clauses(m: BVModel, f: Formula,
                      with_product_clause: bool) -> FullnessClauses:
-    """Evaluate the four (five under mixing) equivalent fullness clauses for
-    one formula, each by its own computation."""
-    return _clauses(phi_bundle(m, f), with_product_clause)
-
-
-def _clauses(pb: PhiBundle, with_product_clause: bool) -> FullnessClauses:
-    # a smallest tuple set whose values join to b_phi (all of them always do)
-    finite_cover = _smallest_cover(
-        {t: pb.values[t].bits for t in sorted(pb.values)}, pb.b_phi.bits) is not None
-    a_phi_full = pb.a_phi == pb.n_b_phi
-    if pb.space is None:
-        a_phi_closed = True
-    else:
-        a_phi_closed = pb.space.is_closed(pb.a_phi)
-    has_section = bool(global_sections_of_bundle(pb))
-    product_section = None
-    if with_product_clause:
-        product_section = (not pb.n_b_phi) or any(
-            pb.b_phi <= val for val in pb.values.values()
-        )
-    return FullnessClauses(pb.formula, finite_cover, a_phi_full, a_phi_closed,
-                           has_section, product_section)
+    """The fullness clauses of one formula's bundle (PhiBundle.clauses)."""
+    return phi_bundle(m, f).clauses(with_product_clause)
 
 
 @dataclass(frozen=True)
@@ -510,6 +506,6 @@ def fullness_via_sections(m: BVModel, depth: int = 2) -> FullnessSectionsReport:
         pool.extend(deep[:10])
     stone_data = _stone_data(m)
     clauses = tuple(
-        _clauses(_phi_bundle(m, f, *stone_data), mixing) for f in pool
+        _phi_bundle(m, f, *stone_data).clauses(mixing) for f in pool
     )
     return FullnessSectionsReport(clauses, all(c.agree for c in clauses), mixing)

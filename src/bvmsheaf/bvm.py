@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations, product
 from operator import and_, or_
 
@@ -337,17 +337,24 @@ def generalize(f: Formula, const: str, var: str) -> Formula:
 
 def open_pool(sig: Signature, elements, var: str, max_conj_atoms: int = 20):
     """Canonical one-free-variable formulas: the atoms mentioning the
-    variable, their negations, and their pairwise conjunctions."""
+    variable, their negations, and their pairwise conjunctions.  Built once
+    per key (sig, tuple(elements), var, max_conj_atoms); each call returns a
+    fresh list."""
+    return list(_open_pool(sig, tuple(elements), var, max_conj_atoms))
+
+
+@lru_cache(maxsize=64)
+def _open_pool(sig: Signature, elements: tuple, var: str,
+               max_conj_atoms: int) -> tuple:
     consts = [Const(f"c_{e}") for e in elements]
-    atoms = [a for a in _atomic(sig, consts + [Var(var)])
-             if var in free_vars(a)]
-    atoms = list(dict.fromkeys(atoms))
+    atoms = list(dict.fromkeys(a for a in _atomic(sig, consts + [Var(var)])
+                               if var in free_vars(a)))
     conj_base = _spread(atoms, max_conj_atoms)
     pool = list(atoms)
     pool.extend(Not(a) for a in atoms)
     pool.extend(And(a, b) for i, a in enumerate(conj_base)
                 for b in conj_base[i + 1:])
-    return list(dict.fromkeys(pool))
+    return tuple(dict.fromkeys(pool))
 
 
 def closed_pool(sig: Signature, elements, depth: int,
@@ -355,7 +362,16 @@ def closed_pool(sig: Signature, elements, depth: int,
     """Canonical closed formulas to the given quantifier depth: closed atoms
     and their negations, then per level the existential closures of the open
     pool plus nested quantifications obtained by re-generalizing a strided
-    selection of the previous level's quantified formulas."""
+    selection of the previous level's quantified formulas.  Built once per
+    key (sig, tuple(elements), depth, max_nested, max_conj_atoms); each call
+    returns a fresh list."""
+    return list(_closed_pool(sig, tuple(elements), depth, max_nested,
+                             max_conj_atoms))
+
+
+@lru_cache(maxsize=64)
+def _closed_pool(sig: Signature, elements: tuple, depth: int,
+                 max_nested: int, max_conj_atoms: int) -> tuple:
     consts = [Const(f"c_{e}") for e in elements]
     closed_atoms = list(dict.fromkeys(_atomic(sig, consts)))
     pool = list(closed_atoms)
@@ -363,13 +379,12 @@ def closed_pool(sig: Signature, elements, depth: int,
     prev_quantified: list[Formula] = []
     for d in range(1, depth + 1):
         var = f"x{d}"
-        level = [Exists(var, f) for f in open_pool(sig, elements, var,
-                                                   max_conj_atoms)]
+        level = [Exists(var, f)
+                 for f in _open_pool(sig, elements, var, max_conj_atoms)]
         nested = []
         for f in _spread(prev_quantified, max_nested):
             for e in elements:
-                const = f"c_{e}"
-                g = generalize(f, const, var)
+                g = generalize(f, f"c_{e}", var)
                 if g != f:
                     nested.append(Exists(var, g))
         level.extend(dict.fromkeys(nested))
@@ -377,7 +392,7 @@ def closed_pool(sig: Signature, elements, depth: int,
         level.append(Forall(var, Eq(Var(var), Var(var))))
         pool.extend(level)
         prev_quantified = level
-    return list(dict.fromkeys(pool))
+    return tuple(dict.fromkeys(pool))
 
 
 # -- fullness (Los) and mixing ----------------------------------------------

@@ -223,8 +223,7 @@ def _dispatch(args, ws: Workspace) -> int:
         if not free_vars(f):
             raise InputError("phi-bundle needs a formula with free variables")
         pb = bridge.phi_bundle(m, f)
-        clauses = bridge.fullness_clauses(
-            m, f, with_product_clause=bvm.has_mixing(m, args.max_antichain).passed)
+        clauses = pb.clauses(bvm.has_mixing(m, args.max_antichain).passed)
         sections = bridge.global_sections_of_bundle(pb)
         out = {"b_phi": elem_to_json(pb.b_phi),
                "A_phi": sorted(pb.a_phi), "N_b_phi": sorted(pb.n_b_phi),

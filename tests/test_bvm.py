@@ -272,6 +272,54 @@ def test_closed_pool_is_deterministic_and_deduplicated():
     assert len(p1) == len(set(p1))
 
 
+def test_pools_accept_any_iterable_of_elements():
+    # a one-shot iterator gave a short closed pool (24 formulas, not 85)
+    # before the pools normalised their elements to a tuple at entry
+    sig = Signature.make({"R": 1})
+    ids = ("d0", "d1")
+    for depth in (1, 2):
+        expected = closed_pool(sig, ids, depth)
+        for elements in (list(ids), ids, iter(ids)):
+            assert closed_pool(sig, elements, depth) == expected
+    assert len(closed_pool(sig, iter(ids), 2)) == 85
+    expected = open_pool(sig, ids, "x")
+    for elements in (list(ids), ids, iter(ids)):
+        assert open_pool(sig, elements, "x") == expected
+
+
+def test_pool_cache_hands_out_fresh_lists():
+    m = m_r()
+    for build in (lambda: closed_pool(m.sig, m.domain, 2),
+                  lambda: open_pool(m.sig, m.domain, "x")):
+        p1, p2 = build(), build()
+        assert p1 == p2 and p1 is not p2
+        p1.append(Eq(Var("x"), Var("x")))
+        p1.pop(0)
+        assert build() == p2
+
+
+def test_cached_pools_equal_the_uncached_builders():
+    from bvmsheaf.bvm import _closed_pool, _open_pool
+    rng = random.Random(9)
+    for _ in range(12):
+        m = random_model(rng)
+        ids = tuple(m.domain)
+        for depth in (1, 2):
+            assert closed_pool(m.sig, m.domain, depth) == \
+                list(_closed_pool.__wrapped__(m.sig, ids, depth, 48, 20))
+        assert open_pool(m.sig, m.domain, "x") == \
+            list(_open_pool.__wrapped__(m.sig, ids, "x", 20))
+
+
+def test_pools_depend_only_on_signature_and_domain():
+    a, b = m_r(), BVModel.make(B2, ["s", "t"], eq={("s", "t"): B2.top},
+                               rels={"R": {("s",): B2.top, ("t",): B2.top}})
+    assert a.sig == b.sig and a.domain == b.domain and a.alg != b.alg
+    assert closed_pool(a.sig, a.domain, 2) == closed_pool(b.sig, b.domain, 2)
+    assert open_pool(a.sig, a.domain, "x") == open_pool(b.sig, b.domain, "x")
+    assert is_full(a, 2).formulas_checked == is_full(b, 2).formulas_checked
+
+
 def test_quotient_representatives_are_least_ids():
     # domain deliberately out of id order; the b-class reps must be the
     # lexicographically least member of each class

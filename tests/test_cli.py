@@ -117,6 +117,19 @@ def test_phi_bundle_command(capsys):
     assert data["clauses_agree"] is True
 
 
+def test_phi_bundle_command_builds_one_bundle(capsys, monkeypatch):
+    from bvmsheaf import bridge
+    calls = {"_phi_bundle": 0, "_stone_data": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(bridge, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(bridge, name, counted)
+    code, _, _ = _run(capsys, *fx("phi-bundle", "M_R", "R(x)"))
+    assert code == 0
+    assert calls == {"_phi_bundle": 1, "_stone_data": 1}
+
+
 def test_unknown_name_exit_two(capsys):
     code, _, err = _run(capsys, *fx("validate", "nope"))
     assert code == 2 and "unknown model" in err
