@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import combinations, product
+from itertools import product
 from operator import or_
 
 from .balg import BAHom, BoolAlg, Elem, Filter, stone_space
@@ -16,10 +16,10 @@ from .bvm import (BVModel, BVMorphism, ModelError, _class_reps, _smallest_cover,
                   tarski_quotient)
 from .logic import Eq, Formula, Rel, Signature, Var, free_vars
 from .sheaf import (Bundle, EtaleSpace, NotSeparatedError, Presheaf,
-                    PresheafMorphism, SheafError, _section_id, alg_poset,
-                    elem_from_label, gamma0, gamma1, is_separated,
-                    is_stonean_sheaf, lambda0, lambda1)
-from .topo import FinPoset, FinTop, subset_label
+                    PresheafMorphism, SheafError, _gamma_half, _restrictions,
+                    _section_id, alg_poset, elem_from_label, gamma0,
+                    is_separated, is_stonean_sheaf, lambda0, lambda1)
+from .topo import FinTop, opens_poset, subset_label
 
 
 @dataclass
@@ -40,10 +40,12 @@ def L(m: BVModel) -> StructuredPresheaf:
     the up-set of b; the representative is the least id of the class, as in
     quotient_model.  A relation instance over representatives is top in
     M/F_b iff b <= its value, since the projection c |-> c /\\ b sends the
-    value to b exactly then."""
+    value to b exactly then.  m must be a valid model: for q <= p, classes
+    coarsen from p to q as equality is transitive, so sending each
+    representative at p to its representative at q composes, unchecked."""
     poset = alg_poset(m.alg)
     eq = {pair: v.bits for pair, v in m.eq.items()}
-    sections, restrict, rel_top, reps_at = {}, {}, {}, {}
+    sections, rel_top, reps_at = {}, {}, {}
     for label in poset.elements:
         bb = elem_from_label(m.alg, label).bits
         rep = reps_at[label] = {
@@ -53,14 +55,9 @@ def L(m: BVModel) -> StructuredPresheaf:
             for tup, val in table.items():
                 if all(rep[t] == t for t in tup):
                     rel_top[label, sym, tup] = val.bits & bb == bb
-    for la in poset.elements:
-        for lb in poset.elements:
-            if poset.le(la, lb) and la != lb:
-                restrict[la, lb] = {r: reps_at[la][r] for r in sections[lb]}
-    top_label = m.alg.top.label
-    const_top = {c: reps_at[top_label][t] for c, t in m.consts.items()}
-    ps = Presheaf.make(poset, sections, restrict, alg=m.alg)
-    return StructuredPresheaf(ps.base, ps.sections, ps.restrict, m.alg,
+    restrict = _restrictions(poset, sections, lambda q, p, r: reps_at[q][r])
+    const_top = {c: reps_at[m.alg.top.label][t] for c, t in m.consts.items()}
+    return StructuredPresheaf(poset, sections, restrict, m.alg,
                               m.sig, rel_top, const_top)
 
 
@@ -128,12 +125,9 @@ def _unit(m: BVModel, rlm: BVModel) -> BVMorphism:
 def _counit(f: Presheaf, rf: BVModel) -> PresheafMorphism:
     lrf = L(rf)
     top_label = f.alg.top.label
-    theta = {}
-    for label in f.base.elements:
-        theta[label] = {
-            cls: f.res(label, top_label, cls)
-            for cls in lrf.sections[label]
-        }
+    theta = {label: {cls: f.res(label, top_label, cls)
+                     for cls in lrf.sections[label]}
+             for label in f.base.elements}
     return PresheafMorphism(BAHom.identity(f.alg), theta, lrf, f)
 
 
@@ -191,29 +185,18 @@ def adjunction_witness(m: BVModel, f: Presheaf | None = None) -> AdjunctionWitne
 def ext_to_stone(f: Presheaf) -> Presheaf:
     """ext: transport a presheaf on B+ to O(St(B))+ along N_b; on the
     discrete finite Stone space Reg is the identity, so the level at a
-    nonempty point set W is F at the join of W's atoms."""
+    nonempty point set W is F at the join of W's atoms.  W |-> that join is
+    monotone, so F's own restrictions relabelled along it compose."""
     if f.alg is None:
         raise SheafError("ext needs a presheaf on an algebra base")
-    alg = f.alg
-    atoms = list(alg.atoms)
-    subsets = [frozenset(c) for r in range(1, len(atoms) + 1)
-               for c in combinations(sorted(atoms), r)]
-    elem_of = {subset_label(w): alg.from_labels(w) for w in subsets}
-    levels = [subset_label(w) for w in subsets]
-    sections = {lw: f.sections[elem_of[lw].label] for lw in levels}
-    restrict = {}
-    for lw in levels:
-        for lv in levels:
-            w, v = elem_of[lw], elem_of[lv]
-            if w <= v and lw != lv:
-                restrict[lw, lv] = {
-                    s: f.res(w.label, v.label, s)
-                    for s in sections[lv]
-                }
-    poset = FinPoset(tuple(levels), frozenset(
-        (lw, lv) for lw in levels for lv in levels
-        if elem_of[lw] <= elem_of[lv]))
-    return Presheaf.make(poset, sections, restrict)
+    x = stone_space(f.alg).space
+    base = opens_poset(x)
+    at = {subset_label(w): f.alg.from_labels(w).label
+          for w in x.nonempty_opens()}
+    sections = {w: f.sections[at[w]] for w in base.elements}
+    restrict = _restrictions(base, sections,
+                             lambda w, v, s: f.res(at[w], at[v], s))
+    return Presheaf(base, sections, restrict)
 
 
 @dataclass(frozen=True)
@@ -282,44 +265,36 @@ def _stone_etale(m: BVModel):
 
 def _gamma1_structured(m: BVModel, e1: EtaleSpace, point_of: dict,
                        tarski: dict, germ_class: dict) -> StructuredPresheaf:
-    """Assemble Gamma1 of the bundle as a presheaf on the powerset algebra of
-    the stalk points, carrying the relation structure read off stalkwise."""
-    bundle = Bundle(e1)
+    """Gamma1 of the bundle as gamma_half computes it, relabelled along the
+    isomorphism O(St)+ = B+ for the powerset algebra of the stalk points (so
+    its restrictions still compose), with relation structure read stalkwise."""
+    g1, choices = _gamma_half(Bundle(e1))
     alg = BoolAlg(tuple(sorted(e1.base.points)))
     poset = alg_poset(alg)
     pts = sorted(e1.base.points)
-    level_secs = {}
-    sections, restrict, rel_top = {}, {}, {}
+    points_of = {w.label: w.atom_labels() for w in alg.elements()
+                 if not w.is_bottom}
+    stone = {label: subset_label(w) for label, w in points_of.items()}
+    sections = {label: g1.sections[stone[label]] for label in poset.elements}
+    restrict = _restrictions(poset, sections, lambda q, p, s:
+                             g1.restrict[stone[q], stone[p]][s])
+    rel_top = {}
     for label in poset.elements:
-        w = elem_from_label(alg, label)
-        wpts = sorted(w.atom_labels())
-        secs = {_section_id(s): s for s in gamma1(bundle, frozenset(wpts))}
-        level_secs[label] = secs
-        sections[label] = tuple(sorted(secs))
+        secs = choices[stone[label]]
         for sym, arity in m.sig.rel_arity.items():
-            for tup in product(sorted(secs), repeat=arity):
+            for tup in product(sections[label], repeat=arity):
                 rel_top[label, sym, tup] = all(
                     tuple(germ_class[secs[t][g]] for t in tup)
                     in tarski[g].rels.get(sym, frozenset())
-                    for g in wpts
+                    for g in points_of[label]
                 )
-    for la in poset.elements:
-        for lb in poset.elements:
-            if poset.le(la, lb) and la != lb:
-                wa = elem_from_label(alg, la).atom_labels()
-                restrict[la, lb] = {
-                    sid: _section_id({g: s[g] for g in wa})
-                    for sid, s in level_secs[lb].items()
-                }
-    top_label = alg.top.label
     rep1 = _class_reps(m, Filter(m.alg, m.alg.top))
     top_stone = subset_label(frozenset(pt for pt in point_of.values()))
     const_top = {}
     for c, t in m.consts.items():
         choice = {g: e1.germ_of[top_stone, rep1[t], g] for g in pts}
         const_top[c] = _section_id(choice)
-    ps = Presheaf.make(poset, sections, restrict, alg=alg)
-    return StructuredPresheaf(ps.base, ps.sections, ps.restrict, alg,
+    return StructuredPresheaf(poset, sections, restrict, alg,
                               m.sig, rel_top, const_top)
 
 

@@ -104,11 +104,21 @@ def run(argv=None) -> int:
         return 2
 
 
+def _valid_model(ws: Workspace, name: str):
+    """The named model, rejected as input unless it satisfies the axioms
+    that the model commands (L first of all) assume."""
+    m = ws.model(name)
+    rep = bvm.validate(m)
+    if not rep.ok:
+        raise InputError(f"model {name!r} is invalid: {rep.violations[0]}")
+    return m
+
+
 def _dispatch(args, ws: Workspace) -> int:
     cmd = args.command
 
     if cmd == "validate":
-        m = ws.model(args.model)
+        m = ws.model(args.model)  # the one model command that takes any model
         rep = bvm.validate(m)
         _emit({"ok": rep.ok, "extensional": rep.extensional,
                "violations": list(rep.violations)},
@@ -119,7 +129,7 @@ def _dispatch(args, ws: Workspace) -> int:
         return 0 if rep.ok else 1
 
     if cmd == "eval":
-        m = ws.model(args.model)
+        m = _valid_model(ws, args.model)
         f = parse(m.sig, args.formula)
         val = bvm.eval_formula(m, f)
         _emit({"formula": print_formula(f), "value": elem_to_json(val),
@@ -128,7 +138,7 @@ def _dispatch(args, ws: Workspace) -> int:
         return 0
 
     if cmd == "quotient":
-        m = ws.model(args.model)
+        m = _valid_model(ws, args.model)
         gen = _parse_filter_elem(m, args.filter_elem)
         if gen.is_bottom:
             raise InputError("a filter generator must be nonzero")
@@ -142,7 +152,7 @@ def _dispatch(args, ws: Workspace) -> int:
         return 0 if rep.ok else 1
 
     if cmd == "check-mixing":
-        m = ws.model(args.model)
+        m = _valid_model(ws, args.model)
         rep = bvm.has_mixing(m, args.max_antichain)
         out = {"passed": rep.passed, "antichains_checked": rep.antichains_checked}
         lines = [f"mixing: {'pass' if rep.passed else 'FAIL'} "
@@ -156,7 +166,7 @@ def _dispatch(args, ws: Workspace) -> int:
         return 0 if rep.passed else 1
 
     if cmd == "check-full":
-        m = ws.model(args.model)
+        m = _valid_model(ws, args.model)
         rep = bvm.is_full(m, args.depth)
         out = {"full": rep.full, "procedures_agree": rep.procedures_agree,
                "formulas_checked": rep.formulas_checked,
@@ -187,7 +197,7 @@ def _dispatch(args, ws: Workspace) -> int:
         return 0 if stonean.passed else 1
 
     if cmd == "mixify":
-        m = ws.model(args.model)
+        m = _valid_model(ws, args.model)
         mx, emb = bridge.mixify(m)
         mix = bvm.has_mixing(mx, args.max_antichain)
         mor = bvm.check_morphism(emb)
@@ -205,7 +215,7 @@ def _dispatch(args, ws: Workspace) -> int:
         return _duality_check(args, ws)
 
     if cmd == "adjunction-check":
-        m = ws.model(args.model)
+        m = _valid_model(ws, args.model)
         aw = bridge.adjunction_witness(m)
         ok = aw.triangle_l_ok and aw.triangle_r_ok
         out = {"triangle_L": aw.triangle_l_ok, "triangle_R": aw.triangle_r_ok,
@@ -217,7 +227,7 @@ def _dispatch(args, ws: Workspace) -> int:
         return 0 if ok else 1
 
     if cmd == "phi-bundle":
-        m = ws.model(args.model)
+        m = _valid_model(ws, args.model)
         f = parse(m.sig, args.formula)
         from .logic import free_vars
         if not free_vars(f):

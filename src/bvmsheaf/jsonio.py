@@ -36,10 +36,22 @@ class InputError(ValueError):
     """Malformed file or unresolved reference; maps to CLI exit code 2."""
 
 
+def _object(data, what: str) -> dict:
+    if data is not None and not isinstance(data, dict):
+        raise InputError(f"{what} must be a JSON object, got {data!r}")
+    return data or {}
+
+
+def _ids(data, what: str) -> tuple:
+    if not isinstance(data, list) or not all(isinstance(e, str) for e in data):
+        raise InputError(f"{what} must be an array of ids, got {data!r}")
+    return tuple(data)
+
+
 def algebra_from_json(data) -> BoolAlg:
     try:
-        return BoolAlg(tuple(data["atoms"]))
-    except (KeyError, TypeError) as exc:
+        return BoolAlg(_ids(data["atoms"], "algebra atoms"))
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad algebra object: {exc}") from exc
 
 
@@ -93,22 +105,19 @@ def _split_key(key: str, arity: int) -> tuple:
 
 
 def model_from_json(ws: "Workspace", data) -> BVModel:
-    alg = ws.resolve_algebra(data.get("algebra"))
+    alg = ws.resolve_algebra(_object(data, "a model").get("algebra"))
     try:
-        domain = data["domain"]
-    except (KeyError, TypeError) as exc:
+        domain = _ids(data["domain"], "a model domain")
+    except KeyError as exc:
         raise InputError(f"bad model object: {exc}") from exc
-    if not isinstance(domain, list) or not all(isinstance(e, str) for e in domain):
-        raise InputError(f"a model domain must be an array of ids, got {domain!r}")
-    domain = tuple(domain)
     eq = {}
-    for key, val in (data.get("eq") or {}).items():
+    for key, val in _object(data.get("eq"), "an eq table").items():
         parts = _split_key(key, 2)
         eq[parts] = elem_from_json(alg, val)
     rels = {}
     arities = {}
-    for sym, table in (data.get("relations") or {}).items():
-        if not table:
+    for sym, table in _object(data.get("relations"), "relations").items():
+        if not _object(table, f"relation {sym!r}"):
             raise InputError(
                 f"relation {sym!r} has an empty table; its arity cannot be inferred")
         arity = len(next(iter(table)).split(","))
@@ -117,7 +126,7 @@ def model_from_json(ws: "Workspace", data) -> BVModel:
             _split_key(key, arity): elem_from_json(alg, val)
             for key, val in table.items()
         }
-    consts = dict(data.get("constants") or {})
+    consts = dict(_object(data.get("constants"), "constants"))
     for key in eq:
         for e in key:
             if e not in domain:
@@ -152,7 +161,7 @@ def model_to_json(m: BVModel) -> dict:
 
 
 def presheaf_from_json(ws: "Workspace", data) -> Presheaf:
-    base_ref = data.get("base")
+    base_ref = _object(data, "a presheaf").get("base")
     if not isinstance(base_ref, dict) or len(base_ref) != 1:
         raise InputError('presheaf "base" must be {"topology"|"poset"|"algebra": ref}')
     kind, ref = next(iter(base_ref.items()))
@@ -167,16 +176,16 @@ def presheaf_from_json(ws: "Workspace", data) -> Presheaf:
     else:
         raise InputError(f"unknown presheaf base kind {kind!r}")
     sections = {}
-    for level, secs in (data.get("sections") or {}).items():
+    for level, secs in _object(data.get("sections"), "sections").items():
         if level not in base.elements:
             raise InputError(f"section level {level!r} is not in the base")
-        sections[level] = tuple(secs)
+        sections[level] = _ids(secs, f"the sections at {level}")
     restrict = {}
-    for key, table in (data.get("restrictions") or {}).items():
+    for key, table in _object(data.get("restrictions"), "restrictions").items():
         if "<=" not in key:
             raise InputError(f'restriction key {key!r} is not "q<=p"')
         q, p = key.split("<=", 1)
-        restrict[q, p] = dict(table)
+        restrict[q, p] = dict(_object(table, f"restriction {key}"))
     try:
         return Presheaf.make(base, sections, restrict, alg=alg)
     except ValueError as exc:
@@ -238,18 +247,18 @@ def load_workspace(paths) -> Workspace:
         for kind, registry in (("algebras", ws.algebras),
                                ("topologies", ws.topologies),
                                ("posets", ws.posets)):
-            for name, obj in (data.get(kind) or {}).items():
+            for name, obj in _object(data.get(kind), f'"{kind}"').items():
                 if name in registry:
                     raise InputError(f"duplicate {kind} name {name!r}")
                 loader = {"algebras": algebra_from_json,
                           "topologies": topology_from_json,
                           "posets": poset_from_json}[kind]
                 registry[name] = loader(obj)
-        for name, obj in (data.get("models") or {}).items():
+        for name, obj in _object(data.get("models"), '"models"').items():
             if name in raw_models:
                 raise InputError(f"duplicate model name {name!r}")
             raw_models[name] = obj
-        for name, obj in (data.get("presheaves") or {}).items():
+        for name, obj in _object(data.get("presheaves"), '"presheaves"').items():
             if name in raw_presheaves:
                 raise InputError(f"duplicate presheaf name {name!r}")
             raw_presheaves[name] = obj

@@ -15,7 +15,7 @@ from itertools import chain, combinations, islice, product
 from math import prod
 
 from .balg import BAHom, BoolAlg, Elem
-from .topo import FinPoset, FinTop, ro_algebra, subset_label
+from .topo import FinPoset, FinTop, opens_poset, ro_algebra, subset_label
 
 
 class SheafError(ValueError):
@@ -48,9 +48,10 @@ class Presheaf:
     """Contravariant set assignment on a finite poset.
 
     sections maps each base element to a tuple of section ids; restrict maps
-    each pair (q, p) with q <= p to a dict F(p) -> F(q).  make() rejects
-    duplicate section ids and keys that are not such a pair, and validates
-    functoriality exhaustively."""
+    each pair (q, p) with q <= p to a dict F(p) -> F(q).  make(), the entry
+    point for input, rejects duplicate section ids and keys that are not such
+    a pair, and validates functoriality exhaustively; the constructors of
+    this package use _restrictions instead and are not re-checked."""
 
     base: FinPoset
     sections: dict
@@ -106,6 +107,14 @@ class Presheaf:
                         if via != direct:
                             raise SheafError(
                                 f"composition fails on {r} <= {q} <= {p} at {f}")
+
+
+def _restrictions(base: FinPoset, sections: dict, res) -> dict:
+    """The table (q, p) -> {f: res(q, p, f) for f in F(p)} of every pair
+    q <= p of base, identities included.  The caller's rule must compose
+    and be the identity at q = p; nothing here checks it."""
+    return {(q, p): {f: res(q, p, f) for f in sections[p]}
+            for p in base.elements for q in sorted(base.down(p))}
 
 
 @dataclass(frozen=True)
@@ -421,7 +430,9 @@ def _lambda1(ps: Presheaf, x: FinTop, ro) -> EtaleSpace:
     agree cover W.  Proof, =>: any W of the filter meets each such m, so it
     contains m by minimality; a family of opens where f and h agree that is
     predense below W has a member meeting m, and that member contains m.
-    So the tuple of restrictions to those m is each section's germ key."""
+    And g holds exactly one such m: g is Reg m for any minimal m inside it,
+    and a second minimal open, disjoint from m, misses Cl m.  So the
+    restriction to that one m is each section's germ key."""
     levels = _levels_of_opens(ps, x)
     mask_of = {u: x._check_subset(u) for u in levels}
     minimal = [u for u in levels if not any(v < u for v in levels)]
@@ -432,12 +443,11 @@ def _lambda1(ps: Presheaf, x: FinTop, ro) -> EtaleSpace:
         for c in combinations(points, r)))
     for g_label in points:
         g_mask = x._check_subset(ro.atom_subsets[g_label])
-        mins = [levels[m] for m in minimal if mask_of[m] & g_mask == mask_of[m]]
+        m = next(levels[u] for u in minimal if mask_of[u] & g_mask == mask_of[u])
         in_filter = [lev for u, lev in levels.items()
                      if g_mask & x._reg(mask_of[u]) == g_mask]
         stalks[g_label] = _stalk(
-            ps, g_label, in_filter,
-            lambda lev, f: tuple(ps.res(m, lev, f) for m in mins), germ_of)
+            ps, g_label, in_filter, lambda lev, f: ps.res(m, lev, f), germ_of)
     ro_elems = [e for e in ro.alg.elements() if not e.is_bottom]
     for u, lev in levels.items():
         reg_u = ro.reg_embed(u)
@@ -477,11 +487,14 @@ class Bundle:
 def gamma1(p: Bundle, u) -> list[dict]:
     """Local sections of the stonean sheaf of the bundle over the open u:
     continuous choices of germs landing in the bundle on a dense open subset
-    (all of u at finite scale)."""
+    (all of u at finite scale).  The base is discrete, so every choice is
+    continuous: the sections are the product of the stalks over u."""
     u = frozenset(u)
     if u not in p.space.base.opens or not u:
         raise SheafError(f"{subset_label(u)} is not a nonempty open of the base")
-    return gamma0(p.space, u)
+    points = sorted(u)
+    return [dict(zip(points, combo))
+            for combo in product(*(p.space.stalks[pt] for pt in points))]
 
 
 def _section_id(s: dict) -> str:
@@ -491,29 +504,21 @@ def _section_id(s: dict) -> str:
 def gamma_half(p: Bundle) -> Presheaf:
     """Gamma1 restricted to RO(base)+ (= all nonempty subsets of the discrete
     base), as a presheaf keyed by subset labels."""
-    pts = list(p.space.base.points)
-    levels, sections, restrict = [], {}, {}
-    subsets = [frozenset(c) for r in range(1, len(pts) + 1)
-               for c in combinations(sorted(pts), r)]
-    secs_by_level = {}
-    for sub in subsets:
-        label = subset_label(sub)
-        levels.append(label)
-        secs = gamma1(p, sub)
-        secs_by_level[label] = {_section_id(s): s for s in secs}
-        sections[label] = tuple(sorted(secs_by_level[label]))
-    poset = FinPoset(tuple(levels), frozenset(
-        (subset_label(a), subset_label(b))
-        for a in subsets for b in subsets if a <= b))
-    for a in subsets:
-        for b in subsets:
-            if a <= b and a != b:
-                la, lb = subset_label(a), subset_label(b)
-                restrict[la, lb] = {
-                    sid: _section_id({pt: s[pt] for pt in a})
-                    for sid, s in secs_by_level[lb].items()
-                }
-    return Presheaf.make(poset, sections, restrict)
+    return _gamma_half(p)[0]
+
+
+def _gamma_half(p: Bundle) -> tuple[Presheaf, dict]:
+    """gamma_half, with each level's sections as choice functions by id.
+    Restricting a choice function to the points of q composes."""
+    x = p.space.base
+    base = opens_poset(x)
+    points = {subset_label(u): u for u in x.nonempty_opens()}
+    choices = {lev: {_section_id(s): s for s in gamma1(p, u)}
+               for lev, u in points.items()}
+    sections = {lev: tuple(sorted(secs)) for lev, secs in choices.items()}
+    restrict = _restrictions(base, sections, lambda q, lev, sid: _section_id(
+        {pt: choices[lev][sid][pt] for pt in points[q]}))
+    return Presheaf(base, sections, restrict), choices
 
 
 @dataclass
@@ -534,19 +539,14 @@ def sheafify(ps: Presheaf, x: FinTop):
     G |-> [f]_G over N_Reg(U)."""
     ro = ro_algebra(x)
     e = _lambda1(ps, x, ro)
-    bundle = Bundle(e)
-    sheaf = gamma_half(bundle)
+    sheaf = gamma_half(Bundle(e))
     stone_ro = BoolAlg(tuple(sorted(e.base.points)))
     i = BAHom.from_dict(ro.alg, stone_ro, {a: a for a in stone_ro.atoms})
     theta = {}
     for u in x.nonempty_opens():
-        lev = subset_label(u)
-        reg = ro.reg_embed(u)
-        target_points = frozenset(reg.atom_labels())
-        theta[lev] = {
-            f: _section_id({pt: e.germ_of[lev, f, pt] for pt in target_points})
-            for f in ps.sections[lev]
-        }
+        lev, points = subset_label(u), ro.reg_embed(u).atom_labels()
+        theta[lev] = {f: _section_id({pt: e.germ_of[lev, f, pt] for pt in points})
+                      for f in ps.sections[lev]}
     return sheaf, SheafifyUnit(i, theta)
 
 
@@ -554,24 +554,17 @@ def sheafify(ps: Presheaf, x: FinTop):
 
 
 def lift_i_star(i: BAHom, ps: Presheaf) -> Presheaf:
-    """i_*(F) on target+ via the left adjoint: level U |-> F(pi_i(U))."""
+    """i_*(F) on target+ via the left adjoint: level U |-> F(pi_i(U)).
+    pi_i is monotone, so F's own restrictions relabelled along it compose."""
     if ps.alg != i.source:
         raise SheafError("presheaf does not live on the source algebra")
-    tgt_poset = alg_poset(i.target)
-    sections, restrict = {}, {}
-    for u_label in tgt_poset.elements:
-        u = elem_from_label(i.target, u_label)
-        sections[u_label] = ps.sections[i.left_adjoint(u).label]
-    for u_label in tgt_poset.elements:
-        u = elem_from_label(i.target, u_label)
-        for v_label in tgt_poset.elements:
-            v = elem_from_label(i.target, v_label)
-            if u <= v and u_label != v_label:
-                pu, pv = i.left_adjoint(u).label, i.left_adjoint(v).label
-                restrict[u_label, v_label] = {
-                    f: ps.res(pu, pv, f) for f in ps.sections[pv]
-                }
-    return Presheaf.make(tgt_poset, sections, restrict, alg=i.target)
+    base = alg_poset(i.target)
+    pi = {u: i.left_adjoint(elem_from_label(i.target, u)).label
+          for u in base.elements}
+    sections = {u: ps.sections[pi[u]] for u in base.elements}
+    restrict = _restrictions(base, sections,
+                             lambda u, v, f: ps.res(pi[u], pi[v], f))
+    return Presheaf(base, sections, restrict, i.target)
 
 
 @dataclass

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from bvmsheaf.balg import Filter, mk_powerset
+from bvmsheaf.balg import BAHom, Filter, mk_powerset
 from bvmsheaf.bridge import (L, R, adjunction_witness,
                              ext_to_stone, fullness_clauses,
                              fullness_via_sections, global_sections_of_bundle,
@@ -13,11 +13,13 @@ from bvmsheaf.bvm import (BVModel, check_morphism, has_mixing, is_elementary,
                           quotient_model, random_model, tarski_quotient,
                           validate)
 from bvmsheaf.logic import Signature, parse
-from bvmsheaf.sheaf import (NotSeparatedError, Presheaf, alg_poset,
-                            is_separated)
+from bvmsheaf.sheaf import (Bundle, NotSeparatedError, Presheaf, alg_poset,
+                            gamma_half, is_separated, lift_i_star, sheafify)
+from bvmsheaf.topo import FinTop
 
 from util import (find_model_isomorphism, level_join_R, quotient_L,
-                  random_separated_presheaf, stalk_at_filter)
+                  random_separated_presheaf, random_subpresheaf,
+                  section_sheaf, stalk_at_filter)
 
 B2 = mk_powerset(["a1"])
 B4 = mk_powerset(["a1", "a2"])
@@ -396,3 +398,31 @@ def test_r_matches_level_join_oracle_on_gamma1_presheaves():
         rg1 = R(g1)
         _assert_same_model(rg1, level_join_R(g1))
         assert rg1 == mixify(m)[0]
+
+
+def test_internal_presheaves_pass_the_functoriality_check():
+    # L, ext, gamma_half, _gamma1_structured and lift_i_star build their
+    # restrictions from rules that compose, and sheafify from gamma_half, so
+    # none re-runs the check at run time; this test runs it on each output
+    from bvmsheaf.bridge import _gamma1_structured, _stone_etale
+    rng = random.Random(5)
+    for _ in range(40):
+        m = random_model(rng, max_atoms=4, max_domain=3)
+        lm = L(m)
+        _, stone, e1, point_of, tarski, germ_class = _stone_etale(m)
+        wider = mk_powerset(m.alg.atoms + ("z",))
+        i = BAHom.from_dict(m.alg, wider, {**{a: a for a in m.alg.atoms},
+                                           "z": m.alg.atoms[-1]})
+        ext = ext_to_stone(lm)
+        for ps in (lm, ext, gamma_half(Bundle(e1)),
+                   _gamma1_structured(m, e1, point_of, tarski, germ_class),
+                   lift_i_star(i, lm), sheafify(ext, stone.space)[0]):
+            ps._check_functorial()
+    for n in range(2, 6):
+        points = tuple("pqrst"[:n])
+        x = FinTop(points, frozenset(
+            frozenset(p for k, p in enumerate(points) if bits >> k & 1)
+            for bits in range(2 ** n)))
+        full = section_sheaf(x, {p: 2 for p in points})
+        for ps in (full, random_subpresheaf(rng, full)):
+            sheafify(ps, x)[0]._check_functorial()

@@ -153,17 +153,31 @@ def test_bad_arguments_exit_two_with_one_line(capsys, argv, message):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("domain, message", [
-    pytest.param("st", "array of ids", id="string"),
-    pytest.param([], "nonempty domain", id="empty"),
-    pytest.param(["s", "s"], "duplicate domain ids", id="duplicate-ids"),
+def _model_ws(**model):
+    return {"models": {"m": {"algebra": "B", **model}}}
+
+
+@pytest.mark.parametrize("workspace, message", [
+    pytest.param(_model_ws(domain="st"), "array of ids", id="string"),
+    pytest.param(_model_ws(domain=[]), "nonempty domain", id="empty"),
+    pytest.param(_model_ws(domain=["s", "s"]), "duplicate domain ids",
+                 id="duplicate-ids"),
+    pytest.param({"models": {"m": ["x"]}}, "a model must be a JSON object",
+                 id="model-array"),
+    pytest.param({"algebras": ["B"]}, '"algebras" must be a JSON object',
+                 id="algebras-array"),
+    pytest.param(_model_ws(domain=["s"], eq=[["s"]]),
+                 "an eq table must be a JSON object", id="eq-array"),
+    pytest.param(_model_ws(domain=["s"], relations=[]),
+                 "relations must be a JSON object", id="empty-relations-array"),
+    pytest.param({"algebras": {"B": {"atoms": [1, 2]}}},
+                 "algebra atoms must be an array of ids", id="atoms-not-ids"),
 ])
-def test_malformed_domain_exit_two_with_one_line(tmp_path, capsys, domain,
+def test_malformed_domain_exit_two_with_one_line(tmp_path, capsys, workspace,
                                                  message):
     path = tmp_path / "m.json"
-    path.write_text(json.dumps({
-        "algebras": {"B": {"atoms": ["a"]}},
-        "models": {"m": {"algebra": "B", "domain": domain}}}))
+    path.write_text(json.dumps({"algebras": {"B": {"atoms": ["a"]}},
+                                **workspace}))
     with pytest.raises(InputError, match=message):
         load_workspace([str(path)])
     code, out, err = _run(capsys, "validate", "m", "-f", str(path))
@@ -182,6 +196,12 @@ def test_malformed_domain_exit_two_with_one_line(tmp_path, capsys, domain,
     pytest.param({"{0,1}": ["s"], "{1}": ["t"]},
                  {"{1}<={0,1}": {"s": "t"}, "{9}<={1}": {"t": "t"}},
                  "{9} <= {1} is not a pair", id="foreign-level"),
+    pytest.param({"{0,1}": 5, "{1}": ["t"]}, {},
+                 "the sections at {0,1} must be an array of ids",
+                 id="sections-number"),
+    pytest.param({"{0,1}": [["x"]], "{1}": ["t"]}, {},
+                 "the sections at {0,1} must be an array of ids",
+                 id="sections-unhashable"),
 ])
 def test_malformed_presheaf_exit_two_with_one_line(tmp_path, capsys, sections,
                                                    restrictions, message):
@@ -198,6 +218,33 @@ def test_malformed_presheaf_exit_two_with_one_line(tmp_path, capsys, sections,
     assert code == 2 and out == ""
     assert err.startswith("input error:") and message in err
     assert err.count("\n") == 1
+
+
+# [s=t] = [t=u] = 1 but [s=u] = 0: equality is not transitive
+NON_TRANSITIVE = {
+    "algebras": {"B": {"atoms": ["a1", "a2"]}},
+    "models": {"M": {"algebra": "B", "domain": ["s", "t", "u"],
+                     "eq": {"s,t": ["a1", "a2"], "t,u": ["a1", "a2"]},
+                     "relations": {"R": {"s": ["a1"]}}}}}
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "M", "E x. R(x)"), ("quotient", "M", "a1"),
+    ("check-mixing", "M"), ("check-full", "M"), ("mixify", "M"),
+    ("adjunction-check", "M"), ("phi-bundle", "M", "R(x)"), ("validate", "M"),
+], ids=lambda argv: argv[0])
+def test_invalid_model_is_an_input_error_except_to_validate(tmp_path, capsys,
+                                                            argv):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(NON_TRANSITIVE))
+    code, out, err = _run(capsys, *argv, "-f", str(path))
+    if argv[0] == "validate":
+        assert code == 1 and err == ""
+        assert "violation: transitivity fails at (s,t,u)" in out
+        return
+    assert code == 2 and out == ""
+    assert err == ("input error: model 'M' is invalid: "
+                   "transitivity fails at (s,t,u)\n")
 
 
 def test_malformed_file_exit_two(tmp_path, capsys):

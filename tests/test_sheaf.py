@@ -290,6 +290,11 @@ def test_gamma1_counts_products_of_stalk_sizes():
     ones = section_sheaf(DISC2, {"x": 1, "y": 1})
     e1 = lambda1(ones, DISC2)
     assert len(gamma1(Bundle(e1), frozenset(e1.base.points))) == 1
+    # on the discrete base of a bundle every choice is continuous, so the
+    # stalk product is what the continuity scan gamma0 keeps, in its order
+    for space in (e, e1, lambda1(random_subpresheaf(random.Random(7), f), DISC2)):
+        for u in space.base.nonempty_opens():
+            assert gamma1(Bundle(space), u) == gamma0(space, u)
 
 
 def test_gamma1_rejects_non_discrete_and_non_dense():
