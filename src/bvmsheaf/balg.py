@@ -6,16 +6,18 @@ joins and complements are bitmask operations and every filter is principal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+
+from .record import Record
+
+_set = object.__setattr__  # how Elem.__init__ sets its frozen fields
 
 
 class AlgebraError(ValueError):
     """Raised for ill-formed algebras, elements or homomorphisms."""
 
 
-@dataclass(frozen=True)
-class BoolAlg:
+class BoolAlg(Record):
     """Powerset algebra over a finite tuple of distinct atom labels.  The
     boolean-algebra laws hold by construction (the operations are &, | and ~
     on bitmasks), so only the labels are checked."""
@@ -82,21 +84,22 @@ class BoolAlg:
         return f"BoolAlg({list(self.atoms)})"
 
 
-@dataclass(frozen=True)
-class Elem:
+class Elem(Record):
     """An element of a BoolAlg: a subset of the atom index set, as a bitmask."""
 
     alg: BoolAlg
     bits: int
 
-    def __post_init__(self):
-        if not 0 <= self.bits < 2 ** self.alg.atom_count:
-            raise AlgebraError(f"bitmask {self.bits} out of range for {self.alg}")
+    def __init__(self, alg: BoolAlg, bits: int):
+        if not 0 <= bits < 2 ** len(alg.atoms):
+            raise AlgebraError(f"bitmask {bits} out of range for {alg}")
+        _set(self, "alg", alg)
+        _set(self, "bits", bits)
 
     def _same_algebra(self, other: "Elem") -> None:
         if not isinstance(other, Elem):
             raise TypeError(f"expected Elem, got {type(other).__name__}")
-        if self.alg != other.alg:
+        if self.alg is not other.alg and self.alg != other.alg:
             raise AlgebraError(
                 f"elements of different algebras compared: {self.alg} vs {other.alg}"
             )
@@ -154,8 +157,7 @@ class Elem:
         return f"<{self.label}>"
 
 
-@dataclass(frozen=True)
-class Filter:
+class Filter(Record):
     """A filter on a finite boolean algebra, stored by its principal generator.
 
     The filter is { b : b >= gen }; it is an ultrafilter exactly when the
@@ -190,8 +192,7 @@ class Filter:
         return self.label
 
 
-@dataclass(frozen=True)
-class BAHom:
+class BAHom(Record):
     """Unital homomorphism between finite boolean algebras, stored dually.
 
     atom_map sends each atom label of the target to an atom label of the

@@ -5,7 +5,6 @@ the canonical mixification, and the formula bundles characterizing fullness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
 from operator import or_
@@ -15,14 +14,14 @@ from .bvm import (BVModel, BVMorphism, ModelError, _class_reps, _smallest_cover,
                   closed_pool, generalize, has_mixing, open_pool,
                   tarski_quotient)
 from .logic import Eq, Formula, Rel, Signature, Var, free_vars
+from .record import Record, field
 from .sheaf import (Bundle, EtaleSpace, NotSeparatedError, Presheaf,
-                    PresheafMorphism, SheafError, _gamma_half, _restrictions,
-                    _section_id, alg_poset, elem_from_label, gamma0,
-                    is_separated, is_stonean_sheaf, lambda0, lambda1)
-from .topo import FinTop, opens_poset, subset_label
+                    PresheafMorphism, SheafError, _gamma_half, _lambda1,
+                    _restrictions, _section_id, alg_poset, elem_from_label,
+                    gamma0, is_separated, is_stonean_sheaf, lambda0)
+from .topo import FinTop, opens_poset, ro_algebra, subset_label
 
 
-@dataclass
 class StructuredPresheaf(Presheaf):
     """A presheaf of quotient-model domains: levels carry which relation
     instances hold with top truth value, enough to rebuild the model."""
@@ -107,8 +106,7 @@ def R(f: Presheaf) -> BVModel:
 
 # -- adjunction ---------------------------------------------------------------
 
-@dataclass
-class AdjunctionWitness:
+class AdjunctionWitness(Record, frozen=False):
     unit: BVMorphism               # eta_M : M -> R(L(M))
     counit: PresheafMorphism       # eps_F : L(R(F)) -> F
     triangle_r_ok: bool            # Id_R = R(eps) o eta R
@@ -199,8 +197,7 @@ def ext_to_stone(f: Presheaf) -> Presheaf:
     return Presheaf(base, sections, restrict)
 
 
-@dataclass(frozen=True)
-class MixSheafReport:
+class MixSheafReport(Record):
     mixing: bool
     sheaf: bool
     sections_all_induced: bool
@@ -242,13 +239,13 @@ def mixing_iff_sheaf(m: BVModel) -> MixSheafReport:
 
 def _stone_etale(m: BVModel):
     """lambda1 of ext(L(M)) over St(B), with the stalk Tarski models and the
-    germ -> class dictionary needed to transport relation structure."""
+    germ -> class dictionary needed to transport relation structure.  One
+    RO(St(B)) serves Lambda1 and the stalk points."""
     lm = L(m)
     stone = stone_space(m.alg)
     ext = ext_to_stone(lm)
-    e1 = lambda1(ext, stone.space)
-    from .topo import ro_algebra
     ro = ro_algebra(stone.space)
+    e1 = _lambda1(ext, stone.space, ro)
     point_of = {label: next(iter(sub)) for label, sub in ro.atom_subsets.items()}
     top_stone = subset_label(frozenset(stone.space.points))
     tarski = {}
@@ -319,8 +316,7 @@ def mixify(m: BVModel) -> tuple[BVModel, BVMorphism]:
 
 # -- formula bundles and the fullness characterization --------------------------
 
-@dataclass
-class PhiBundle:
+class PhiBundle(Record, frozen=False):
     """The etale space E^phi over N_{b_phi}: stalks are the tuples of classes
     where phi holds along the ultrafilter."""
 
@@ -427,8 +423,7 @@ def global_sections_of_bundle(pb: PhiBundle) -> list[dict]:
             for combo in product(*(pb.stalks[pt] for pt in points))]
 
 
-@dataclass(frozen=True)
-class FullnessClauses:
+class FullnessClauses(Record):
     formula: Formula
     finite_cover: bool
     a_phi_full: bool
@@ -453,8 +448,7 @@ def fullness_clauses(m: BVModel, f: Formula,
     return phi_bundle(m, f).clauses(with_product_clause)
 
 
-@dataclass(frozen=True)
-class FullnessSectionsReport:
+class FullnessSectionsReport(Record):
     clauses: tuple
     all_agree: bool
     mixing_checked: bool

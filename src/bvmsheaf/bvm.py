@@ -9,7 +9,6 @@ model here is automatically well behaved.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations, product
 from operator import and_, or_
@@ -17,6 +16,7 @@ from operator import and_, or_
 from .balg import BAHom, BoolAlg, Elem, Filter, antichains, quotient
 from .logic import (And, Const, Eq, Exists, Forall, Formula, Implies, Not,
                     Or, Rel, Signature, Var, free_vars, map_terms)
+from .record import Record, field
 
 
 class ModelError(ValueError):
@@ -29,8 +29,7 @@ class UnknownConstantError(ModelError):
         self.name = name
 
 
-@dataclass
-class BVModel:
+class BVModel(Record, frozen=False):
     """A B-valued interpretation: domain, equality table, relation tables,
     constant assignments.  Immutable by convention; operations are pure.
     The evaluator kept on the model reads the tables at the model's first
@@ -101,8 +100,7 @@ class BVModel:
         )
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     violations: tuple[str, ...]
     extensional: bool
 
@@ -240,8 +238,7 @@ def _class_reps(m: BVModel, f: Filter) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class TarskiModel:
+class TarskiModel(Record):
     """An ordinary two-valued structure; equality is identity of elements.
     aliases resolve element constants of a model this arose from as a
     quotient (original id -> class representative)."""
@@ -397,8 +394,7 @@ def _closed_pool(sig: Signature, elements: tuple, depth: int,
 
 # -- fullness (Los) and mixing ----------------------------------------------
 
-@dataclass(frozen=True)
-class FullnessReport:
+class FullnessReport(Record):
     full: bool
     los_mismatches: tuple
     witness_covers: tuple  # (formula, cover tuple) pairs for E-rooted formulas
@@ -462,8 +458,7 @@ def _smallest_cover(vals: dict, total: int):
     return None
 
 
-@dataclass(frozen=True)
-class MixingReport:
+class MixingReport(Record):
     passed: bool
     witness: tuple | None  # (antichain labels, assignment dict) on failure
     antichains_checked: int
@@ -536,16 +531,14 @@ def ultraproduct(factors: list[TarskiModel], g: Filter) -> TarskiModel:
 
 # -- morphisms ----------------------------------------------------------------
 
-@dataclass
-class BVMorphism:
+class BVMorphism(Record, frozen=False):
     source: BVModel
     target: BVModel
     i: BAHom
     phi: dict  # source domain -> target domain
 
 
-@dataclass(frozen=True)
-class MorphismReport:
+class MorphismReport(Record):
     is_morphism: bool
     is_embedding: bool
     is_isomorphism: bool

@@ -23,11 +23,11 @@ A workspace file carries named registries for any of these kinds:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from .balg import BAHom, BoolAlg, Elem
 from .bvm import BVModel
 from .logic import Signature
+from .record import Record, field
 from .sheaf import Presheaf, alg_poset
 from .topo import FinPoset, FinTop, opens_poset
 
@@ -192,8 +192,7 @@ def presheaf_from_json(ws: "Workspace", data) -> Presheaf:
         raise InputError(f"bad presheaf: {exc}") from exc
 
 
-@dataclass
-class Workspace:
+class Workspace(Record, frozen=False):
     """Named registry of loaded fixtures; cross-references resolve by name."""
 
     algebras: dict = field(default_factory=dict)

@@ -21,7 +21,8 @@ any other identifier in term position is a variable.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+
+from .record import Record
 
 RESERVED = {"E", "A"}
 
@@ -44,8 +45,7 @@ class ArityMismatchError(ParseError):
     pass
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     """Relation symbols with arities plus declared constant symbols."""
 
     relations: tuple[tuple[str, int], ...]
@@ -77,62 +77,52 @@ class Signature:
         return name in self.constants or name.startswith("c_")
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
     name: str
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(Record):
     name: str
 
 
 Term = Var | Const
 
 
-@dataclass(frozen=True)
-class Rel:
+class Rel(Record):
     sym: str
     args: tuple
 
 
-@dataclass(frozen=True)
-class Eq:
+class Eq(Record):
     lhs: Term
     rhs: Term
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Record):
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+class And(Record):
     lhs: "Formula"
     rhs: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Record):
     lhs: "Formula"
     rhs: "Formula"
 
 
-@dataclass(frozen=True)
-class Implies:
+class Implies(Record):
     lhs: "Formula"
     rhs: "Formula"
 
 
-@dataclass(frozen=True)
-class Exists:
+class Exists(Record):
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Forall:
+class Forall(Record):
     var: str
     body: "Formula"
 
@@ -157,6 +147,11 @@ def _tokenize(text: str):
     return tokens
 
 
+def _shown(tok) -> str:
+    """A token as an error message names it; None is the end sentinel."""
+    return "end of input" if tok is None else repr(tok)
+
+
 class _Parser:
     def __init__(self, sig: Signature, text: str):
         self.sig = sig
@@ -174,13 +169,13 @@ class _Parser:
     def expect(self, want: str):
         tok, pos = self.advance()
         if tok != want:
-            raise FormulaSyntaxError(f"expected {want!r}, found {tok!r}", pos)
+            raise FormulaSyntaxError(f"expected {want!r}, found {_shown(tok)}", pos)
         return pos
 
     def term(self) -> Term:
         tok, pos = self.advance()
         if tok is None or not tok[0].isalpha() and tok[0] != "_":
-            raise FormulaSyntaxError(f"expected a term, found {tok!r}", pos)
+            raise FormulaSyntaxError(f"expected a term, found {_shown(tok)}", pos)
         if tok in RESERVED:
             raise FormulaSyntaxError(f"{tok!r} is reserved", pos)
         if self.sig.is_constant(tok):
@@ -202,7 +197,7 @@ class _Parser:
                 return lhs
             if op not in ("&", "|", "->"):
                 raise FormulaSyntaxError(
-                    f"expected a binary connective, found {op!r}", op_pos
+                    f"expected a binary connective, found {_shown(op)}", op_pos
                 )
             rhs = self.formula()
             self.expect(")")
@@ -212,7 +207,7 @@ class _Parser:
             self.advance()
             var, var_pos = self.advance()
             if var is None or not var[0].isalpha() and var[0] != "_":
-                raise FormulaSyntaxError(f"expected a variable, found {var!r}", var_pos)
+                raise FormulaSyntaxError(f"expected a variable, found {_shown(var)}", var_pos)
             if var in RESERVED or self.sig.is_constant(var) or var in self.sig.rel_arity:
                 raise FormulaSyntaxError(f"{var!r} cannot be a bound variable", var_pos)
             self.expect(".")
@@ -226,7 +221,7 @@ class _Parser:
             self.expect("=")
             rhs = self.term()
             return Eq(lhs, rhs)
-        raise FormulaSyntaxError(f"expected a formula, found {tok!r}", pos)
+        raise FormulaSyntaxError(f"expected a formula, found {_shown(tok)}", pos)
 
     def relation(self) -> Rel:
         sym, pos = self.advance()

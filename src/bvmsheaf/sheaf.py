@@ -9,12 +9,12 @@ canonical string labels).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, islice, product
 from math import prod
 
 from .balg import BAHom, BoolAlg, Elem
+from .record import Record
 from .topo import FinPoset, FinTop, opens_poset, ro_algebra, subset_label
 
 
@@ -43,8 +43,7 @@ def elem_from_label(alg: BoolAlg, label: str) -> Elem:
     return alg.from_labels(label.split("∨"))
 
 
-@dataclass
-class Presheaf:
+class Presheaf(Record, frozen=False):
     """Contravariant set assignment on a finite poset.
 
     sections maps each base element to a tuple of section ids; restrict maps
@@ -117,8 +116,7 @@ def _restrictions(base: FinPoset, sections: dict, res) -> dict:
             for p in base.elements for q in sorted(base.down(p))}
 
 
-@dataclass(frozen=True)
-class SheafReport:
+class SheafReport(Record):
     """passed: no failure anywhere.  separated: no failure with reason
     "multiple collations" anywhere; for is_topological_sheaf the flag covers
     only the levels scanned before the failure list filled.  failures: the
@@ -266,8 +264,7 @@ def is_topological_sheaf(ps: Presheaf) -> SheafReport:
 
 # -- etale spaces -------------------------------------------------------------
 
-@dataclass
-class EtaleSpace:
+class EtaleSpace(Record, frozen=False):
     """A finite bundle of germs: total set, projection, and the basic opens
     (with provenance) that generate its topology.
 
@@ -461,8 +458,7 @@ def _lambda1(ps: Presheaf, x: FinTop, ro) -> EtaleSpace:
     return _etale(base, stalks, basics, germ_of)
 
 
-@dataclass
-class Bundle:
+class Bundle(Record, frozen=False):
     """An etale space flagged as an extremally disconnected bundle: at finite
     scale the base must be discrete and the projection surjective (dense
     image).  Sections conceptually map into E + {infinity}, but a nowhere
@@ -521,8 +517,7 @@ def _gamma_half(p: Bundle) -> tuple[Presheaf, dict]:
     return Presheaf(base, sections, restrict), choices
 
 
-@dataclass
-class SheafifyUnit:
+class SheafifyUnit(Record, frozen=False):
     """The canonical morphism from a presheaf into its stonean
     sheafification: the Stone embedding of RO(X) into the clopens of its
     Stone space, paired with the per-level section maps f |-> f-dot."""
@@ -567,8 +562,7 @@ def lift_i_star(i: BAHom, ps: Presheaf) -> Presheaf:
     return Presheaf(base, sections, restrict, i.target)
 
 
-@dataclass
-class PresheafMorphism:
+class PresheafMorphism(Record, frozen=False):
     """A morphism (i, Theta): F0 -> F1 between presheaves on algebra bases:
     i is a (complete, automatic at finite scale) homomorphism and Theta a
     natural transformation i_*(F0) -> F1."""

@@ -4,9 +4,9 @@ boolean completions, and the homomorphisms induced by open continuous maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .balg import AlgebraError, BAHom, BoolAlg, Elem
+from .record import Record
 
 
 class TopologyError(ValueError):
@@ -26,8 +26,7 @@ def subset_label(subset) -> str:
     return "{" + ",".join(sorted(subset)) + "}"
 
 
-@dataclass(frozen=True)
-class FinTop:
+class FinTop(Record):
     """A finite topological space as an explicit family of open point sets.
 
     Point sets are computed as int masks, bit i standing for points[i].  The
@@ -164,8 +163,7 @@ class FinTop:
         return f"FinTop({len(self.points)} points, {len(self.opens)} opens)"
 
 
-@dataclass(frozen=True)
-class FinPoset:
+class FinPoset(Record):
     """A finite partial order; leq is the full relation, checked exhaustively.
 
     The down sets and the pairwise common refinements (a bitmask AND of two
@@ -402,8 +400,7 @@ def boolean_completion(p: FinPoset):
     return ro, e
 
 
-@dataclass(frozen=True)
-class ContMap:
+class ContMap(Record):
     """A continuous point function between finite spaces.
 
     Continuity (preimages of opens are open) is validated at construction;

@@ -230,6 +230,19 @@ def test_mixify_stalk_product_oracle_on_samples():
         assert has_mixing(mx).passed
 
 
+def test_mixify_builds_one_ro_algebra(monkeypatch):
+    from bvmsheaf import topo
+    builds = []
+    init = topo.RoAlgebra.__init__
+
+    def counted(self, space):
+        builds.append(space)
+        init(self, space)
+    monkeypatch.setattr(topo.RoAlgebra, "__init__", counted)
+    mixify(random_model(random.Random(1), 3, 3))
+    assert len(builds) == 1
+
+
 def test_phi_bundle_m_r():
     m = m_r()
     pb = phi_bundle(m, parse(m.sig, "R(x)"))

@@ -2,9 +2,13 @@
 
 import json
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bvmsheaf
 from bvmsheaf.cli import run
 from bvmsheaf.jsonio import (InputError, load_workspace, model_from_json,
                              model_to_json)
@@ -25,6 +29,17 @@ def _runj(capsys, *argv):
 
 def fx(*argv):
     return list(argv) + ["-f", FIXTURES[0]]
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # -S: no site hook can load either module before the package does
+    probe = ("import sys, bvmsheaf.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    src = str(Path(bvmsheaf.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-S", "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={"PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
 
 
 def test_validate_ok_and_exit_zero(capsys):

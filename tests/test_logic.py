@@ -64,7 +64,19 @@ _MALFORMED = [
     "A k. P(k)",
     "R x, y)",
     "(P(x) <- P(x))",
+    "E x",
+    "(P(k)",
+    "E",
 ]
+
+# one input ending early at each place the parser can meet the end
+_END_OF_INPUT = {
+    "~": "expected a formula, found end of input (at position 1)",
+    "R(": "expected a term, found end of input (at position 2)",
+    "(P(k)": "expected a binary connective, found end of input (at position 5)",
+    "E x": "expected '.', found end of input (at position 3)",
+    "E": "expected a variable, found end of input (at position 1)",
+}
 
 
 @pytest.mark.parametrize("text", _MALFORMED)
@@ -73,6 +85,9 @@ def test_malformed_inputs_raise_with_position(text):
         parse(SIG, text)
     assert isinstance(err.value.position, int)
     assert err.value.position >= 0
+    assert "None" not in str(err.value)
+    if text in _END_OF_INPUT:
+        assert str(err.value) == _END_OF_INPUT[text]
 
 
 def test_unknown_symbol_and_arity_are_distinct_errors():
