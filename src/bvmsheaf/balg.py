@@ -29,6 +29,9 @@ class BoolAlg(Record):
             raise AlgebraError("an algebra needs at least one atom")
         if len(set(self.atoms)) != len(self.atoms):
             raise AlgebraError(f"duplicate atom labels: {self.atoms}")
+        # the top bitmask, kept as an int (not a field, and no Elem, so no
+        # reference cycle) for the range check, ~ and is_top
+        _set(self, "_top", (1 << len(self.atoms)) - 1)
 
     @property
     def atom_count(self) -> int:
@@ -49,7 +52,7 @@ class BoolAlg(Record):
 
     @property
     def top(self) -> "Elem":
-        return Elem(self, (1 << len(self.atoms)) - 1)
+        return Elem(self, self._top)
 
     def atom(self, label: str) -> "Elem":
         return Elem(self, 1 << self.atom_index(label))
@@ -91,7 +94,7 @@ class Elem(Record):
     bits: int
 
     def __init__(self, alg: BoolAlg, bits: int):
-        if not 0 <= bits < 2 ** len(alg.atoms):
+        if not 0 <= bits <= alg._top:
             raise AlgebraError(f"bitmask {bits} out of range for {alg}")
         _set(self, "alg", alg)
         _set(self, "bits", bits)
@@ -122,7 +125,7 @@ class Elem(Record):
         return Elem(self.alg, self.bits | other.bits)
 
     def __invert__(self) -> "Elem":
-        return Elem(self.alg, self.alg.top.bits & ~self.bits)
+        return Elem(self.alg, self.alg._top & ~self.bits)
 
     def __le__(self, other: "Elem") -> bool:
         self._same_algebra(other)
@@ -137,7 +140,7 @@ class Elem(Record):
 
     @property
     def is_top(self) -> bool:
-        return self.bits == self.alg.top.bits
+        return self.bits == self.alg._top
 
     @property
     def is_atom(self) -> bool:

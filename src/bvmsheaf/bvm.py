@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations, product
-from operator import and_, or_
+from operator import or_
 
 from .balg import BAHom, BoolAlg, Elem, Filter, antichains, quotient
 from .logic import (And, Const, Eq, Exists, Forall, Formula, Implies, Not,
@@ -118,6 +118,13 @@ def validate(m: BVModel) -> ValidationReport:
         for b in dom:
             if (a, b) not in m.eq:
                 bad.append(f"equality table missing ({a},{b})")
+            elif not _in_alg(m, m.eq[a, b]):
+                bad.append(f"equality entry ({a},{b}) is not an element of {m.alg}")
+    for sym, table in m.rels.items():
+        for tup, val in table.items():
+            if not _in_alg(m, val):
+                bad.append(f"relation table {sym} entry {tup} is not an "
+                           f"element of {m.alg}")
     if bad:
         return ValidationReport(tuple(bad), False)
     for a in dom:
@@ -146,6 +153,10 @@ def validate(m: BVModel) -> ValidationReport:
     return ValidationReport(tuple(bad), extensional)
 
 
+def _in_alg(m: BVModel, v) -> bool:
+    return isinstance(v, Elem) and (v.alg is m.alg or v.alg == m.alg)
+
+
 def eval_formula(m: BVModel, f: Formula, env: dict | None = None) -> Elem:
     """The boolean truth value of a formula under env (variable -> id):
     meet, join and complement, the quantifiers finite joins and meets over
@@ -168,40 +179,26 @@ class _Evaluator:
 
     def bits(self, f: Formula, env: dict) -> int:
         """Every subformula is evaluated, so a bad term always raises."""
-        kind = type(f)
-        if kind is Exists or kind is Forall:
-            inner, vals = dict(env), []
-            for d in self.domain:
-                inner[f.var] = d
-                vals.append(self.bits(f.body, inner))
-            if kind is Exists:
-                return reduce(or_, vals, 0)
-            return reduce(and_, vals, self.top)
-        if kind is And:
-            return self.bits(f.lhs, env) & self.bits(f.rhs, env)
-        if kind is Eq:
-            return self._lookup(self.eq, (f.lhs, f.rhs), env)
-        if kind is Rel:
-            return self._lookup(self.rels[f.sym], f.args, env)
-        if kind is Not:
-            return self.top & ~self.bits(f.body, env)
-        if kind is Or:
-            return self.bits(f.lhs, env) | self.bits(f.rhs, env)
-        if kind is Implies:
-            return self.top & ~self.bits(f.lhs, env) | self.bits(f.rhs, env)
-        raise TypeError(f"not a formula: {f!r}")
+        return _EVAL[type(f)](self, env, f)
 
-    def _lookup(self, table: dict, terms, env: dict) -> int:
-        """The table entry at the ids of terms, resolved left to right."""
+    def _lookup(self, sym, terms, env: dict) -> int:
+        """The entry of relation sym (equality if None) at the ids of terms,
+        resolved left to right: the runners' slow path, naming what is wrong."""
+        table = self.eq if sym is None else self.rels.get(sym)
+        if table is None:
+            raise ModelError(f"unknown relation symbol {sym!r}")
         key = tuple([self._id(t, env) for t in terms])
-        try:
+        if key in table:
             return table[key]
-        except KeyError:
-            for t, d in zip(terms, key):
-                if isinstance(t, Var) and d not in self.domain:
-                    raise ModelError(f"variable {t.name!r} is bound to {d!r}, "
-                                     "which is not in the domain") from None
-            raise
+        for t, d in zip(terms, key):
+            if isinstance(t, Var) and d not in self.domain:
+                raise ModelError(f"variable {t.name!r} is bound to {d!r}, "
+                                 "which is not in the domain")
+        arity = len(next(iter(table), key))
+        if len(key) != arity:
+            raise ModelError(f"relation {sym!r} has arity {arity}, "
+                             f"given {len(key)} terms")
+        raise ModelError(f"no table entry at {key}")
 
     def _id(self, t, env: dict) -> str:
         if isinstance(t, Var):
@@ -211,6 +208,63 @@ class _Evaluator:
         if t.name not in self.consts:
             raise UnknownConstantError(t.name)
         return self.consts[t.name]
+
+
+class _EvalRunners(dict):
+    """The evaluator's runner run(ev, env, f) per node class."""
+
+    def __missing__(self, kind):
+        return _eval_unknown
+
+
+def _eval_unknown(ev, env, f):
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _eval_eq(ev, env, f):
+    lhs, rhs = f.lhs, f.rhs
+    try:
+        return ev.eq[env[lhs.name] if type(lhs) is Var else ev.consts[lhs.name],
+                     env[rhs.name] if type(rhs) is Var else ev.consts[rhs.name]]
+    except KeyError:
+        return ev._lookup(None, (lhs, rhs), env)
+
+
+def _eval_rel(ev, env, f):
+    try:
+        return ev.rels[f.sym][tuple([env[t.name] if type(t) is Var
+                                     else ev.consts[t.name] for t in f.args])]
+    except KeyError:
+        return ev._lookup(f.sym, f.args, env)
+
+
+def _eval_exists(ev, env, f):
+    inner, run, out = dict(env), _EVAL[type(f.body)], 0
+    for d in ev.domain:
+        inner[f.var] = d
+        out |= run(ev, inner, f.body)
+    return out
+
+
+def _eval_forall(ev, env, f):
+    inner, run, out = dict(env), _EVAL[type(f.body)], ev.top
+    for d in ev.domain:
+        inner[f.var] = d
+        out &= run(ev, inner, f.body)
+    return out
+
+
+# Both sides of every connective are evaluated, so a bad term always raises.
+_EVAL = _EvalRunners({
+    Eq: _eval_eq, Rel: _eval_rel, Exists: _eval_exists, Forall: _eval_forall,
+    Not: lambda ev, env, f: ev.top & ~_EVAL[type(f.body)](ev, env, f.body),
+    And: lambda ev, env, f: (_EVAL[type(f.lhs)](ev, env, f.lhs)
+                             & _EVAL[type(f.rhs)](ev, env, f.rhs)),
+    Or: lambda ev, env, f: (_EVAL[type(f.lhs)](ev, env, f.lhs)
+                            | _EVAL[type(f.rhs)](ev, env, f.rhs)),
+    Implies: lambda ev, env, f: (ev.top & ~_EVAL[type(f.lhs)](ev, env, f.lhs)
+                                 | _EVAL[type(f.rhs)](ev, env, f.rhs)),
+})
 
 
 def quotient_model(m: BVModel, f: Filter) -> BVModel:
@@ -280,30 +334,42 @@ def tarski_quotient(m: BVModel, g: Filter) -> TarskiModel:
 
 
 def satisfies(t: TarskiModel, f: Formula, env: dict | None = None) -> bool:
-    env = env or {}
+    """Tarski satisfaction t |= f under env (variable -> id): the oracle the
+    Los test holds the evaluator to, sharing no code with it."""
+    return _SAT[type(f)](t, env or {}, f)
 
-    def term(x):
-        if isinstance(x, Var):
-            return env[x.name]
-        return t.resolve_constant(x.name)
 
-    if isinstance(f, Rel):
-        return tuple(term(a) for a in f.args) in t.rels.get(f.sym, frozenset())
-    if isinstance(f, Eq):
-        return term(f.lhs) == term(f.rhs)
-    if isinstance(f, Not):
-        return not satisfies(t, f.body, env)
-    if isinstance(f, And):
-        return satisfies(t, f.lhs, env) and satisfies(t, f.rhs, env)
-    if isinstance(f, Or):
-        return satisfies(t, f.lhs, env) or satisfies(t, f.rhs, env)
-    if isinstance(f, Implies):
-        return not satisfies(t, f.lhs, env) or satisfies(t, f.rhs, env)
-    if isinstance(f, Exists):
-        return any(satisfies(t, f.body, {**env, f.var: d}) for d in t.domain)
-    if isinstance(f, Forall):
-        return all(satisfies(t, f.body, {**env, f.var: d}) for d in t.domain)
+class _SatRunners(dict):
+    """satisfies' runner run(t, env, f) per node class."""
+
+    def __missing__(self, kind):
+        return _sat_unknown
+
+
+def _sat_unknown(t, env, f):
     raise TypeError(f"not a formula: {f!r}")
+
+
+def _sat_term(t, env, x):
+    return env[x.name] if isinstance(x, Var) else t.resolve_constant(x.name)
+
+
+_SAT = _SatRunners({
+    Rel: lambda t, env, f: (tuple([_sat_term(t, env, a) for a in f.args])
+                            in t.rels.get(f.sym, frozenset())),
+    Eq: lambda t, env, f: _sat_term(t, env, f.lhs) == _sat_term(t, env, f.rhs),
+    Not: lambda t, env, f: not _SAT[type(f.body)](t, env, f.body),
+    And: lambda t, env, f: (_SAT[type(f.lhs)](t, env, f.lhs)
+                            and _SAT[type(f.rhs)](t, env, f.rhs)),
+    Or: lambda t, env, f: (_SAT[type(f.lhs)](t, env, f.lhs)
+                           or _SAT[type(f.rhs)](t, env, f.rhs)),
+    Implies: lambda t, env, f: (not _SAT[type(f.lhs)](t, env, f.lhs)
+                                or _SAT[type(f.rhs)](t, env, f.rhs)),
+    Exists: lambda t, env, f: any(_SAT[type(f.body)](t, {**env, f.var: d}, f.body)
+                                  for d in t.domain),
+    Forall: lambda t, env, f: all(_SAT[type(f.body)](t, {**env, f.var: d}, f.body)
+                                  for d in t.domain),
+})
 
 
 # -- canonical bounded formula pools ---------------------------------------

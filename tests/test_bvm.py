@@ -10,15 +10,15 @@ import pytest
 
 from bvmsheaf.balg import Filter, mk_powerset, stone_space
 from bvmsheaf.bridge import _phi_bundle, _stone_data
-from bvmsheaf.bvm import (BVModel, BVMorphism, ModelError, TarskiModel,
-                          UnknownConstantError, _smallest_cover,
+from bvmsheaf.bvm import (_EVAL, _SAT, BVModel, BVMorphism, ModelError,
+                          TarskiModel, UnknownConstantError, _smallest_cover,
                           check_morphism, closed_pool, eval_formula,
                           generalize, has_mixing, is_elementary, is_full,
                           open_pool, product_model, quotient_model,
                           random_model, satisfies, standard_validities,
                           tarski_quotient, ultraproduct, validate)
-from bvmsheaf.logic import (And, Eq, Exists, Implies, Or, Rel, Signature, Var,
-                            free_vars, parse, substitute)
+from bvmsheaf.logic import (And, Const, Eq, Exists, Implies, Not, Or, Rel,
+                            Signature, Var, free_vars, parse, substitute)
 
 from util import find_model_isomorphism, recursive_eval_bits
 
@@ -60,6 +60,22 @@ def test_validate_congruence_violation_cites_tuple():
     assert any("congruence" in v and "R" in v for v in rep.violations)
 
 
+def test_validate_reports_entries_of_another_algebra():
+    b8 = mk_powerset(["b1", "b2", "b3"])
+    m = BVModel.make(B4, ["s", "t"], eq={("s", "t"): b8.atom("b1")})
+    rep = validate(m)
+    assert not rep.ok and not rep.extensional
+    assert rep.violations == (
+        "equality entry (s,t) is not an element of BoolAlg(['a1', 'a2'])",
+        "equality entry (t,s) is not an element of BoolAlg(['a1', 'a2'])")
+    m = m_r()
+    m.rels["R"]["t",] = b8.atom("b2")
+    m.rels["R"]["s",] = 1
+    assert validate(m).violations == tuple(
+        f"relation table R entry ('{d}',) is not an element of "
+        "BoolAlg(['a1', 'a2'])" for d in "st")
+
+
 def test_eval_examples():
     m = m_r()
     assert eval_formula(m, parse(m.sig, "E x. R(x)")).is_top
@@ -92,10 +108,39 @@ def test_eval_errors_under_quantifiers():
          "variable 'x' is bound to 'zz'"),
         (Exists("y", And(Eq(x, x), "junk")), {"x": "s"}, TypeError,
          "not a formula: 'junk'"),
+        # an unknown relation symbol and a wrong arity on a hand-built AST
+        # (the parser rejects both) raised a bare KeyError, ('Q') and
+        # ('s', 's'), before the evaluator named them
+        (Rel("Q", (Const("c_s"),)), None, ModelError,
+         "unknown relation symbol 'Q'"),
+        (Exists("x", Rel("R", (x, x))), None, ModelError,
+         "relation 'R' has arity 1, given 2 terms"),
     ]
     for f, env, error, message in rows:
         with pytest.raises(error, match=message):
             eval_formula(m, f, env)
+
+
+def test_los_check_catches_a_fault_in_either_walker(monkeypatch):
+    """The evaluator and satisfies dispatch through separate runner tables,
+    so breaking one runner of either side alone makes is_full report
+    mismatches on a model that passes."""
+    assert is_full(m_r()).full
+
+    def eval_not_drops_a1(ev, env, f):
+        return ev.top & ~ev.bits(f.body, env) & ~1
+
+    def sat_not_ignored(t, env, f):
+        return _SAT[type(f.body)](t, env, f.body)
+
+    for table, runner in ((_EVAL, eval_not_drops_a1),
+                          (_SAT, sat_not_ignored)):
+        with monkeypatch.context() as patch:
+            patch.setitem(table, Not, runner)
+            report = is_full(m_r())
+        assert not report.full and report.los_mismatches
+        assert ("F(a1)", parse(m_r().sig, "~R(c_t)")) in report.los_mismatches
+    assert is_full(m_r()).full
 
 
 def test_quotient_by_trivial_filter_is_isomorphic_copy():
