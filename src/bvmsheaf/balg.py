@@ -6,6 +6,7 @@ joins and complements are bitmask operations and every filter is principal.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 from .record import Record
@@ -334,7 +335,10 @@ def _powerset(items):
         yield from combinations(items, size)
 
 
+@lru_cache(maxsize=64)
 def stone_space(alg: BoolAlg) -> StoneSpace:
+    """St(alg), built once per algebra: the algebra is frozen and the space
+    is never mutated, so equal algebras share it."""
     return StoneSpace(alg)
 
 

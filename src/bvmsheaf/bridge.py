@@ -33,7 +33,17 @@ class StructuredPresheaf(Presheaf):
 
 def L(m: BVModel) -> StructuredPresheaf:
     """The separated presheaf of quotients F_M(b) = M/F_b on B+, with
-    restriction maps collapsing classes downward, read off the bits.
+    restriction maps collapsing classes downward.  Built once per model and
+    kept on it, as the model's evaluator is, so the model's tables may be
+    changed only before the first call; the result is shared, not copied."""
+    lm = m.__dict__.get("_lm")
+    if lm is None:
+        lm = m._lm = _L(m)
+    return lm
+
+
+def _L(m: BVModel) -> StructuredPresheaf:
+    """L(m), read off the bits.
 
     tau and sigma are one class of M/F_b iff b <= [tau=sigma], since F_b is
     the up-set of b; the representative is the least id of the class, as in
@@ -183,8 +193,9 @@ def adjunction_witness(m: BVModel, f: Presheaf | None = None) -> AdjunctionWitne
 def ext_to_stone(f: Presheaf) -> Presheaf:
     """ext: transport a presheaf on B+ to O(St(B))+ along N_b; on the
     discrete finite Stone space Reg is the identity, so the level at a
-    nonempty point set W is F at the join of W's atoms.  W |-> that join is
-    monotone, so F's own restrictions relabelled along it compose."""
+    nonempty point set W is F at the join of W's atoms.  W |-> that join
+    (at) is monotone, so F's own restriction tables relabelled along it
+    compose: the table at (W, V) is F's table at (at W, at V) itself."""
     if f.alg is None:
         raise SheafError("ext needs a presheaf on an algebra base")
     x = stone_space(f.alg).space
@@ -192,8 +203,8 @@ def ext_to_stone(f: Presheaf) -> Presheaf:
     at = {subset_label(w): f.alg.from_labels(w).label
           for w in x.nonempty_opens()}
     sections = {w: f.sections[at[w]] for w in base.elements}
-    restrict = _restrictions(base, sections,
-                             lambda w, v, s: f.res(at[w], at[v], s))
+    restrict = {(w, v): f.restrict[at[w], at[v]]
+                for v in base.elements for w in sorted(base.down(v))}
     return Presheaf(base, sections, restrict)
 
 

@@ -33,7 +33,8 @@ class BVModel(Record, frozen=False):
     """A B-valued interpretation: domain, equality table, relation tables,
     constant assignments.  Immutable by convention; operations are pure.
     The evaluator kept on the model reads the tables at the model's first
-    evaluation, so they may be changed only before it."""
+    evaluation, and bridge.L(m) is kept on the model from its first call
+    the same way, so the tables may be changed only before either."""
 
     alg: BoolAlg
     sig: Signature
@@ -127,24 +128,30 @@ def validate(m: BVModel) -> ValidationReport:
                            f"element of {m.alg}")
     if bad:
         return ValidationReport(tuple(bad), False)
+    # every entry is now an Elem of m.alg: the axioms run on its bits
+    eq = {pair: v.bits for pair, v in m.eq.items()}
+    top = m.alg.top.bits
     for a in dom:
-        if not m.eq[a, a].is_top:
+        if eq[a, a] != top:
             bad.append(f"reflexivity fails at {a}: [{a}={a}] = {m.eq[a,a].label}")
         for b in dom:
-            if m.eq[a, b] != m.eq[b, a]:
+            ab = eq[a, b]
+            if ab != eq[b, a]:
                 bad.append(f"symmetry fails at ({a},{b})")
             for c in dom:
-                if not (m.eq[a, b] & m.eq[b, c]) <= m.eq[a, c]:
+                if ab & eq[b, c] & ~eq[a, c]:
                     bad.append(f"transitivity fails at ({a},{b},{c})")
     for sym, arity in m.sig.rel_arity.items():
-        table = m.rels.get(sym, {})
+        table = {tup: v.bits for tup, v in m.rels.get(sym, {}).items()}
         for tup in product(dom, repeat=arity):
             if tup not in table:
                 bad.append(f"relation table {sym} missing {tup}")
                 continue
             for other in product(dom, repeat=arity):
-                agree = m.alg.meet_all(m.eq[s, t] for s, t in zip(tup, other))
-                if not (agree & table[tup]) <= table.get(other, m.alg.bottom):
+                held = table[tup]
+                for s, t in zip(tup, other):
+                    held &= eq[s, t]
+                if held & ~table.get(other, 0):
                     bad.append(f"congruence fails for {sym} at {tup} -> {other}")
     for c, target in m.consts.items():
         if target not in dom:
@@ -303,6 +310,11 @@ class TarskiModel(Record):
     consts: dict
     aliases: dict = field(default_factory=dict)
 
+    @cached_property
+    def _arity(self) -> dict:
+        """The arity of each relation symbol, for satisfies' arity check."""
+        return self.sig.rel_arity
+
     def resolve_constant(self, name: str) -> str:
         if name in self.consts:
             return self.consts[name]
@@ -333,10 +345,23 @@ def tarski_quotient(m: BVModel, g: Filter) -> TarskiModel:
     return TarskiModel(m.sig, reps, rels, consts, dict(rep))
 
 
+_OUTSIDE = object()  # env key of the caller's bindings outside the domain
+
+
 def satisfies(t: TarskiModel, f: Formula, env: dict | None = None) -> bool:
     """Tarski satisfaction t |= f under env (variable -> id): the oracle the
-    Los test holds the evaluator to, sharing no code with it."""
-    return _SAT[type(f)](t, env or {}, f)
+    Los test holds the evaluator to, sharing no code with it.  Each atomic
+    node it visits raises the ModelError eval_formula raises there: an
+    unknown relation symbol, a wrong arity, a free variable, an unknown
+    constant, or a variable bound to an id outside the domain.  Connectives
+    and quantifiers are decided lazily, so a node behind a decided one is
+    not visited."""
+    env = env or {}
+    outside = {v: d for v, d in env.items() if d not in t.domain}
+    if outside:  # kept apart, so that an atom using one takes the slow path
+        env = {v: d for v, d in env.items() if v not in outside}
+        env[_OUTSIDE] = outside
+    return _SAT[type(f)](t, env, f)
 
 
 class _SatRunners(dict):
@@ -354,10 +379,51 @@ def _sat_term(t, env, x):
     return env[x.name] if isinstance(x, Var) else t.resolve_constant(x.name)
 
 
+def _sat_rel(t, env, f):
+    try:
+        held = t.rels[f.sym]
+        key = tuple([_sat_term(t, env, a) for a in f.args])
+    except KeyError:
+        _sat_fault(t, env, f.sym, f.args)
+    if key in held:
+        return True
+    if len(key) != t._arity.get(f.sym, len(key)):
+        _sat_fault(t, env, f.sym, f.args)
+    return False
+
+
+def _sat_eq(t, env, f):
+    try:
+        return _sat_term(t, env, f.lhs) == _sat_term(t, env, f.rhs)
+    except KeyError:
+        _sat_fault(t, env, None, (f.lhs, f.rhs))
+
+
+def _sat_fault(t, env, sym, terms):
+    """Raise the error of an atomic node of relation sym (equality if None)
+    that the runners could not decide, checked in eval_formula's order: the
+    symbol, each term left to right, ids outside the domain, the arity."""
+    if sym is not None and sym not in t.rels:
+        raise ModelError(f"unknown relation symbol {sym!r}")
+    outside = env.get(_OUTSIDE, {})
+    key = []
+    for x in terms:
+        if not isinstance(x, Var) or x.name in env:
+            key.append(_sat_term(t, env, x))
+        elif x.name in outside:
+            key.append(outside[x.name])
+        else:
+            raise ModelError(f"free variable {x.name!r} in a closed evaluation")
+    for x, d in zip(terms, key):
+        if isinstance(x, Var) and x.name not in env:
+            raise ModelError(f"variable {x.name!r} is bound to {d!r}, "
+                             "which is not in the domain")
+    raise ModelError(f"relation {sym!r} has arity {t._arity[sym]}, "
+                     f"given {len(key)} terms")
+
+
 _SAT = _SatRunners({
-    Rel: lambda t, env, f: (tuple([_sat_term(t, env, a) for a in f.args])
-                            in t.rels.get(f.sym, frozenset())),
-    Eq: lambda t, env, f: _sat_term(t, env, f.lhs) == _sat_term(t, env, f.rhs),
+    Rel: _sat_rel, Eq: _sat_eq,
     Not: lambda t, env, f: not _SAT[type(f.body)](t, env, f.body),
     And: lambda t, env, f: (_SAT[type(f.lhs)](t, env, f.lhs)
                             and _SAT[type(f.rhs)](t, env, f.rhs)),

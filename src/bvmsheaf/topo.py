@@ -4,6 +4,7 @@ boolean completions, and the homomorphisms induced by open continuous maps.
 
 from __future__ import annotations
 
+from functools import lru_cache
 
 from .balg import AlgebraError, BAHom, BoolAlg, Elem
 from .record import Record
@@ -164,13 +165,16 @@ class FinTop(Record):
 
 
 class FinPoset(Record):
-    """A finite partial order; leq is the full relation, checked exhaustively.
+    """A finite partial order; leq is the full relation, checked in full.
 
-    The down sets and the pairwise common refinements (a bitmask AND of two
-    down sets) are tabulated once per instance, right after the checks, so
-    down, compatible and refinements are lookups.  The tables are read off
-    leq by the same definitions the queries had, and the instance is frozen,
-    so every answer is unchanged.
+    Each element's down set is kept as a bitmask over the element order, and
+    the order axioms are checked on the masks in O(|leq|) mask operations:
+    a's own bit is in down[a] (reflexive); no pair a != b has both a <= b
+    and b <= a (antisymmetric); down[a] lies inside down[b] for every pair
+    a <= b (transitive: c <= a <= b gives c <= b).  compatible and
+    refinements read the AND of two masks on demand.  The masks and the
+    down sets are set with object.__setattr__, not as fields, so equality,
+    hashing and repr still see only elements and leq.
     """
 
     elements: tuple[str, ...]
@@ -179,30 +183,33 @@ class FinPoset(Record):
     def __post_init__(self):
         if len(set(self.elements)) != len(self.elements):
             raise TopologyError(f"duplicate elements: {self.elements}")
-        elems = set(self.elements)
+        bit = {a: 1 << i for i, a in enumerate(self.elements)}
+        mask = dict.fromkeys(self.elements, 0)
         for a, b in self.leq:
-            if a not in elems or b not in elems:
+            if a not in bit or b not in bit:
                 raise TopologyError(f"relation pair ({a},{b}) outside the carrier")
-        for a in elems:
-            if (a, a) not in self.leq:
+            mask[b] |= bit[a]
+        for a in self.elements:
+            if not mask[a] & bit[a]:
                 raise TopologyError(f"not reflexive at {a}")
         for a, b in self.leq:
-            if a != b and (b, a) in self.leq:
+            if a != b and mask[a] & bit[b]:
                 raise TopologyError(f"not antisymmetric at {a},{b}")
-            for c in elems:
-                if (b, c) in self.leq and (a, c) not in self.leq:
-                    raise TopologyError(f"not transitive at {a},{b},{c}")
-        # down set of each element, as a bitmask over the element order
-        masks = {a: sum(1 << i for i, b in enumerate(self.elements)
-                        if (b, a) in self.leq)
-                 for a in self.elements}
+            if mask[a] & ~mask[b]:
+                c = self._labels(mask[a] & ~mask[b])[0]
+                raise TopologyError(f"not transitive at {c},{a},{b}")
+        object.__setattr__(self, "_mask", mask)
         object.__setattr__(self, "_down", {
-            a: frozenset(b for i, b in enumerate(self.elements) if m >> i & 1)
-            for a, m in masks.items()})
-        object.__setattr__(self, "_refinements", {
-            (a, b): tuple(s for i, s in enumerate(self.elements)
-                          if (masks[a] & masks[b]) >> i & 1)
-            for a in self.elements for b in self.elements})
+            a: frozenset(self._labels(m)) for a, m in mask.items()})
+
+    def _labels(self, m: int) -> list[str]:
+        """The elements whose bits are in the mask m, in element order."""
+        out = []
+        while m:
+            low = m & -m
+            out.append(self.elements[low.bit_length() - 1])
+            m ^= low
+        return out
 
     @staticmethod
     def from_pairs(elements, pairs) -> "FinPoset":
@@ -228,10 +235,10 @@ class FinPoset(Record):
 
     def compatible(self, a: str, b: str) -> bool:
         """True when a and b have a common refinement."""
-        return bool(self._refinements.get((a, b)))
+        return bool(self._mask.get(a, 0) & self._mask.get(b, 0))
 
     def refinements(self, a: str, b: str) -> list[str]:
-        return list(self._refinements.get((a, b), ()))
+        return self._labels(self._mask.get(a, 0) & self._mask.get(b, 0))
 
     def is_predense_below(self, family, p: str) -> bool:
         """family is a dense covering of p: every q <= p is compatible with
@@ -265,8 +272,10 @@ class FinPoset(Record):
         return f"FinPoset({list(self.elements)})"
 
 
+@lru_cache(maxsize=64)
 def opens_poset(x: FinTop) -> FinPoset:
-    """The poset O(X) of nonempty opens under inclusion, labelled canonically."""
+    """The poset O(X) of nonempty opens under inclusion, labelled canonically.
+    Built once per space: both are frozen, so equal spaces share the poset."""
     opens = x.nonempty_opens()
     labels = {u: subset_label(u) for u in opens}
     leq = frozenset(

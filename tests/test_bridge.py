@@ -439,3 +439,52 @@ def test_internal_presheaves_pass_the_functoriality_check():
         full = section_sheaf(x, {p: 2 for p in points})
         for ps in (full, random_subpresheaf(rng, full)):
             sheafify(ps, x)[0]._check_functorial()
+
+
+def test_bridge_bases_are_built_once(monkeypatch):
+    """One L per model, one St(B) per algebra and one poset per base across
+    R o L, the adjunction witness, mixing <-> sheaf and mixify; a second
+    model on the same algebra builds no Stone space and no poset."""
+    from bvmsheaf import balg, bridge, sheaf, topo
+    for cache in (balg.stone_space, topo.opens_poset, sheaf.alg_poset):
+        cache.cache_clear()
+    l_builds, stone_builds, poset_builds = [], [], []
+    build_l, stone_init, poset_check = (bridge._L, balg.StoneSpace.__init__,
+                                        topo.FinPoset.__post_init__)
+
+    def counted_l(m):
+        l_builds.append(m)
+        return build_l(m)
+
+    def counted_stone(self, alg):
+        stone_builds.append(alg)
+        stone_init(self, alg)
+
+    def counted_poset(self):
+        poset_builds.append(self.elements)
+        poset_check(self)
+    monkeypatch.setattr(bridge, "_L", counted_l)
+    monkeypatch.setattr(balg.StoneSpace, "__init__", counted_stone)
+    monkeypatch.setattr(topo.FinPoset, "__post_init__", counted_poset)
+
+    def run(m):
+        R(L(m))
+        adjunction_witness(m)
+        mixing_iff_sheaf(m)
+        mixify(m)
+
+    rng = random.Random(1)
+    models = [m for m in (random_model(rng, 3, 3) for _ in range(40))
+              if m.alg.atom_count == 3][:2]
+    m, m2 = models
+    run(m)
+    assert sum(built is m for built in l_builds) == 1
+    assert stone_builds == [m.alg]
+    assert len(poset_builds) == len(set(poset_builds))
+    assert L(m) is L(m)
+    _assert_same_presheaf(L(m), quotient_L(m))
+    stone_base = topo.opens_poset(balg.stone_space(m.alg).space).elements
+    assert stone_base in poset_builds
+    del stone_builds[:], poset_builds[:]
+    run(m2)
+    assert stone_builds == [] and poset_builds == []

@@ -20,7 +20,7 @@ from bvmsheaf.bvm import (_EVAL, _SAT, BVModel, BVMorphism, ModelError,
 from bvmsheaf.logic import (And, Const, Eq, Exists, Implies, Not, Or, Rel,
                             Signature, Var, free_vars, parse, substitute)
 
-from util import find_model_isomorphism, recursive_eval_bits
+from util import elem_validate, find_model_isomorphism, recursive_eval_bits
 
 B2 = mk_powerset(["a1"])
 B4 = mk_powerset(["a1", "a2"])
@@ -91,34 +91,68 @@ def test_eval_unknown_constant():
     assert "c_zz" in str(err.value)
 
 
-def test_eval_errors_under_quantifiers():
-    m = m_r()
+def _error_rows(sig):
+    """(formula, env, error, message, reached) rows: eval_formula raises
+    error matching message, and so does satisfies when reached is set (it
+    decides connectives lazily, so it never visits an atom behind a decided
+    one)."""
     x = Var("x")
-    rows = [
-        (parse(m.sig, "E x. R(y)"), None, ModelError, "free variable 'y'"),
+    return [
+        (parse(sig, "E x. R(y)"), None, ModelError, "free variable 'y'", True),
         # a bottom conjunct does not hide an unknown constant beside it
-        (parse(m.sig, "A x. (~x = x & R(c_zz))"), None, UnknownConstantError,
-         "c_zz"),
+        (parse(sig, "A x. (~x = x & R(c_zz))"), None, UnknownConstantError,
+         "c_zz", False),
         # an env id outside the domain names the variable and the id; these
         # two rows raised a bare KeyError of the table key, ('zz',) and
         # ('zz', 's'), before the evaluator checked env ids
-        (parse(m.sig, "R(x)"), {"x": "zz"}, ModelError,
-         "variable 'x' is bound to 'zz'"),
-        (parse(m.sig, "E y. (R(y) | x = y)"), {"x": "zz"}, ModelError,
-         "variable 'x' is bound to 'zz'"),
+        (parse(sig, "R(x)"), {"x": "zz"}, ModelError,
+         "variable 'x' is bound to 'zz'", True),
+        (parse(sig, "E y. (R(y) | x = y)"), {"x": "zz"}, ModelError,
+         "variable 'x' is bound to 'zz'", False),
         (Exists("y", And(Eq(x, x), "junk")), {"x": "s"}, TypeError,
-         "not a formula: 'junk'"),
+         "not a formula: 'junk'", True),
         # an unknown relation symbol and a wrong arity on a hand-built AST
         # (the parser rejects both) raised a bare KeyError, ('Q') and
         # ('s', 's'), before the evaluator named them
         (Rel("Q", (Const("c_s"),)), None, ModelError,
-         "unknown relation symbol 'Q'"),
+         "unknown relation symbol 'Q'", True),
         (Exists("x", Rel("R", (x, x))), None, ModelError,
-         "relation 'R' has arity 1, given 2 terms"),
+         "relation 'R' has arity 1, given 2 terms", True),
+        # satisfies returned False on the three rows above (Q, R(x, x) and
+        # R(x) at zz) and raised a bare KeyError('y') on the next one
+        (parse(sig, "R(y)"), None, ModelError, "free variable 'y'", True),
+        # the symbol is named before the terms, then the terms left to right
+        (Rel("Q", (Const("c_zz"),)), None, ModelError,
+         "unknown relation symbol 'Q'", True),
+        (Rel("R", (x, Const("c_zz"))), {"x": "zz"}, UnknownConstantError,
+         "c_zz", True),
+        (Rel("R", (Var("y"), x)), {"x": "zz"}, ModelError,
+         "free variable 'y'", True),
+        (Eq(x, Const("c_s")), {"x": "zz"}, ModelError,
+         "variable 'x' is bound to 'zz'", True),
+        (Exists("x", Eq(x, Var("y"))), None, ModelError,
+         "free variable 'y'", True),
     ]
-    for f, env, error, message in rows:
+
+
+def test_eval_errors_under_quantifiers():
+    m = m_r()
+    for f, env, error, message, _ in _error_rows(m.sig):
         with pytest.raises(error, match=message):
             eval_formula(m, f, env)
+
+
+def test_satisfies_raises_the_evaluators_errors():
+    m = m_r()
+    t = tarski_quotient(m, Filter(B4, B4.atom("a1")))
+    for f, env, error, message, reached in _error_rows(m.sig):
+        if reached:
+            with pytest.raises(error, match=message):
+                satisfies(t, f, env)
+        else:
+            satisfies(t, f, env)
+    # a variable bound outside the domain is shadowed by a quantifier
+    assert satisfies(t, parse(m.sig, "E x. R(x)"), {"x": "zz"})
 
 
 def test_los_check_catches_a_fault_in_either_walker(monkeypatch):
@@ -509,3 +543,60 @@ def test_phi_bundle_matches_recursive_oracle(oracle_models):
             assert pb.stalks == stalks
             assert pb.a_phi == frozenset(pt for pt in stalks if stalks[pt])
             assert pb.space == space_of.get(n_b)
+
+
+def _broken_copies(m, rng):
+    """Copies of m with one table entry changed, removed or replaced by an
+    entry of another algebra, or a constant sent outside the domain."""
+    elems = list(m.alg.elements())
+    other = mk_powerset(["z1"]).top
+    dom = m.domain
+
+    def copy():
+        return BVModel(m.alg, m.sig, dom, dict(m.eq),
+                       {sym: dict(t) for sym, t in m.rels.items()},
+                       dict(m.consts))
+    sym = next(iter(m.sig.rel_arity))
+    out = []
+    for _ in range(3):
+        a, b = rng.choice(dom), rng.choice(dom)
+        c = copy()
+        c.eq[a, b] = rng.choice(elems)          # reflexivity, symmetry, transitivity
+        out.append(c)
+        c = copy()
+        c.eq[a, b] = c.eq[b, a] = rng.choice(elems)
+        out.append(c)
+        c = copy()
+        tup = rng.choice(list(c.rels[sym]))
+        c.rels[sym][tup] = rng.choice(elems)    # congruence
+        out.append(c)
+    c = copy()
+    del c.rels[sym][rng.choice(list(c.rels[sym]))]
+    out.append(c)
+    c = copy()
+    del c.eq[rng.choice(dom), rng.choice(dom)]
+    out.append(c)
+    c = copy()
+    c.rels[sym][rng.choice(list(c.rels[sym]))] = other
+    out.append(c)
+    c = copy()
+    c.consts["k"] = "zz"
+    out.append(c)
+    return out
+
+
+def test_validate_on_bits_matches_the_elem_oracle(oracle_models):
+    """Byte-identical reports, in the same order, on the 500-model sample
+    and on hand-broken copies of its first 100 models."""
+    rng = random.Random(31)
+    kinds = set()
+    for k, (m, _) in enumerate(oracle_models):
+        assert validate(m) == elem_validate(m)
+        if k >= 100:
+            continue
+        for c in _broken_copies(m, rng):
+            rep = validate(c)
+            assert rep == elem_validate(c)
+            kinds.update(v.split()[0] for v in rep.violations)
+    assert kinds == {"reflexivity", "symmetry", "transitivity", "congruence",
+                     "relation", "equality", "constant"}

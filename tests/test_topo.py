@@ -327,6 +327,42 @@ def test_poset_lookups_match_definitions_from_le():
                     assert po.compatible(a, b) == bool(common)
 
 
+def test_poset_checks_match_their_definitions():
+    """Every relation on at most 3 labels (512 on 3): FinPoset accepts it iff
+    it is reflexive, antisymmetric and transitive, and each rejection names
+    a property that fails at the elements it names."""
+    named = set()
+    for n in range(4):
+        labels = tuple("abc"[:n])
+        pairs = [(a, b) for a in labels for b in labels]
+        for bits in range(1 << len(pairs)):
+            rel = frozenset(p for i, p in enumerate(pairs) if bits >> i & 1)
+            order = (all((a, a) in rel for a in labels)
+                     and all(a == b or (b, a) not in rel for a, b in rel)
+                     and all((a, d) in rel
+                             for a, b in rel for c, d in rel if b == c))
+            try:
+                po = FinPoset(labels, rel)
+            except TopologyError as err:
+                assert not order
+                prop, at = str(err).split(" at ")
+                named.add(prop)
+                at = tuple(at.split(","))
+                if prop == "not reflexive":
+                    (a,) = at
+                    assert (a, a) not in rel
+                elif prop == "not antisymmetric":
+                    a, b = at
+                    assert a != b and (a, b) in rel and (b, a) in rel
+                else:
+                    assert prop == "not transitive"
+                    a, b, c = at
+                    assert (a, b) in rel and (b, c) in rel and (a, c) not in rel
+            else:
+                assert order and po.leq == rel
+    assert named == {"not reflexive", "not antisymmetric", "not transitive"}
+
+
 def test_opens_poset_labels():
     po = opens_poset(SIER)
     assert set(po.elements) == {"{1}", "{0,1}"}

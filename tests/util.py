@@ -531,6 +531,54 @@ def check_etale(e: EtaleSpace) -> list[str]:
     return problems
 
 
+# -- model validation on Elem operations ------------------------------------------
+
+def elem_validate(m: BVModel):
+    """validate(m) with every axiom checked by Elem operations, a fresh top
+    and bottom for each pair: the loops validate replaced by int bits, kept
+    as its oracle."""
+    from bvmsheaf.bvm import ValidationReport, _in_alg
+    bad = []
+    dom = m.domain
+    for a in dom:
+        for b in dom:
+            if (a, b) not in m.eq:
+                bad.append(f"equality table missing ({a},{b})")
+            elif not _in_alg(m, m.eq[a, b]):
+                bad.append(f"equality entry ({a},{b}) is not an element of {m.alg}")
+    for sym, table in m.rels.items():
+        for tup, val in table.items():
+            if not _in_alg(m, val):
+                bad.append(f"relation table {sym} entry {tup} is not an "
+                           f"element of {m.alg}")
+    if bad:
+        return ValidationReport(tuple(bad), False)
+    for a in dom:
+        if not m.eq[a, a].is_top:
+            bad.append(f"reflexivity fails at {a}: [{a}={a}] = {m.eq[a,a].label}")
+        for b in dom:
+            if m.eq[a, b] != m.eq[b, a]:
+                bad.append(f"symmetry fails at ({a},{b})")
+            for c in dom:
+                if not (m.eq[a, b] & m.eq[b, c]) <= m.eq[a, c]:
+                    bad.append(f"transitivity fails at ({a},{b},{c})")
+    for sym, arity in m.sig.rel_arity.items():
+        table = m.rels.get(sym, {})
+        for tup in product(dom, repeat=arity):
+            if tup not in table:
+                bad.append(f"relation table {sym} missing {tup}")
+                continue
+            for other in product(dom, repeat=arity):
+                agree = m.alg.meet_all(m.eq[s, t] for s, t in zip(tup, other))
+                if not (agree & table[tup]) <= table.get(other, m.alg.bottom):
+                    bad.append(f"congruence fails for {sym} at {tup} -> {other}")
+    for c, target in m.consts.items():
+        if target not in dom:
+            bad.append(f"constant {c} maps outside the domain: {target}")
+    extensional = not bad and m.is_extensional
+    return ValidationReport(tuple(bad), extensional)
+
+
 # -- formula evaluation by plain recursion ----------------------------------------
 
 def _resolve(m: BVModel, term, env: dict) -> str:
