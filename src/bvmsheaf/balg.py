@@ -31,8 +31,10 @@ class BoolAlg(Record):
         if len(set(self.atoms)) != len(self.atoms):
             raise AlgebraError(f"duplicate atom labels: {self.atoms}")
         # the top bitmask, kept as an int (not a field, and no Elem, so no
-        # reference cycle) for the range check, ~ and is_top
+        # reference cycle) for the range check, ~ and is_top; and the memo
+        # bits -> atom labels that Elem.atom_labels fills
         _set(self, "_top", (1 << len(self.atoms)) - 1)
+        _set(self, "_labels", {})
 
     @property
     def atom_count(self) -> int:
@@ -111,7 +113,8 @@ class Elem(Record):
     def __eq__(self, other):
         if not isinstance(other, Elem):
             return NotImplemented
-        self._same_algebra(other)
+        if other.alg is not self.alg:
+            self._same_algebra(other)
         return self.bits == other.bits
 
     def __hash__(self):
@@ -129,7 +132,8 @@ class Elem(Record):
         return Elem(self.alg, self.alg._top & ~self.bits)
 
     def __le__(self, other: "Elem") -> bool:
-        self._same_algebra(other)
+        if other.__class__ is not Elem or other.alg is not self.alg:
+            self._same_algebra(other)
         return self.bits & ~other.bits == 0
 
     def __lt__(self, other: "Elem") -> bool:
@@ -148,7 +152,11 @@ class Elem(Record):
         return self.bits != 0 and self.bits & (self.bits - 1) == 0
 
     def atom_labels(self) -> tuple[str, ...]:
-        return tuple(a for i, a in enumerate(self.alg.atoms) if self.bits >> i & 1)
+        labels = self.alg._labels.get(self.bits)
+        if labels is None:
+            labels = self.alg._labels[self.bits] = tuple(
+                a for i, a in enumerate(self.alg.atoms) if self.bits >> i & 1)
+        return labels
 
     @property
     def label(self) -> str:
@@ -222,21 +230,19 @@ class BAHom(Record):
         for c, b in mapping.items():
             if b not in self.source.atoms:
                 raise AlgebraError(f"atom_map image {b!r} is not a source atom")
+        # (target atom bit, bit of its source atom), for __call__
+        _set(self, "_bits", tuple((1 << i, 1 << self.source.atoms.index(
+            mapping[c])) for i, c in enumerate(self.target.atoms)))
 
     @property
     def mapping(self) -> dict:
         return dict(self.atom_map)
 
     def __call__(self, b: Elem) -> Elem:
-        if b.alg != self.source:
+        if b.alg is not self.source and b.alg != self.source:
             raise AlgebraError("argument is not an element of the source algebra")
-        mapping = self.mapping
-        bits = 0
-        blabels = set(b.atom_labels())
-        for i, c in enumerate(self.target.atoms):
-            if mapping[c] in blabels:
-                bits |= 1 << i
-        return Elem(self.target, bits)
+        bits = b.bits
+        return Elem(self.target, sum(t for t, s in self._bits if bits & s))
 
     def left_adjoint(self, c: Elem) -> Elem:
         """pi_i(c) = meet of { b : i(b) >= c }; here the atom_map image of c."""
@@ -283,21 +289,6 @@ def mk_powerset(labels) -> BoolAlg:
 def ultrafilters(alg: BoolAlg) -> list[Filter]:
     """One principal ultrafilter per atom, in atom order."""
     return [Filter(alg, a) for a in alg.atom_elems()]
-
-
-def antichains(alg: BoolAlg, max_size: int | None = None):
-    """All antichains of nonzero pairwise-incompatible elements, by size.
-
-    Size-ascending enumeration so searches report the smallest witness first.
-    """
-    if max_size is not None and max_size < 1:
-        raise AlgebraError("antichain size cap must be at least 1")
-    nonzero = [e for e in alg.elements() if not e.is_bottom]
-    top_size = alg.atom_count if max_size is None else min(max_size, alg.atom_count)
-    for size in range(1, top_size + 1):
-        for combo in combinations(nonzero, size):
-            if all((a & b).is_bottom for a, b in combinations(combo, 2)):
-                yield combo
 
 
 class StoneSpace:

@@ -220,11 +220,11 @@ class MixSheafReport(Record):
 
 
 def mixing_iff_sheaf(m: BVModel) -> MixSheafReport:
-    """Three independent computations compared: the antichain mixing search,
-    the sheaf predicate on L(M), and the global sections of the etale space
-    being exactly the induced ones.  The sheaf leg is the dense (minimal
-    level) test: on B+ a family below p is predense below p iff its join is
-    p, so the dense and the sup coverings are the same sets."""
+    """Three computations compared: has_mixing (the stalk product on the
+    equality bits), the sheaf predicate on L(M), and the global sections of
+    the etale space being exactly the induced ones.  The sheaf leg is the
+    dense (minimal level) test: on B+ a family below p is predense below p
+    iff its join is p, so the dense and the sup coverings are the same sets."""
     mix = has_mixing(m)
     lm = L(m)
     sheaf_rep = is_stonean_sheaf(lm)

@@ -11,9 +11,10 @@ from __future__ import annotations
 import random
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations, product
+from math import comb, factorial, prod
 from operator import or_
 
-from .balg import BAHom, BoolAlg, Elem, Filter, antichains, quotient
+from .balg import AlgebraError, BAHom, BoolAlg, Elem, Filter, quotient
 from .logic import (And, Const, Eq, Exists, Forall, Formula, Implies, Not,
                     Or, Rel, Signature, Var, free_vars, map_terms)
 from .record import Record, field
@@ -293,8 +294,9 @@ def quotient_model(m: BVModel, f: Filter) -> BVModel:
 
 def _class_reps(m: BVModel, f: Filter) -> dict:
     """Class representative for each element: the least id in its class."""
+    g = f.gen.bits
     return {
-        a: min(b for b in m.domain if m.eq[b, a] in f)
+        a: min(b for b in m.domain if m.eq[b, a].bits & g == g)
         for a in m.domain
     }
 
@@ -591,33 +593,50 @@ def _smallest_cover(vals: dict, total: int):
 
 
 class MixingReport(Record):
+    """has_mixing's verdict on a valid model.  antichains_checked is the
+    count the size-then-lex search over antichains would check."""
+
     passed: bool
     witness: tuple | None  # (antichain labels, assignment dict) on failure
     antichains_checked: int
 
 
 def has_mixing(m: BVModel, max_antichain: int | None = None) -> MixingReport:
-    """Search every antichain (size ascending) and every assignment of
-    domain elements to its members for a missing mixer; the first failure is
-    the reported witness."""
-    checked = 0
-    for chain in antichains(m.alg, max_antichain):
+    """Decide mixing on a valid model m by the stalk product: m has mixing
+    iff D -> prod_i D/~_i over the atoms i is onto.  Singletons always mix,
+    and a failure always has a witness pair (mixing pairwise gives the rest,
+    each ~_i being transitive); so a failure scans the disjoint pairs in the
+    search's order and names the first without a mixer.  A pass counts every
+    antichain of at most the cap: sum_j S(n+1, j+1), j blocks of the atoms
+    and one block of the unused ones."""
+    if max_antichain is not None and max_antichain < 1:
+        raise AlgebraError("antichain size cap must be at least 1")
+    n, dom = m.alg.atom_count, m.domain
+    cap = n if max_antichain is None else min(max_antichain, n)
+    eq = {pair: v.bits for pair, v in m.eq.items()}
+    image = {tuple(min(b for b in dom if eq[b, d] >> i & 1) for i in range(n))
+             for d in dom}
+    onto = len(image) == prod(len({r[i] for r in image}) for i in range(n))
+    if onto or cap < 2:
+        return MixingReport(True, None, sum(
+            _stirling2(n + 1, j + 1) for j in range(1, cap + 1)))
+    checked = 2 ** n - 1
+    for a, b in combinations(range(1, 2 ** n), 2):
+        if a & b:
+            continue
         checked += 1
-        for assignment in product(m.domain, repeat=len(chain)):
-            if not _has_mixer(m, chain, assignment):
-                witness = (
-                    tuple(a.label for a in chain),
-                    dict(zip((a.label for a in chain), assignment)),
-                )
-                return MixingReport(False, witness, checked)
-    return MixingReport(True, None, checked)
+        for s, t in product(dom, repeat=2):
+            if not any(eq[x, s] & a == a and eq[x, t] & b == b for x in dom):
+                chain = (Elem(m.alg, a).label, Elem(m.alg, b).label)
+                return MixingReport(False, (chain, dict(zip(chain, (s, t)))),
+                                    checked)
+    raise ModelError("has_mixing needs a valid model")
 
 
-def _has_mixer(m: BVModel, chain, assignment) -> bool:
-    return any(
-        all(a <= m.eq[tau, tau_a] for a, tau_a in zip(chain, assignment))
-        for tau in m.domain
-    )
+def _stirling2(n: int, k: int) -> int:
+    """S(n, k): the partitions of n points into k nonempty blocks."""
+    return sum((-1) ** i * comb(k, i) * (k - i) ** n
+               for i in range(k + 1)) // factorial(k)
 
 
 # -- products and ultraproducts ----------------------------------------------

@@ -30,11 +30,10 @@ class NotSeparatedError(SheafError):
 def alg_poset(alg: BoolAlg) -> FinPoset:
     """B+ as a poset, elements labelled canonically (atom joins).  Built
     once per algebra: both are frozen, so equal algebras share the poset."""
-    elems = [e for e in alg.elements() if not e.is_bottom]
-    leq = frozenset(
-        (a.label, b.label) for a in elems for b in elems if a <= b
-    )
-    return FinPoset(tuple(e.label for e in elems), leq)
+    label = {bits: Elem(alg, bits).label for bits in range(1, len(alg))}
+    leq = frozenset((label[a], label[b])
+                    for a in label for b in label if a & ~b == 0)
+    return FinPoset(tuple(label.values()), leq)
 
 
 def elem_from_label(alg: BoolAlg, label: str) -> Elem:

@@ -2,11 +2,11 @@
 
 import pytest
 
-from bvmsheaf.balg import (AlgebraError, BAHom, Filter, antichains,
-                           dual_map, left_adjoint, mk_powerset, quotient,
-                           stone_space, ultrafilters)
+from bvmsheaf.balg import (AlgebraError, BAHom, Elem, Filter, dual_map,
+                           left_adjoint, mk_powerset, quotient, stone_space,
+                           ultrafilters)
 
-from util import (all_homs, brute_force_left_adjoint,
+from util import (all_homs, antichains, brute_force_left_adjoint,
                   brute_force_ultrafilters)
 
 B2 = mk_powerset(["a1"])
@@ -265,3 +265,46 @@ def test_hom_composition():
 def test_antichain_cap_must_be_positive():
     with pytest.raises(AlgebraError):
         list(antichains(B4, 0))
+
+
+def test_equal_algebras_share_elements_and_homs():
+    """Elements of two equal but distinct algebra instances compare, and a
+    homomorphism on one accepts the other's elements."""
+    twin = mk_powerset(["a1", "a2", "a3"])
+    assert twin is not B8 and twin == B8
+    i = BAHom.from_dict(B8, B4, {"a1": "a3", "a2": "a1"})
+    for b in B8.elements():
+        t = twin.from_labels(b.atom_labels())
+        assert t == b and b == t and t <= b and b <= t
+        assert (t <= b.alg.atom("a1")) == (b <= B8.atom("a1"))
+        assert i(t) == i(b)
+    assert i(twin.from_labels(["a1", "a3"])) == B4.top
+    assert i(twin.atom("a2")) == B4.bottom
+
+
+def test_elements_of_different_algebras_are_refused():
+    other = mk_powerset(["b1", "b2"])
+    i = BAHom.identity(B4)
+    for e in (other.top, mk_powerset(["a1", "a2", "a3"]).atom("a1")):
+        with pytest.raises(AlgebraError):
+            B4.top <= e
+        with pytest.raises(AlgebraError):
+            B4.top == e
+        with pytest.raises(AlgebraError):
+            i(e)
+    with pytest.raises(TypeError):
+        B4.top <= 3
+    with pytest.raises(TypeError):
+        B4.top <= Filter(B4, B4.top)
+
+
+def test_atom_labels_are_read_per_algebra():
+    """The labels memo belongs to one algebra: the same bits read each
+    algebra's own atom names, whichever algebra was asked first."""
+    left, right = mk_powerset(["a1", "a2"]), mk_powerset(["x", "y"])
+    for bits, mine, theirs in ((1, ("a1",), ("x",)), (2, ("a2",), ("y",)),
+                               (3, ("a1", "a2"), ("x", "y")), (0, (), ())):
+        for _ in range(2):
+            assert Elem(left, bits).atom_labels() == mine
+            assert Elem(right, bits).atom_labels() == theirs
+    assert Elem(right, 3).label == "x∨y" and Elem(left, 3).label == "a1∨a2"

@@ -8,19 +8,20 @@ from operator import or_
 
 import pytest
 
-from bvmsheaf.balg import Filter, mk_powerset, stone_space
-from bvmsheaf.bridge import _phi_bundle, _stone_data
-from bvmsheaf.bvm import (_EVAL, _SAT, BVModel, BVMorphism, ModelError,
-                          TarskiModel, UnknownConstantError, _smallest_cover,
-                          check_morphism, closed_pool, eval_formula,
-                          generalize, has_mixing, is_elementary, is_full,
-                          open_pool, product_model, quotient_model,
+from bvmsheaf.balg import AlgebraError, Filter, mk_powerset, stone_space
+from bvmsheaf.bridge import _phi_bundle, _stone_data, mixify
+from bvmsheaf.bvm import (_EVAL, _SAT, BVModel, BVMorphism, MixingReport,
+                          ModelError, TarskiModel, UnknownConstantError,
+                          _smallest_cover, check_morphism, closed_pool,
+                          eval_formula, generalize, has_mixing, is_elementary,
+                          is_full, open_pool, product_model, quotient_model,
                           random_model, satisfies, standard_validities,
                           tarski_quotient, ultraproduct, validate)
 from bvmsheaf.logic import (And, Const, Eq, Exists, Implies, Not, Or, Rel,
                             Signature, Var, free_vars, parse, substitute)
 
-from util import elem_validate, find_model_isomorphism, recursive_eval_bits
+from util import (elem_validate, find_model_isomorphism, recursive_eval_bits,
+                  search_mixing)
 
 B2 = mk_powerset(["a1"])
 B4 = mk_powerset(["a1", "a2"])
@@ -246,6 +247,39 @@ def test_has_mixing_b2_model_passes():
 def test_has_mixing_max_antichain_cap():
     rep = has_mixing(mnm(), max_antichain=1)
     assert rep.passed  # the failing antichain has size 2, out of the cap
+    assert rep.antichains_checked == 3
+    with pytest.raises(AlgebraError, match="at least 1"):
+        has_mixing(mnm(), max_antichain=0)
+
+
+BELL = (1, 1, 2, 5, 15, 52, 203, 877)  # Bell(0..7): partitions of k points
+
+
+def test_has_mixing_matches_the_antichain_search():
+    """The stalk-product procedure against the search over every antichain
+    and assignment: the same verdict, witness and count under every cap,
+    and an uncapped pass counts every antichain, Bell(n+1) - 1 of them."""
+    rng = random.Random(2026)
+    kinds = set()
+    for _ in range(300):
+        m = random_model(rng, 4, 4)
+        for cap in (None, 1, 2, 3):
+            rep = has_mixing(m, cap)
+            assert rep == search_mixing(m, cap), (m, cap)
+            kinds.add((cap, rep.passed))
+            if cap is None and rep.passed:
+                assert rep.antichains_checked == BELL[m.alg.atom_count + 1] - 1
+    assert kinds == {(None, True), (None, False), (1, True), (2, True),
+                     (2, False), (3, True), (3, False)}
+
+
+def test_six_atom_mixification_passes_with_every_antichain_counted():
+    rng = random.Random(1)
+    m = random_model(rng, 6, 4)
+    while m.alg.atom_count != 6 or len(m.domain) != 4:
+        m = random_model(rng, 6, 4)
+    assert not has_mixing(m).passed
+    assert has_mixing(mixify(m)[0]) == MixingReport(True, None, 876)
 
 
 def _graph(nodes, edges):

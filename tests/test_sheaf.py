@@ -857,6 +857,17 @@ def test_alg_poset_is_built_once_per_algebra():
                       if set(a.atom_labels()) <= set(b.atom_labels())))
 
 
+def test_alg_poset_order_matches_pairwise_elem_comparison():
+    from bvmsheaf.balg import BoolAlg
+    for n in range(1, 6):
+        alg = BoolAlg(tuple(f"a{i + 1}" for i in range(n)))
+        elems = [e for e in alg.elements() if not e.is_bottom]
+        po = alg_poset(alg)
+        assert po.elements == tuple(e.label for e in elems)
+        assert po.leq == frozenset((a.label, b.label)
+                                   for a in elems for b in elems if a <= b)
+
+
 def _choice_sheaf(alg, sizes: dict) -> Presheaf:
     """The presheaf on B+ of all stalk choices over the atoms below each
     level: a stonean sheaf."""

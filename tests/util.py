@@ -7,8 +7,9 @@ all elements, spaces and posets by filtering all candidate families.
 
 from itertools import combinations, permutations, product
 
-from bvmsheaf.balg import BAHom, BoolAlg, Elem
-from bvmsheaf.bvm import BVModel, BVMorphism, ModelError, check_morphism
+from bvmsheaf.balg import AlgebraError, BAHom, BoolAlg, Elem
+from bvmsheaf.bvm import (BVModel, BVMorphism, MixingReport, ModelError,
+                          check_morphism)
 from bvmsheaf.logic import (And, Eq, Exists, Forall, Implies, Not, Or, Rel,
                             Var)
 from bvmsheaf.sheaf import EtaleSpace, Presheaf
@@ -577,6 +578,46 @@ def elem_validate(m: BVModel):
             bad.append(f"constant {c} maps outside the domain: {target}")
     extensional = not bad and m.is_extensional
     return ValidationReport(tuple(bad), extensional)
+
+
+# -- the mixing search ------------------------------------------------------------
+
+def antichains(alg: BoolAlg, max_size: int | None = None):
+    """All antichains of nonzero pairwise-incompatible elements, by size,
+    then in combinations order of the elements' bitmasks."""
+    if max_size is not None and max_size < 1:
+        raise AlgebraError("antichain size cap must be at least 1")
+    nonzero = [e for e in alg.elements() if not e.is_bottom]
+    top_size = alg.atom_count if max_size is None else min(max_size, alg.atom_count)
+    for size in range(1, top_size + 1):
+        for combo in combinations(nonzero, size):
+            if all((a & b).is_bottom for a, b in combinations(combo, 2)):
+                yield combo
+
+
+def search_mixing(m: BVModel, max_antichain: int | None = None):
+    """has_mixing by search: every antichain (size ascending) and every
+    assignment of domain elements to its members, on Elem comparisons; the
+    first without a mixer is the witness.  The oracle for the stalk-product
+    procedure."""
+    checked = 0
+    for chain in antichains(m.alg, max_antichain):
+        checked += 1
+        for assignment in product(m.domain, repeat=len(chain)):
+            if not _has_mixer(m, chain, assignment):
+                witness = (
+                    tuple(a.label for a in chain),
+                    dict(zip((a.label for a in chain), assignment)),
+                )
+                return MixingReport(False, witness, checked)
+    return MixingReport(True, None, checked)
+
+
+def _has_mixer(m: BVModel, chain, assignment) -> bool:
+    return any(
+        all(a <= m.eq[tau, tau_a] for a, tau_a in zip(chain, assignment))
+        for tau in m.domain
+    )
 
 
 # -- formula evaluation by plain recursion ----------------------------------------
