@@ -249,9 +249,10 @@ def mixing_iff_sheaf(m: BVModel) -> MixSheafReport:
 # -- mixification --------------------------------------------------------------
 
 def _stone_etale(m: BVModel):
-    """lambda1 of ext(L(M)) over St(B), with the stalk Tarski models and the
-    germ -> class dictionary needed to transport relation structure.  One
-    RO(St(B)) serves Lambda1 and the stalk points."""
+    """lambda1 of ext(L(M)) over St(B), with the stalk Tarski models, the
+    germ -> class dictionary needed to transport relation structure, and
+    phi: sigma |-> the id of sigma-dot, the section of germs of sigma's
+    class at the top.  One RO(St(B)) serves Lambda1 and the stalk points."""
     lm = L(m)
     stone = stone_space(m.alg)
     ext = ext_to_stone(lm)
@@ -268,24 +269,30 @@ def _stone_etale(m: BVModel):
         for sigma in lm.sections[m.alg.top.label]:
             germ = e1.germ_of[top_stone, sigma, g_label]
             germ_class[germ] = rep_g[sigma]
-    return lm, stone, e1, point_of, tarski, germ_class
+    rep1 = _class_reps(m, Filter(m.alg, m.alg.top))
+    pts = sorted(e1.base.points)
+    phi = {sigma: _section_id({g: e1.germ_of[top_stone, rep1[sigma], g]
+                               for g in pts})
+           for sigma in m.domain}
+    return stone, e1, point_of, tarski, germ_class, phi
 
 
-def _gamma1_structured(m: BVModel, e1: EtaleSpace, point_of: dict,
-                       tarski: dict, germ_class: dict) -> StructuredPresheaf:
+def _gamma1_structured(m: BVModel, e1: EtaleSpace, tarski: dict,
+                       germ_class: dict, phi: dict) -> StructuredPresheaf:
     """Gamma1 of the bundle as gamma_half computes it, relabelled along the
-    isomorphism O(St)+ = B+ for the powerset algebra of the stalk points (so
-    its restrictions still compose), with relation structure read stalkwise."""
+    isomorphism O(St)+ = B+ for the powerset algebra of the stalk points:
+    the table at (q, p) is gamma_half's at the point sets of q and p, so the
+    restrictions still compose.  Relation structure is read stalkwise, and
+    each constant's top section is phi of its element."""
     g1, choices = _gamma_half(Bundle(e1))
     alg = BoolAlg(tuple(sorted(e1.base.points)))
     poset = alg_poset(alg)
-    pts = sorted(e1.base.points)
     points_of = {w.label: w.atom_labels() for w in alg.elements()
                  if not w.is_bottom}
     stone = {label: subset_label(w) for label, w in points_of.items()}
     sections = {label: g1.sections[stone[label]] for label in poset.elements}
-    restrict = _restrictions(poset, sections, lambda q, p, s:
-                             g1.restrict[stone[q], stone[p]][s])
+    restrict = {(q, p): g1.restrict[stone[q], stone[p]]
+                for p in poset.elements for q in sorted(poset.down(p))}
     rel_top = {}
     for label in poset.elements:
         secs = choices[stone[label]]
@@ -296,12 +303,7 @@ def _gamma1_structured(m: BVModel, e1: EtaleSpace, point_of: dict,
                     in tarski[g].rels.get(sym, frozenset())
                     for g in points_of[label]
                 )
-    rep1 = _class_reps(m, Filter(m.alg, m.alg.top))
-    top_stone = subset_label(frozenset(pt for pt in point_of.values()))
-    const_top = {}
-    for c, t in m.consts.items():
-        choice = {g: e1.germ_of[top_stone, rep1[t], g] for g in pts}
-        const_top[c] = _section_id(choice)
+    const_top = {c: phi[t] for c, t in m.consts.items()}
     return StructuredPresheaf(poset, sections, restrict, alg,
                               m.sig, rel_top, const_top)
 
@@ -310,16 +312,8 @@ def mixify(m: BVModel) -> tuple[BVModel, BVMorphism]:
     """R o Gamma1 o Lambda1 o L: the canonical elementary extension with the
     mixing property, paired with the embedding sigma |-> sigma-dot over the
     atom identification b |-> N_b."""
-    lm, stone, e1, point_of, tarski, germ_class = _stone_etale(m)
-    g1 = _gamma1_structured(m, e1, point_of, tarski, germ_class)
-    mx = R(g1)
-    rep1 = _class_reps(m, Filter(m.alg, m.alg.top))
-    pts = sorted(e1.base.points)
-    top_stone = subset_label(frozenset(stone.space.points))
-    phi = {}
-    for sigma in m.domain:
-        choice = {g: e1.germ_of[top_stone, rep1[sigma], g] for g in pts}
-        phi[sigma] = _section_id(choice)
+    _, e1, point_of, tarski, germ_class, phi = _stone_etale(m)
+    mx = R(_gamma1_structured(m, e1, tarski, germ_class, phi))
     i = BAHom.from_dict(m.alg, mx.alg,
                         {g: point_of[g] for g in mx.alg.atoms})
     return mx, BVMorphism(m, mx, i, phi)

@@ -117,9 +117,9 @@ def _restrictions(base: FinPoset, sections: dict, res) -> dict:
 
 class SheafReport(Record):
     """passed: no failure anywhere.  separated: no failure with reason
-    "multiple collations" anywhere; for is_topological_sheaf the flag covers
-    only the levels scanned before the failure list filled.  failures: the
-    first few (level, covering, family, reason) quadruples."""
+    "multiple collations" anywhere; all three predicates check every level
+    for it, so the flag is exact.  failures: the first few (level, covering,
+    family, reason) quadruples."""
 
     passed: bool
     separated: bool
@@ -133,96 +133,60 @@ class SheafReport(Record):
 _MAX_FAILURES = 3  # failures a report lists
 
 
-def _sup_coverings(base: FinPoset, p: str):
-    """All sup coverings (join = p) drawn from the elements strictly below p.
-
-    Coverings containing p itself are skipped: any compatible family over
-    such a covering contains f_p, every collation is forced to equal f_p,
-    and f_p does collate it, so those instances are vacuous for both
-    existence and uniqueness."""
-    below = sorted(base.down(p) - {p})
-    for size in range(1, len(below) + 1):
-        for combo in combinations(below, size):
-            if base.sup(combo) == p:
-                yield combo
-
-
-def _compatible_families(ps: Presheaf, covering):
-    """Backtracking enumeration of compatible families over the covering."""
-    levels = list(covering)
-
-    def compatible(i, f, chosen):
-        for j in range(i):
-            q, g = levels[j], chosen[j]
-            for r in ps.base.refinements(levels[i], q):
-                if ps.res(r, levels[i], f) != ps.res(r, q, g):
-                    return False
-        return True
-
-    def extend(i, chosen):
-        if i == len(levels):
-            yield dict(zip(levels, chosen))
-            return
-        for f in ps.sections[levels[i]]:
-            if compatible(i, f, chosen):
-                yield from extend(i + 1, chosen + [f])
-
-    yield from extend(0, [])
-
-
-def _collations(ps: Presheaf, p: str, family: dict):
-    return [f for f in ps.sections[p]
-            if all(ps.res(q, p, f) == fq for q, fq in family.items())]
-
-
-def _sheaf_scan(ps: Presheaf) -> SheafReport:
-    """Exactly one collation for every compatible family over every sup
-    covering, scanned until the failure list is full."""
-    failures = []
-    separated = True
-    for p in ps.base.elements:
-        for covering in _sup_coverings(ps.base, p):
-            for family in _compatible_families(ps, covering):
-                n = len(_collations(ps, p, family))
-                if n > 1:
-                    separated = False
-                    failures.append((p, covering, family, "multiple collations"))
-                elif n == 0:
-                    failures.append((p, covering, family, "no collation"))
-                if len(failures) >= _MAX_FAILURES:
-                    return SheafReport(False, separated, tuple(failures))
-    return SheafReport(not failures, separated, tuple(failures))
-
-
 def _minimal_below(base: FinPoset, p: str) -> tuple:
     return tuple(m for m in sorted(base.down(p)) if len(base.down(m)) == 1)
 
 
-def _dense_test(ps: Presheaf, onto: bool) -> SheafReport:
-    """Restrict each F(p) to the product of F(m) over the minimal m <= p:
-    two sections with the same restrictions are a "multiple collations"
-    failure, and with onto set, a tuple no section restricts to is a "no
-    collation" failure.  Injectivity is checked at every level; only the
-    failure list is capped."""
+def _join_irreducibles(base: FinPoset) -> dict:
+    """p -> the join-irreducibles j <= p, read off the down masks: j is one
+    when the set strictly below it is empty or some element's down set.
+    Raises SheafError unless the base plus a bottom is a distributive
+    lattice, which (Birkhoff) holds iff p |-> J(p) reflects the order and
+    its image is closed under union, so is every nonempty down-set of J."""
+    down = base._mask
+    lower = set(down.values()) | {0}
+    irreducible = sum(1 << i for i, p in enumerate(base.elements)
+                      if down[p] & ~(1 << i) in lower)
+    j = {p: down[p] & irreducible for p in base.elements}
+    image = set(j.values())
+    for p, q in product(base.elements, repeat=2):
+        if (j[p] & ~j[q] == 0 and down[p] & ~down[q]) or j[p] | j[q] not in image:
+            raise SheafError(
+                f"base plus a bottom is not a distributive lattice (at {p}, {q})")
+    return {p: tuple(base._labels(m)) for p, m in j.items()}
+
+
+def _restriction_test(ps: Presheaf, gens, onto: bool) -> SheafReport:
+    """Restrict each F(p) to its generators gens(p), skipping a level that
+    is one of them: two sections with the same restrictions are a "multiple
+    collations" failure, and with onto set, a compatible family over gens(p)
+    (agreeing on each common refinement) that no section restricts to is a
+    "no collation" failure.  Only the failure list is capped."""
+    base = ps.base
     failures = []
     separated = True
-    for p in ps.base.elements:
-        mins = _minimal_below(ps.base, p)
-        if mins == (p,):
+    for p in base.elements:
+        ms = gens(p)
+        if p in ms:
             continue
         groups = {}
         for f in ps.sections[p]:
-            key = tuple(ps.res(m, p, f) for m in mins)
+            key = tuple(ps.res(m, p, f) for m in ms)
             groups.setdefault(key, []).append(f)
         for key, fs in groups.items():
             if len(fs) > 1:
                 separated = False
                 failures.append(
-                    (p, mins, dict(zip(mins, key)), "multiple collations"))
-        if onto and len(groups) < prod(len(ps.sections[m]) for m in mins):
-            missing = (key for key in product(*(ps.sections[m] for m in mins))
-                       if key not in groups)
-            failures.extend((p, mins, dict(zip(mins, key)), "no collation")
+                    (p, ms, dict(zip(ms, key)), "multiple collations"))
+        if onto and len(groups) < prod(len(ps.sections[m]) for m in ms):
+            meets = [(i, k, base.refinements(a, b))
+                     for (i, a), (k, b) in combinations(enumerate(ms), 2)
+                     if base.compatible(a, b)]
+            missing = (key for key in product(*(ps.sections[m] for m in ms))
+                       if key not in groups and all(
+                           ps.res(r, ms[i], key[i]) == ps.res(r, ms[k], key[k])
+                           for i, k, rs in meets for r in rs))
+            failures.extend((p, ms, dict(zip(ms, key)), "no collation")
                             for key in islice(missing, _MAX_FAILURES))
     return SheafReport(not failures, separated, tuple(failures[:_MAX_FAILURES]))
 
@@ -239,7 +203,7 @@ def is_separated(ps: Presheaf) -> SheafReport:
     Conversely two sections of F(p) that agree on those m both collate the
     family they induce on the dense covering of the minimal elements, which
     is compatible because minimal elements have no common refinement."""
-    return _dense_test(ps, onto=False)
+    return _restriction_test(ps, lambda p: _minimal_below(ps.base, p), onto=False)
 
 
 def is_stonean_sheaf(ps: Presheaf) -> SheafReport:
@@ -252,13 +216,25 @@ def is_stonean_sheaf(ps: Presheaf) -> SheafReport:
     tuple on the minimal m <= p (compatibility makes it well defined), its
     preimage f restricts to each s in S with the same minimal restrictions
     as the family's member at s, and injectivity at s makes them equal."""
-    return _dense_test(ps, onto=True)
+    return _restriction_test(ps, lambda p: _minimal_below(ps.base, p), onto=True)
 
 
 def is_topological_sheaf(ps: Presheaf) -> SheafReport:
-    """Exactly one collation for the sup Grothendieck topology (the base
-    must admit the needed suprema, e.g. O(X)+ or B+)."""
-    return _sheaf_scan(ps)
+    """Exactly one collation for the sup Grothendieck topology, decided as:
+    F(p) maps bijectively onto the compatible families over the set J of
+    join-irreducibles j < p, at each p not join-irreducible.  The base plus
+    a bottom must be a distributive lattice (O(X)+, RO(X)+ and B+ are), or
+    SheafError is raised.
+
+    There join-irreducibles are join-prime (Birkhoff): j <= sup S puts j
+    below a member of S.  So J is a sup covering of p refining every other,
+    and a join-irreducible p has none.  A compatible family over a covering
+    S induces one over J (f_s|j for any s >= j); its preimage f and f_s
+    agree on the join-irreducibles below s, so f|s = f_s by injectivity at
+    s.  Two collations agree on J, so injectivity at p makes them equal:
+    separatedness is injectivity at every level."""
+    return _restriction_test(ps, _join_irreducibles(ps.base).__getitem__,
+                             onto=True)
 
 
 # -- etale spaces -------------------------------------------------------------

@@ -21,11 +21,12 @@ from bvmsheaf.logic import Signature, substitute
 from bvmsheaf.sheaf import is_stonean_sheaf, lambda1, sheafify
 from bvmsheaf.topo import FinTop, boolean_completion, induced_ro_hom, ro_algebra
 
-from util import (all_continuous_maps, all_homs, all_posets, all_topologies,
-                  brute_force_left_adjoint, brute_force_ultrafilters,
-                  find_model_isomorphism, find_presheaf_isomorphism,
-                  random_separated_presheaf, random_subpresheaf,
-                  regularize_pointwise, section_sheaf)
+from util import (_sheaf_scan, all_continuous_maps, all_homs, all_posets,
+                  all_topologies, brute_force_left_adjoint,
+                  brute_force_ultrafilters, find_model_isomorphism,
+                  find_presheaf_isomorphism, random_separated_presheaf,
+                  random_subpresheaf, regularize_pointwise, search_mixing,
+                  section_sheaf)
 
 SEED = 2026
 N_MODELS = 200
@@ -240,6 +241,9 @@ def test_criterion_09_mixing_iff_sheaf(models_200):
         rep = mixing_iff_sheaf(m)
         assert rep.mixing == mix.passed
         assert rep.equivalent, (rep.mixing, rep.sheaf, rep.sections_all_induced)
+        # the independent procedures: the antichain search and the scan
+        assert mix == search_mixing(m)
+        assert rep.sheaf == _sheaf_scan(L(m)).passed
     _banner(9, f"mixing = sheaf(L(M)) = sections-induced on {N_MODELS} models",
             t0, 300)
 

@@ -406,8 +406,8 @@ def test_r_matches_level_join_oracle_on_gamma1_presheaves():
     rng = random.Random(4406)
     for _ in range(40):
         m = random_model(rng, 3, 3)
-        _, _, e1, point_of, tarski, germ_class = _stone_etale(m)
-        g1 = _gamma1_structured(m, e1, point_of, tarski, germ_class)
+        _, e1, _, tarski, germ_class, phi = _stone_etale(m)
+        g1 = _gamma1_structured(m, e1, tarski, germ_class, phi)
         rg1 = R(g1)
         _assert_same_model(rg1, level_join_R(g1))
         assert rg1 == mixify(m)[0]
@@ -415,20 +415,21 @@ def test_r_matches_level_join_oracle_on_gamma1_presheaves():
 
 def test_internal_presheaves_pass_the_functoriality_check():
     # L, ext, gamma_half, _gamma1_structured and lift_i_star build their
-    # restrictions from rules that compose, and sheafify from gamma_half, so
-    # none re-runs the check at run time; this test runs it on each output
+    # restrictions from rules or relabelled tables that compose, and
+    # sheafify from gamma_half, so none re-runs the check at run time; this
+    # test runs it on each output
     from bvmsheaf.bridge import _gamma1_structured, _stone_etale
     rng = random.Random(5)
     for _ in range(40):
         m = random_model(rng, max_atoms=4, max_domain=3)
         lm = L(m)
-        _, stone, e1, point_of, tarski, germ_class = _stone_etale(m)
+        stone, e1, _, tarski, germ_class, phi = _stone_etale(m)
         wider = mk_powerset(m.alg.atoms + ("z",))
         i = BAHom.from_dict(m.alg, wider, {**{a: a for a in m.alg.atoms},
                                            "z": m.alg.atoms[-1]})
         ext = ext_to_stone(lm)
         for ps in (lm, ext, gamma_half(Bundle(e1)),
-                   _gamma1_structured(m, e1, point_of, tarski, germ_class),
+                   _gamma1_structured(m, e1, tarski, germ_class, phi),
                    lift_i_star(i, lm), sheafify(ext, stone.space)[0]):
             ps._check_functorial()
     for n in range(2, 6):

@@ -6,16 +6,20 @@ from itertools import combinations, product
 import pytest
 
 from bvmsheaf.balg import BAHom, mk_powerset
-from bvmsheaf.sheaf import (Bundle, EtaleSpace, Presheaf, PresheafMorphism,
-                            SheafError, _collations, _section_id, alg_poset,
+from bvmsheaf.sheaf import (_MAX_FAILURES, Bundle, EtaleSpace, Presheaf,
+                            PresheafMorphism, SheafError, _section_id,
+                            alg_poset,
                             check_presheaf_morphism, gamma0, gamma1,
                             gamma_half, is_separated, is_stonean_sheaf,
                             is_topological_sheaf, lambda0, lambda1,
                             lift_i_star, sheafify)
 from bvmsheaf.topo import FinPoset, FinTop, opens_poset, subset_label
 
-from util import (all_posets, all_topologies, check_etale, check_local_homeo,
-                  find_presheaf_isomorphism, is_ro_base, pairwise_lambda0,
+from util import (_collations, _compatible_families, _sheaf_scan,
+                  _sup_coverings, all_posets,
+                  all_topologies, check_etale, check_local_homeo,
+                  distributive_with_bottom, find_presheaf_isomorphism,
+                  is_ro_base, pairwise_lambda0,
                   pairwise_lambda1, random_functorial_presheaf,
                   random_subpresheaf, section_sheaf)
 
@@ -33,12 +37,14 @@ def sier_presheaf():
                          {("{1}", "{0,1}"): {"s": "t"}})
 
 
-def constant_singleton(x: FinTop) -> Presheaf:
-    po = opens_poset(x)
+def _one_section(po: FinPoset) -> Presheaf:
     sections = {p: ("c",) for p in po.elements}
-    restrict = {(q, p): {"c": "c"} for p in po.elements
-                for q in po.down(p) if q != p}
+    restrict = {(q, p): {"c": "c"} for p in po.elements for q in po.down(p)}
     return Presheaf.make(po, sections, restrict)
+
+
+def constant_singleton(x: FinTop) -> Presheaf:
+    return _one_section(opens_poset(x))
 
 
 def test_functoriality_validated():
@@ -585,7 +591,6 @@ def _sheaf_scan_literal(ps: Presheaf, kind: str, mode: str) -> bool:
     """Oracle: the sheaf/separated predicate with NO covering pruning,
     including coverings that contain the covered element itself."""
     from itertools import combinations as icombs
-    from bvmsheaf.sheaf import _collations, _compatible_families
     for p in ps.base.elements:
         below = sorted(ps.base.down(p))
         for size in range(1, len(below) + 1):
@@ -663,10 +668,22 @@ def _random_functorial_presheaf(rng: random.Random, po: FinPoset):
     return Presheaf.make(po, sections, restrict)
 
 
-def _assert_real_witness(ps: Presheaf, failure):
+def _join_irreducible(base: FinPoset, p: str) -> bool:
+    """p is the join of no set of elements strictly below it."""
+    return not any(_sup_coverings(base, p))
+
+
+def _assert_real_witness(ps: Presheaf, failure, sup: bool = False):
     level, covering, family, reason = failure
     assert all(ps.base.le(q, level) for q in covering)
-    assert ps.base.is_predense_below(covering, level)
+    if sup:
+        below = ps.base.down(level) - {level}
+        assert not _join_irreducible(ps.base, level)
+        assert set(covering) == {q for q in below
+                                 if _join_irreducible(ps.base, q)}
+        assert ps.base.sup(covering) == level
+    else:
+        assert ps.base.is_predense_below(covering, level)
     assert sorted(family) == sorted(covering)
     for a, b in combinations(covering, 2):
         for r in ps.base.refinements(a, b):
@@ -710,6 +727,90 @@ def test_separated_flag_survives_the_failure_cap():
          ("e0", "e3"): {"e3.0": "e0.2", "e3.1": "e0.2"}})
     assert not is_separated(ps).passed
     assert is_stonean_sheaf(ps).separated == is_separated(ps).passed
+
+
+def _assert_sup_predicate_matches_the_scan(ps: Presheaf):
+    """passed equals the scan's; separated equals the uncapped scan's, which
+    is run only when the capped one stopped at its cap still separated."""
+    rep = is_topological_sheaf(ps)
+    scan = _sheaf_scan(ps)
+    if scan.separated and len(scan.failures) == _MAX_FAILURES:
+        scan = _sheaf_scan(ps, max_failures=None)
+    assert (rep.passed, rep.separated) == (scan.passed, scan.separated)
+    for failure in rep.failures:
+        _assert_real_witness(ps, failure, sup=True)
+    return rep
+
+
+def test_sup_predicate_matches_the_scan_on_small_bases():
+    """Join-irreducibles against the sup-covering scan: on random presheaves
+    over every distributive poset of at most 4 elements, and over O(X)+ for
+    every topology on at most 4 points."""
+    rng = random.Random(20261019)
+    verdicts = set()
+    for size in range(1, 5):
+        for po in all_posets([f"e{i}" for i in range(size)]):
+            if not distributive_with_bottom(po):
+                continue
+            for _ in range(6):
+                ps = _random_functorial_presheaf(rng, po)
+                if ps is not None:
+                    rep = _assert_sup_predicate_matches_the_scan(ps)
+                    verdicts.add((rep.passed, rep.separated))
+    for n in range(1, 5):
+        for x in all_topologies(("p", "q", "r", "s")[:n]):
+            rep = _assert_sup_predicate_matches_the_scan(
+                random_functorial_presheaf(rng, x))
+            verdicts.add((rep.passed, rep.separated))
+    assert verdicts == {(True, True), (False, True), (False, False)}
+
+
+NON_DISTRIBUTIVE = {
+    "m3_minus_bottom": FinPoset.from_pairs(
+        ("a", "b", "c", "t"), [("a", "t"), ("b", "t"), ("c", "t")]),
+    "two_element_antichain": FinPoset.from_pairs(("a", "b"), []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_DISTRIBUTIVE))
+def test_sup_predicate_rejects_a_non_distributive_base(name):
+    po = NON_DISTRIBUTIVE[name]
+    assert not distributive_with_bottom(po)
+    with pytest.raises(SheafError, match="not a distributive lattice"):
+        is_topological_sheaf(_one_section(po))
+
+
+def test_sup_predicate_raises_exactly_on_non_distributive_posets():
+    raised = 0
+    for size in range(1, 5):
+        for po in all_posets([f"e{i}" for i in range(size)]):
+            try:
+                is_topological_sheaf(_one_section(po))
+            except SheafError:
+                raised += 1
+                assert not distributive_with_bottom(po)
+            else:
+                assert distributive_with_bottom(po)
+    assert raised == 182  # of the 242 posets on at most 4 labelled elements
+
+
+def test_sup_predicate_matches_stonean_on_discrete_five_points():
+    """On a discrete space O(X)+ is B+ and every open is regular, so the
+    join-irreducibles are the points and both predicates decide the same
+    condition; the sup-covering scan does not finish here."""
+    points = ("p", "q", "r", "s", "t")
+    x = FinTop(points, frozenset(
+        frozenset(p for k, p in enumerate(points) if bits >> k & 1)
+        for bits in range(2 ** len(points))))
+    rng = random.Random(5)
+    full = section_sheaf(x, {p: 2 for p in points})
+    verdicts = set()
+    for ps in (random_subpresheaf(rng, full),
+               random_functorial_presheaf(rng, x)):
+        sup, dense = is_topological_sheaf(ps), is_stonean_sheaf(ps)
+        assert (sup.passed, sup.separated) == (dense.passed, dense.separated)
+        verdicts.add((sup.passed, sup.separated))
+    assert len(verdicts) == 2
 
 
 def test_germ_equivalence_is_directly_witnessed():
@@ -888,8 +989,8 @@ def _choice_sheaf(alg, sizes: dict) -> Presheaf:
 
 def test_dense_and_sup_sheaf_predicates_agree_on_b_plus():
     """On B+ a family below p is predense below p iff its join is p, so the
-    dense and the sup coverings are the same sets and is_stonean_sheaf (by
-    minimal levels) decides what is_topological_sheaf scans."""
+    dense and the sup coverings are the same sets; and the minimal levels
+    and the join-irreducibles are both the atoms."""
     from bvmsheaf.bridge import L
     from bvmsheaf.bvm import random_model
     rng = random.Random(91)

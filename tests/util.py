@@ -12,7 +12,7 @@ from bvmsheaf.bvm import (BVModel, BVMorphism, MixingReport, ModelError,
                           check_morphism)
 from bvmsheaf.logic import (And, Eq, Exists, Forall, Implies, Not, Or, Rel,
                             Var)
-from bvmsheaf.sheaf import EtaleSpace, Presheaf
+from bvmsheaf.sheaf import _MAX_FAILURES, EtaleSpace, Presheaf, SheafReport
 from bvmsheaf.topo import (FinPoset, FinTop, opens_poset, ro_algebra,
                            subset_label)
 
@@ -321,6 +321,93 @@ def random_functorial_presheaf(rng, x: FinTop) -> Presheaf:
                     name[_root(cls, (u, f))]: name[_root(cls, (v, cut(f, v)))]
                     for f in secs[u]}
     return Presheaf.make(opens_poset(x), sections, restrict)
+
+
+# -- the sup-covering scan, kept as the oracle of is_topological_sheaf ---------
+
+def _sup_coverings(base: FinPoset, p: str):
+    """All sup coverings (join = p) drawn from the elements strictly below p.
+
+    Coverings containing p itself are skipped: any compatible family over
+    such a covering contains f_p, every collation is forced to equal f_p,
+    and f_p does collate it, so those instances are vacuous for both
+    existence and uniqueness."""
+    below = sorted(base.down(p) - {p})
+    for size in range(1, len(below) + 1):
+        for combo in combinations(below, size):
+            if base.sup(combo) == p:
+                yield combo
+
+
+def _compatible_families(ps: Presheaf, covering):
+    """Backtracking enumeration of compatible families over the covering."""
+    levels = list(covering)
+
+    def compatible(i, f, chosen):
+        for j in range(i):
+            q, g = levels[j], chosen[j]
+            for r in ps.base.refinements(levels[i], q):
+                if ps.res(r, levels[i], f) != ps.res(r, q, g):
+                    return False
+        return True
+
+    def extend(i, chosen):
+        if i == len(levels):
+            yield dict(zip(levels, chosen))
+            return
+        for f in ps.sections[levels[i]]:
+            if compatible(i, f, chosen):
+                yield from extend(i + 1, chosen + [f])
+
+    yield from extend(0, [])
+
+
+def _collations(ps: Presheaf, p: str, family: dict):
+    return [f for f in ps.sections[p]
+            if all(ps.res(q, p, f) == fq for q, fq in family.items())]
+
+
+def _sheaf_scan(ps: Presheaf, max_failures: int | None = _MAX_FAILURES) -> SheafReport:
+    """Exactly one collation for every compatible family over every sup
+    covering, scanned until max_failures failures are found (to the end when
+    it is None, which makes separated exact)."""
+    failures = []
+    separated = True
+    for p in ps.base.elements:
+        for covering in _sup_coverings(ps.base, p):
+            for family in _compatible_families(ps, covering):
+                n = len(_collations(ps, p, family))
+                if n > 1:
+                    separated = False
+                    failures.append((p, covering, family, "multiple collations"))
+                elif n == 0:
+                    failures.append((p, covering, family, "no collation"))
+                if max_failures is not None and len(failures) >= max_failures:
+                    return SheafReport(False, separated, tuple(failures))
+    return SheafReport(not failures, separated, tuple(failures))
+
+
+def distributive_with_bottom(po: FinPoset) -> bool:
+    """The poset with a new bottom (None) added is a distributive lattice:
+    every pair has a least upper and a greatest lower bound, found by
+    scanning all elements, and a meet (b join c) = (a meet b) join (a meet c)
+    for every triple."""
+    elems = [None, *po.elements]
+
+    def le(a, b):
+        return a is None or (b is not None and po.le(a, b))
+
+    join, meet = {}, {}
+    for a, b in product(elems, repeat=2):
+        ups = [c for c in elems if le(a, c) and le(b, c)]
+        downs = [c for c in elems if le(c, a) and le(c, b)]
+        least = [c for c in ups if all(le(c, d) for d in ups)]
+        greatest = [c for c in downs if all(le(d, c) for d in downs)]
+        if not least or not greatest:
+            return False
+        join[a, b], meet[a, b] = least[0], greatest[0]
+    return all(meet[a, join[b, c]] == join[meet[a, b], meet[a, c]]
+               for a, b, c in product(elems, repeat=3))
 
 
 # -- the pairwise germ construction, kept as the oracle of lambda0/lambda1 ----
