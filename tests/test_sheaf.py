@@ -8,18 +8,16 @@ import pytest
 from bvmsheaf.balg import BAHom, mk_powerset
 from bvmsheaf.sheaf import (_MAX_FAILURES, Bundle, EtaleSpace, Presheaf,
                             PresheafMorphism, SheafError, _section_id,
-                            alg_poset,
-                            check_presheaf_morphism, gamma0, gamma1,
+                            alg_poset, check_presheaf_morphism, gamma0, gamma1,
                             gamma_half, is_separated, is_stonean_sheaf,
                             is_topological_sheaf, lambda0, lambda1,
                             lift_i_star, sheafify)
 from bvmsheaf.topo import FinPoset, FinTop, opens_poset, subset_label
 
 from util import (_collations, _compatible_families, _sheaf_scan,
-                  _sup_coverings, all_posets,
-                  all_topologies, check_etale, check_local_homeo,
-                  distributive_with_bottom, find_presheaf_isomorphism,
-                  is_ro_base, pairwise_lambda0,
+                  _sup_coverings, all_posets, all_topologies, check_etale,
+                  check_local_homeo, distributive_with_bottom,
+                  find_presheaf_isomorphism, is_ro_base, pairwise_lambda0,
                   pairwise_lambda1, random_functorial_presheaf,
                   random_subpresheaf, section_sheaf)
 
