@@ -11,15 +11,13 @@ from operator import or_
 
 from .balg import BAHom, BoolAlg, Elem, Filter, stone_space
 from .bvm import (BVModel, BVMorphism, ModelError, _class_reps, _smallest_cover,
-                  closed_pool, generalize, has_mixing, open_pool,
-                  tarski_quotient)
+                  closed_pool, generalize, has_mixing, open_pool)
 from .logic import Eq, Formula, Rel, Signature, Var, free_vars
 from .record import Record, field
-from .sheaf import (Bundle, EtaleSpace, NotSeparatedError, Presheaf,
-                    PresheafMorphism, SheafError, _gamma_half, _lambda1,
+from .sheaf import (NotSeparatedError, Presheaf, PresheafMorphism, SheafError,
                     _restrictions, _section_id, alg_poset, elem_from_label,
                     gamma0, is_separated, is_stonean_sheaf, lambda0)
-from .topo import FinTop, opens_poset, ro_algebra, subset_label
+from .topo import FinTop, opens_poset, subset_label
 
 
 class StructuredPresheaf(Presheaf):
@@ -81,8 +79,8 @@ def R(f: Presheaf) -> BVModel:
     injective), so [s=t] is the join of the atoms where s and t agree.  Each
     relation value is likewise the join of the atoms where rel_top holds,
     which assumes rel_top is atom-determined (top at b iff top at every atom
-    below b).  Both producers give that: L (b <= val) and _gamma1_structured
-    (a conjunction over the points of the level)."""
+    below b).  L gives that (b <= val), and so does the Gamma1 presheaf of
+    the test suite's mixify oracle (a conjunction over the level's points)."""
     if f.alg is None:
         raise SheafError("R needs a presheaf on an algebra base")
     rep = is_separated(f)
@@ -248,74 +246,48 @@ def mixing_iff_sheaf(m: BVModel) -> MixSheafReport:
 
 # -- mixification --------------------------------------------------------------
 
-def _stone_etale(m: BVModel):
-    """lambda1 of ext(L(M)) over St(B), with the stalk Tarski models, the
-    germ -> class dictionary needed to transport relation structure, and
-    phi: sigma |-> the id of sigma-dot, the section of germs of sigma's
-    class at the top.  One RO(St(B)) serves Lambda1 and the stalk points."""
-    lm = L(m)
-    stone = stone_space(m.alg)
-    ext = ext_to_stone(lm)
-    ro = ro_algebra(stone.space)
-    e1 = _lambda1(ext, stone.space, ro)
-    point_of = {label: next(iter(sub)) for label, sub in ro.atom_subsets.items()}
-    top_stone = subset_label(frozenset(stone.space.points))
-    tarski = {}
-    germ_class = {}
-    for g_label, stone_pt in point_of.items():
-        filt = stone.ultrafilter(stone_pt)
-        tarski[g_label] = tarski_quotient(m, filt)
-        rep_g = _class_reps(m, filt)
-        for sigma in lm.sections[m.alg.top.label]:
-            germ = e1.germ_of[top_stone, sigma, g_label]
-            germ_class[germ] = rep_g[sigma]
-    rep1 = _class_reps(m, Filter(m.alg, m.alg.top))
-    pts = sorted(e1.base.points)
-    phi = {sigma: _section_id({g: e1.germ_of[top_stone, rep1[sigma], g]
-                               for g in pts})
-           for sigma in m.domain}
-    return stone, e1, point_of, tarski, germ_class, phi
-
-
-def _gamma1_structured(m: BVModel, e1: EtaleSpace, tarski: dict,
-                       germ_class: dict, phi: dict) -> StructuredPresheaf:
-    """Gamma1 of the bundle as gamma_half computes it, relabelled along the
-    isomorphism O(St)+ = B+ for the powerset algebra of the stalk points:
-    the table at (q, p) is gamma_half's at the point sets of q and p, so the
-    restrictions still compose.  Relation structure is read stalkwise, and
-    each constant's top section is phi of its element."""
-    g1, choices = _gamma_half(Bundle(e1))
-    alg = BoolAlg(tuple(sorted(e1.base.points)))
-    poset = alg_poset(alg)
-    points_of = {w.label: w.atom_labels() for w in alg.elements()
-                 if not w.is_bottom}
-    stone = {label: subset_label(w) for label, w in points_of.items()}
-    sections = {label: g1.sections[stone[label]] for label in poset.elements}
-    restrict = {(q, p): g1.restrict[stone[q], stone[p]]
-                for p in poset.elements for q in sorted(poset.down(p))}
-    rel_top = {}
-    for label in poset.elements:
-        secs = choices[stone[label]]
-        for sym, arity in m.sig.rel_arity.items():
-            for tup in product(sections[label], repeat=arity):
-                rel_top[label, sym, tup] = all(
-                    tuple(germ_class[secs[t][g]] for t in tup)
-                    in tarski[g].rels.get(sym, frozenset())
-                    for g in points_of[label]
-                )
-    const_top = {c: phi[t] for c, t in m.consts.items()}
-    return StructuredPresheaf(poset, sections, restrict, alg,
-                              m.sig, rel_top, const_top)
-
-
 def mixify(m: BVModel) -> tuple[BVModel, BVMorphism]:
-    """R o Gamma1 o Lambda1 o L: the canonical elementary extension with the
-    mixing property, paired with the embedding sigma |-> sigma-dot over the
-    atom identification b |-> N_b."""
-    _, e1, point_of, tarski, germ_class, phi = _stone_etale(m)
-    mx = R(_gamma1_structured(m, e1, tarski, germ_class, phi))
-    i = BAHom.from_dict(m.alg, mx.alg,
-                        {g: point_of[g] for g in mx.alg.atoms})
+    """The canonical elementary extension with the mixing property,
+    R o Gamma1 o Lambda1 o L, paired with the embedding sigma |-> sigma-dot
+    over the atom identification {a} |-> a; m must be a valid model.
+
+    It is read off the stalk product.  At finite scale a stonean sheaf F on
+    B+ is fixed by its atom stalks, F(b) = prod_{a <= b} F(a) (Mac Lane and
+    Moerdijk, Sheaves in Geometry and Logic, ch. III).  St(B) is discrete,
+    so Lambda1 of ext(L(M)) has at the point {a} the stalk D/~_a, each class
+    the germ {a}:{a}:r of its least id r, and the global sections of Gamma1
+    are the tuples of classes, one per atom, named by their _section_id.
+    [s=t] is the join of the atoms where s and t agree, a relation value the
+    join of the atoms a where M's value at the tuple's a-components has a's
+    bit (the tuple holds in M/G_a), and sigma-dot is the tuple of sigma's
+    classes.  The test suite builds the functor chain itself, as the oracle
+    this is compared with."""
+    n, atoms = m.alg.atom_count, m.alg.atom_elems()
+    points = [subset_label((a,)) for a in m.alg.atoms]
+    order = sorted(range(n), key=points.__getitem__)  # atom k of alg is m's order[k]
+    alg = BoolAlg(tuple(points[i] for i in order))
+    reps = [_class_reps(m, Filter(m.alg, atoms[i])) for i in order]
+
+    def section_id(classes) -> str:
+        return ";".join(f"{g}={g}:{g}:{r}" for g, r in zip(alg.atoms, classes))
+
+    comps = {section_id(c): c
+             for c in product(*(sorted(set(r.values())) for r in reps))}
+    domain = tuple(sorted(comps))
+
+    def join(holds) -> Elem:
+        return Elem(alg, sum(1 << k for k in range(n) if holds(k)))
+
+    mx_eq = {(s, t): join(lambda k: comps[s][k] == comps[t][k])
+             for s in domain for t in domain}
+    rels = {sym: {tup: join(lambda k: m.rels[sym][tuple(
+                      comps[t][k] for t in tup)].bits >> order[k] & 1)
+                  for tup in product(domain, repeat=arity)}
+            for sym, arity in m.sig.rel_arity.items()}
+    phi = {d: section_id(tuple(r[d] for r in reps)) for d in m.domain}
+    mx = BVModel(alg, m.sig, domain, mx_eq, rels,
+                 {c: phi[t] for c, t in m.consts.items()})
+    i = BAHom.from_dict(m.alg, alg, dict(zip(points, m.alg.atoms)))
     return mx, BVMorphism(m, mx, i, phi)
 
 

@@ -298,7 +298,8 @@ class EtaleSpace(Record, frozen=False):
         """Pairwise intersections of basics are unions of basics, checked
         once per distinct nonzero meet of two distinct basic masks: a basic
         met with itself is open, and deduping the basics changes neither the
-        set of meets nor any union, so the verdict is the pairwise scan's."""
+        set of meets nor any union, so the verdict is the pairwise scan's.
+        lambda0 and lambda1 build bases by construction and do not call it."""
         basics = self._basic_masks
         meets = {b1 & b2 for b1, b2 in combinations(basics, 2)} - {0}
         if any(self._interior(m) != m for m in meets):
@@ -330,13 +331,12 @@ def _stalk(ps: Presheaf, point: str, levels, key, germ_of: dict) -> tuple:
 
 
 def _etale(base: FinTop, stalks: dict, basics: dict, germ_of: dict) -> EtaleSpace:
-    """The etale space with these stalks, germs in stalk order, checked to
-    have basics that form a base."""
+    """The etale space with these stalks, germs in stalk order.  Its basics
+    form a base by construction (see lambda0 and _lambda1), so
+    check_base_property is not run here; the test suite runs it on both."""
     total = tuple(chain.from_iterable(stalks.values()))
     proj = {g: point for point, stalk in stalks.items() for g in stalk}
-    e = EtaleSpace(base, total, proj, basics, stalks, germ_of)
-    e.check_base_property()
-    return e
+    return EtaleSpace(base, total, proj, basics, stalks, germ_of)
 
 
 def lambda0(ps: Presheaf, x: FinTop) -> EtaleSpace:
@@ -346,7 +346,13 @@ def lambda0(ps: Presheaf, x: FinTop) -> EtaleSpace:
     restrict to the same section on U_x, the smallest open around x.  Proof:
     U_x lies inside every open around x, so agreement on some open around x
     restricts to agreement on U_x, and U_x is itself an open around x.  So
-    the restriction to U_x is each section's germ key."""
+    the restriction to U_x is each section's germ key.
+
+    The basics B(u, f), the germs of f over u, form a base.  If the germs of
+    f in F(u) and h in F(v) agree at x, then f|U_x = h|U_x, and the basic of
+    that section over U_x lies in both: U_x is inside u and v, and f|U_x has
+    f's germ at each y in U_x, since U_y is inside U_x and F composes.  So
+    the meet of two basics is the union of such basics, one per point."""
     levels = _levels_of_opens(ps, x)
     stalks, germ_of = {}, {}
     for point in x.points:
@@ -404,7 +410,13 @@ def _lambda1(ps: Presheaf, x: FinTop, ro) -> EtaleSpace:
     predense below W has a member meeting m, and that member contains m.
     And g holds exactly one such m: g is Reg m for any minimal m inside it,
     and a second minimal open, disjoint from m, misses Cl m.  So the
-    restriction to that one m is each section's germ key."""
+    restriction to that one m is each section's germ key.
+
+    The basics are the germs of f in F(u) over the atoms of each q <= Reg u,
+    read off as the submasks of Reg u's atom bits in increasing order, the
+    order of ro.alg.elements().  They form a base: each single germ, f's at
+    an atom g <= Reg u, is itself a basic, so every set of germs, the meet
+    of two basics among them, is a union of basics."""
     levels = _levels_of_opens(ps, x)
     mask_of = {u: x._check_subset(u) for u in levels}
     minimal = [u for u in levels if not any(v < u for v in levels)]
@@ -420,12 +432,10 @@ def _lambda1(ps: Presheaf, x: FinTop, ro) -> EtaleSpace:
                      if g_mask & x._reg(mask_of[u]) == g_mask]
         stalks[g_label] = _stalk(
             ps, g_label, in_filter, lambda lev, f: ps.res(m, lev, f), germ_of)
-    ro_elems = [e for e in ro.alg.elements() if not e.is_bottom]
     for u, lev in levels.items():
-        reg_u = ro.reg_embed(u)
-        for q in ro_elems:
-            if not q <= reg_u:
-                continue
+        reg_u, q_bits = ro.reg_embed(u).bits, 0
+        while q_bits := (q_bits - reg_u) & reg_u:  # the next submask up
+            q = Elem(ro.alg, q_bits)
             q_points = frozenset(q.atom_labels())
             for f in ps.sections[lev]:
                 key = f"{lev}:{f}@{q.label}"

@@ -240,24 +240,6 @@ class FinPoset(Record):
     def refinements(self, a: str, b: str) -> list[str]:
         return self._labels(self._mask.get(a, 0) & self._mask.get(b, 0))
 
-    def is_predense_below(self, family, p: str) -> bool:
-        """family is a dense covering of p: every q <= p is compatible with
-        some member of the family."""
-        family = list(family)
-        return all(
-            any(self.compatible(q, r) for r in family)
-            for q in self.down(p)
-        )
-
-    def sup(self, family):
-        """Least upper bound of the family, or None if there is none."""
-        family = list(family)
-        uppers = [u for u in self.elements if all(self.le(a, u) for a in family)]
-        for u in uppers:
-            if all(self.le(u, v) for v in uppers):
-                return u
-        return None
-
     def downsets(self) -> list[frozenset]:
         """All down-closed subsets (the opens of the downward topology)."""
         out = []

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from bvmsheaf.balg import BAHom, Filter, mk_powerset
+from bvmsheaf.balg import BAHom, BoolAlg, Elem, Filter, mk_powerset
 from bvmsheaf.bridge import (L, R, adjunction_witness,
                              ext_to_stone, fullness_clauses,
                              fullness_via_sections, global_sections_of_bundle,
@@ -17,7 +17,8 @@ from bvmsheaf.sheaf import (Bundle, NotSeparatedError, Presheaf, alg_poset,
                             gamma_half, is_separated, lift_i_star, sheafify)
 from bvmsheaf.topo import FinTop
 
-from util import (find_model_isomorphism, level_join_R, quotient_L,
+from util import (_gamma1_structured, _stone_etale, chain_mixify,
+                  find_model_isomorphism, level_join_R, quotient_L,
                   random_separated_presheaf, random_subpresheaf,
                   section_sheaf, stalk_at_filter)
 
@@ -231,6 +232,7 @@ def test_mixify_stalk_product_oracle_on_samples():
 
 
 def test_mixify_builds_one_ro_algebra(monkeypatch):
+    # the functor chain, the oracle of mixify, builds one RO(St(B))
     from bvmsheaf import topo
     builds = []
     init = topo.RoAlgebra.__init__
@@ -239,8 +241,64 @@ def test_mixify_builds_one_ro_algebra(monkeypatch):
         builds.append(space)
         init(self, space)
     monkeypatch.setattr(topo.RoAlgebra, "__init__", counted)
-    mixify(random_model(random.Random(1), 3, 3))
+    chain_mixify(random_model(random.Random(1), 3, 3))
     assert len(builds) == 1
+
+
+def test_mixify_builds_no_ro_algebra_and_no_stone_space(monkeypatch):
+    from bvmsheaf import balg, topo
+    balg.stone_space.cache_clear()
+    builds = []
+    ro_init, stone_init = topo.RoAlgebra.__init__, balg.StoneSpace.__init__
+
+    def counted_ro(self, space):
+        builds.append(space)
+        ro_init(self, space)
+
+    def counted_stone(self, alg):
+        builds.append(alg)
+        stone_init(self, alg)
+    monkeypatch.setattr(topo.RoAlgebra, "__init__", counted_ro)
+    monkeypatch.setattr(balg.StoneSpace, "__init__", counted_stone)
+    rng = random.Random(1)
+    for _ in range(20):
+        mixify(random_model(rng, 4, 3))
+    assert builds == []
+
+
+def _relabelled(m: BVModel) -> BVModel:
+    """m with atoms a_i renamed b_(n+1-i), so the {a} sort in reverse and
+    the mixified algebra's atom order is not the source's, and ids d_i
+    renamed e1 followed by i zeros, so a section id's string order is not
+    the order of its class tuple ("e1;" sorts after "e10;")."""
+    n = m.alg.atom_count
+    alg = BoolAlg(tuple(f"b{n - i}" for i in range(n)))
+    ids = {d: "e1" + "0" * i for i, d in enumerate(m.domain)}
+
+    def tup(t):
+        return tuple(ids[d] for d in t)
+    return BVModel(alg, m.sig, tup(m.domain),
+                   {tup(pair): Elem(alg, v.bits) for pair, v in m.eq.items()},
+                   {sym: {tup(t): Elem(alg, v.bits) for t, v in table.items()}
+                    for sym, table in m.rels.items()},
+                   {c: ids[d] for c, d in m.consts.items()})
+
+
+def test_mixify_matches_the_functor_chain():
+    """mixify reads the stalk product; R o Gamma1 o Lambda1 o L builds every
+    level.  Same repr, model and embedding, on the 64 3-atom-bounded models,
+    on them again relabelled (see _relabelled), and on 100 models of
+    exactly 4 atoms."""
+    rng = random.Random(64)
+    models = [random_model(rng, 3, 4) for _ in range(64)]
+    models += [_relabelled(m) for m in models]
+    rng = random.Random(4)
+    while len(models) < 228:
+        m = random_model(rng, 4, 4)
+        if m.alg.atom_count == 4:
+            models.append(m)
+    for m in models:
+        assert repr(mixify(m)) == repr(chain_mixify(m))
 
 
 def test_phi_bundle_m_r():
@@ -401,8 +459,8 @@ def test_r_matches_level_join_oracle_on_separated_presheaves():
 
 
 def test_r_matches_level_join_oracle_on_gamma1_presheaves():
-    # the presheaf mixify hands to R: rel_top is a conjunction over points
-    from bvmsheaf.bridge import _gamma1_structured, _stone_etale
+    # the presheaf the functor chain hands to R: rel_top is a conjunction
+    # over points
     rng = random.Random(4406)
     for _ in range(40):
         m = random_model(rng, 3, 3)
@@ -414,11 +472,10 @@ def test_r_matches_level_join_oracle_on_gamma1_presheaves():
 
 
 def test_internal_presheaves_pass_the_functoriality_check():
-    # L, ext, gamma_half, _gamma1_structured and lift_i_star build their
-    # restrictions from rules or relabelled tables that compose, and
-    # sheafify from gamma_half, so none re-runs the check at run time; this
-    # test runs it on each output
-    from bvmsheaf.bridge import _gamma1_structured, _stone_etale
+    # L, ext, gamma_half, lift_i_star and the chain's _gamma1_structured
+    # build their restrictions from rules or relabelled tables that compose,
+    # and sheafify from gamma_half, so none re-runs the check at run time;
+    # this test runs it on each output
     rng = random.Random(5)
     for _ in range(40):
         m = random_model(rng, max_atoms=4, max_domain=3)

@@ -7,19 +7,21 @@ import pytest
 
 from bvmsheaf.balg import BAHom, mk_powerset
 from bvmsheaf.sheaf import (_MAX_FAILURES, Bundle, EtaleSpace, Presheaf,
-                            PresheafMorphism, SheafError, _section_id,
-                            alg_poset, check_presheaf_morphism, gamma0, gamma1,
-                            gamma_half, is_separated, is_stonean_sheaf,
-                            is_topological_sheaf, lambda0, lambda1,
-                            lift_i_star, sheafify)
-from bvmsheaf.topo import FinPoset, FinTop, opens_poset, subset_label
+                            PresheafMorphism, SheafError, _lambda1,
+                            _section_id, alg_poset, check_presheaf_morphism,
+                            gamma0, gamma1, gamma_half, is_separated,
+                            is_stonean_sheaf, is_topological_sheaf, lambda0,
+                            lambda1, lift_i_star, sheafify)
+from bvmsheaf.topo import (FinPoset, FinTop, opens_poset, ro_algebra,
+                           subset_label)
 
 from util import (_collations, _compatible_families, _sheaf_scan,
                   _sup_coverings, all_posets, all_topologies, check_etale,
                   check_local_homeo, distributive_with_bottom,
-                  find_presheaf_isomorphism, is_ro_base, pairwise_lambda0,
-                  pairwise_lambda1, random_functorial_presheaf,
-                  random_subpresheaf, section_sheaf)
+                  find_presheaf_isomorphism, is_predense_below, is_ro_base,
+                  pairwise_lambda0, pairwise_lambda1, poset_sup,
+                  random_functorial_presheaf, random_subpresheaf,
+                  ro_scan_basics, section_sheaf)
 
 SIER = FinTop(("0", "1"),
               frozenset({frozenset(), frozenset({"1"}), frozenset({"0", "1"})}))
@@ -594,9 +596,9 @@ def _sheaf_scan_literal(ps: Presheaf, kind: str, mode: str) -> bool:
         for size in range(1, len(below) + 1):
             for covering in icombs(below, size):
                 if kind == "dense":
-                    if not ps.base.is_predense_below(covering, p):
+                    if not is_predense_below(ps.base, covering, p):
                         continue
-                elif ps.base.sup(covering) != p:
+                elif poset_sup(ps.base, covering) != p:
                     continue
                 for family in _compatible_families(ps, covering):
                     n = len(_collations(ps, p, family))
@@ -679,9 +681,9 @@ def _assert_real_witness(ps: Presheaf, failure, sup: bool = False):
         assert not _join_irreducible(ps.base, level)
         assert set(covering) == {q for q in below
                                  if _join_irreducible(ps.base, q)}
-        assert ps.base.sup(covering) == level
+        assert poset_sup(ps.base, covering) == level
     else:
-        assert ps.base.is_predense_below(covering, level)
+        assert is_predense_below(ps.base, covering, level)
     assert sorted(family) == sorted(covering)
     for a, b in combinations(covering, 2):
         for r in ps.base.refinements(a, b):
@@ -871,6 +873,47 @@ def test_keyed_germs_match_pairwise_oracle():
                 merged[keyed] += len(got.germ_of) - len(set(got.germ_of.values()))
     # the sample is not vacuous: many (level, section) pairs share germs
     assert all(count > 1000 for count in merged.values())
+
+
+def test_internal_etale_spaces_have_basics_that_form_a_base():
+    """lambda0 and _lambda1 build bases by construction (their docstrings
+    give the argument), so _etale does not run check_base_property; this
+    runs it on their outputs over every topology of at most 4 points, and on
+    ext(L(M)) over St(B) for a model sample."""
+    from bvmsheaf.balg import stone_space
+    from bvmsheaf.bridge import L, ext_to_stone
+    from bvmsheaf.bvm import random_model
+    rng = random.Random(20261019)
+    checked = 0
+    for n in range(1, 5):
+        for x in all_topologies(("p", "q", "r", "s")[:n]):
+            ps = random_functorial_presheaf(rng, x)
+            for e in (lambda0(ps, x), lambda1(ps, x)):
+                e.check_base_property()
+                checked += 1
+    for _ in range(40):
+        m = random_model(rng, max_atoms=4, max_domain=3)
+        space = stone_space(m.alg).space
+        ext = ext_to_stone(L(m))
+        for e in (lambda0(ext, space), lambda1(ext, space)):
+            e.check_base_property()
+            checked += 1
+    assert checked == 2 * (389 + 40)
+
+
+def test_lambda1_basics_match_the_ro_scan_in_key_order():
+    """_lambda1 walks the submasks of Reg u's atom bits upward; scanning
+    every RO element against Reg u in ro.alg.elements() order gives the same
+    basics dict, key order included, on every topology of at most 4
+    points."""
+    rng = random.Random(20261020)
+    for n in range(1, 5):
+        for x in all_topologies(("p", "q", "r", "s")[:n]):
+            ps = random_functorial_presheaf(rng, x)
+            ro = ro_algebra(x)
+            e = _lambda1(ps, x, ro)
+            want = ro_scan_basics(ps, x, ro, e.germ_of)
+            assert list(e.basics.items()) == list(want.items())
 
 
 def test_lift_i_star_identity_is_identity():

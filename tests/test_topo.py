@@ -9,7 +9,8 @@ from bvmsheaf.topo import (ContMap, FinPoset, FinTop, NotOpenMapError,
                            ro_algebra, subset_label)
 
 from util import (all_continuous_maps, all_posets, all_topologies,
-                  generate_topology, regularize_pointwise, ro_joins_match)
+                  generate_topology, is_predense_below, poset_sup,
+                  regularize_pointwise, ro_joins_match)
 
 SIER = FinTop(("0", "1"),
               frozenset({frozenset(), frozenset({"1"}), frozenset({"0", "1"})}))
@@ -299,10 +300,10 @@ def test_density_predicates():
 
 
 def test_poset_predense_and_sup():
-    assert PV.is_predense_below(["q", "r"], "p")
-    assert not PV.is_predense_below(["q"], "p")
-    assert PV.sup(["q", "r"]) == "p"
-    assert PV.sup(["q"]) == "q"
+    assert is_predense_below(PV, ["q", "r"], "p")
+    assert not is_predense_below(PV, ["q"], "p")
+    assert poset_sup(PV, ["q", "r"]) == "p"
+    assert poset_sup(PV, ["q"]) == "q"
 
 
 def test_poset_validation():

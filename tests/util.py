@@ -7,12 +7,16 @@ all elements, spaces and posets by filtering all candidate families.
 
 from itertools import combinations, permutations, product
 
-from bvmsheaf.balg import AlgebraError, BAHom, BoolAlg, Elem
+from bvmsheaf.balg import (AlgebraError, BAHom, BoolAlg, Elem, Filter,
+                           stone_space)
+from bvmsheaf.bridge import L, R, StructuredPresheaf, ext_to_stone
 from bvmsheaf.bvm import (BVModel, BVMorphism, MixingReport, ModelError,
-                          check_morphism)
+                          _class_reps, check_morphism, tarski_quotient)
 from bvmsheaf.logic import (And, Eq, Exists, Forall, Implies, Not, Or, Rel,
                             Var)
-from bvmsheaf.sheaf import _MAX_FAILURES, EtaleSpace, Presheaf, SheafReport
+from bvmsheaf.sheaf import (_MAX_FAILURES, Bundle, EtaleSpace, Presheaf,
+                            SheafReport, _gamma_half, _lambda1, _section_id,
+                            alg_poset)
 from bvmsheaf.topo import (FinPoset, FinTop, opens_poset, ro_algebra,
                            subset_label)
 
@@ -118,6 +122,24 @@ def all_posets(labels) -> list:
             out.append(FinPoset(labels, frozenset(
                 (labels[a], labels[b]) for a, b in rel)))
     return out
+
+
+def is_predense_below(po: FinPoset, family, p: str) -> bool:
+    """family is a dense covering of p: every q <= p is compatible with
+    some member of the family."""
+    family = list(family)
+    return all(any(po.compatible(q, r) for r in family) for q in po.down(p))
+
+
+def poset_sup(po: FinPoset, family):
+    """Least upper bound of the family, or None if there is none, by
+    scanning every element for upper bounds."""
+    family = list(family)
+    uppers = [u for u in po.elements if all(po.le(a, u) for a in family)]
+    for u in uppers:
+        if all(po.le(u, v) for v in uppers):
+            return u
+    return None
 
 
 def all_continuous_maps(x: FinTop, y: FinTop):
@@ -277,6 +299,80 @@ def level_join_R(f):
     return BVModel(alg, sig, tuple(domain), eq, rels, consts)
 
 
+# -- the functor chain R o Gamma1 o Lambda1 o L, kept as the oracle of mixify --
+
+def _stone_etale(m: BVModel):
+    """lambda1 of ext(L(M)) over St(B), with the stalk Tarski models, the
+    germ -> class dictionary needed to transport relation structure, and
+    phi: sigma |-> the id of sigma-dot, the section of germs of sigma's
+    class at the top.  One RO(St(B)) serves Lambda1 and the stalk points."""
+    lm = L(m)
+    stone = stone_space(m.alg)
+    ext = ext_to_stone(lm)
+    ro = ro_algebra(stone.space)
+    e1 = _lambda1(ext, stone.space, ro)
+    point_of = {label: next(iter(sub)) for label, sub in ro.atom_subsets.items()}
+    top_stone = subset_label(frozenset(stone.space.points))
+    tarski = {}
+    germ_class = {}
+    for g_label, stone_pt in point_of.items():
+        filt = stone.ultrafilter(stone_pt)
+        tarski[g_label] = tarski_quotient(m, filt)
+        rep_g = _class_reps(m, filt)
+        for sigma in lm.sections[m.alg.top.label]:
+            germ = e1.germ_of[top_stone, sigma, g_label]
+            germ_class[germ] = rep_g[sigma]
+    rep1 = _class_reps(m, Filter(m.alg, m.alg.top))
+    pts = sorted(e1.base.points)
+    phi = {sigma: _section_id({g: e1.germ_of[top_stone, rep1[sigma], g]
+                               for g in pts})
+           for sigma in m.domain}
+    return stone, e1, point_of, tarski, germ_class, phi
+
+
+def _gamma1_structured(m: BVModel, e1: EtaleSpace, tarski: dict,
+                       germ_class: dict, phi: dict) -> StructuredPresheaf:
+    """Gamma1 of the bundle as gamma_half computes it, relabelled along the
+    isomorphism O(St)+ = B+ for the powerset algebra of the stalk points:
+    the table at (q, p) is gamma_half's at the point sets of q and p, so the
+    restrictions still compose.  Relation structure is read stalkwise, and
+    each constant's top section is phi of its element."""
+    g1, choices = _gamma_half(Bundle(e1))
+    alg = BoolAlg(tuple(sorted(e1.base.points)))
+    poset = alg_poset(alg)
+    points_of = {w.label: w.atom_labels() for w in alg.elements()
+                 if not w.is_bottom}
+    stone = {label: subset_label(w) for label, w in points_of.items()}
+    sections = {label: g1.sections[stone[label]] for label in poset.elements}
+    restrict = {(q, p): g1.restrict[stone[q], stone[p]]
+                for p in poset.elements for q in sorted(poset.down(p))}
+    rel_top = {}
+    for label in poset.elements:
+        secs = choices[stone[label]]
+        for sym, arity in m.sig.rel_arity.items():
+            for tup in product(sections[label], repeat=arity):
+                rel_top[label, sym, tup] = all(
+                    tuple(germ_class[secs[t][g]] for t in tup)
+                    in tarski[g].rels.get(sym, frozenset())
+                    for g in points_of[label]
+                )
+    const_top = {c: phi[t] for c, t in m.consts.items()}
+    return StructuredPresheaf(poset, sections, restrict, alg,
+                              m.sig, rel_top, const_top)
+
+
+def chain_mixify(m: BVModel):
+    """R o Gamma1 o Lambda1 o L, built functor by functor: Gamma1 holds
+    sections and rel_top at all 2^n - 1 levels, of which R reads the atoms.
+    The construction bridge.mixify replaced by the stalk product, kept as
+    its oracle; the pair it returns has the same repr."""
+    _, e1, point_of, tarski, germ_class, phi = _stone_etale(m)
+    mx = R(_gamma1_structured(m, e1, tarski, germ_class, phi))
+    i = BAHom.from_dict(m.alg, mx.alg,
+                        {g: point_of[g] for g in mx.alg.atoms})
+    return mx, BVMorphism(m, mx, i, phi)
+
+
 def random_functorial_presheaf(rng, x: FinTop) -> Presheaf:
     """A random presheaf on O(X)+ for any finite space: a restriction-closed
     random family of choice functions into stalks of 1 or 2 values, divided
@@ -335,7 +431,7 @@ def _sup_coverings(base: FinPoset, p: str):
     below = sorted(base.down(p) - {p})
     for size in range(1, len(below) + 1):
         for combo in combinations(below, size):
-            if base.sup(combo) == p:
+            if poset_sup(base, combo) == p:
                 yield combo
 
 
@@ -508,21 +604,26 @@ def pairwise_lambda1(ps: Presheaf, x: FinTop) -> EtaleSpace:
         classes_at[g_label] = {(levels[u], f): (levels[r], h)
                                for (u, f), (r, h) in classes.items()}
 
-    def basics_of(germ_of):
-        out = {}
-        for u, lev in levels.items():
-            reg_u = ro.reg_embed(u)
-            for q in ro.alg.elements():
-                if not q.is_bottom and q <= reg_u:
-                    for f in ps.sections[lev]:
-                        out[f"{lev}:{f}@{q.label}"] = frozenset(
-                            germ_of[lev, f, pt] for pt in q.atom_labels())
-        return out
-
     base = FinTop(points, frozenset(
         frozenset(c) for r in range(len(points) + 1)
         for c in combinations(points, r)))
-    return _etale_from_classes(base, classes_at, basics_of)
+    return _etale_from_classes(
+        base, classes_at, lambda germ_of: ro_scan_basics(ps, x, ro, germ_of))
+
+
+def ro_scan_basics(ps: Presheaf, x: FinTop, ro, germ_of: dict) -> dict:
+    """The basics of lambda1, in key order, by scanning every element q of
+    RO(X) against Reg u at each level u: the scan _lambda1's submask walk
+    replaced."""
+    out = {}
+    for u in x.nonempty_opens():
+        lev, reg_u = subset_label(u), ro.reg_embed(u)
+        for q in ro.alg.elements():
+            if not q.is_bottom and q <= reg_u:
+                for f in ps.sections[lev]:
+                    out[f"{lev}:{f}@{q.label}"] = frozenset(
+                        germ_of[lev, f, pt] for pt in q.atom_labels())
+    return out
 
 
 # -- shape checks the constructors no longer run --------------------------------
