@@ -255,8 +255,6 @@ def _dispatch(args, ws: Workspace) -> int:
         _emit(out, args.as_json, lines)
         return 0 if clauses.agree else 1
 
-    raise InputError(f"unknown command {cmd!r}")
-
 
 def _topology_of_presheaf(ws: Workspace, name: str):
     """Recover the base topology for a named topological presheaf."""

@@ -294,17 +294,6 @@ class EtaleSpace(Record, frozen=False):
         total = self._bits(self.total)
         return self._set(total & ~self._interior(total & ~self._bits(s)))
 
-    def check_base_property(self) -> None:
-        """Pairwise intersections of basics are unions of basics, checked
-        once per distinct nonzero meet of two distinct basic masks: a basic
-        met with itself is open, and deduping the basics changes neither the
-        set of meets nor any union, so the verdict is the pairwise scan's.
-        lambda0 and lambda1 build bases by construction and do not call it."""
-        basics = self._basic_masks
-        meets = {b1 & b2 for b1, b2 in combinations(basics, 2)} - {0}
-        if any(self._interior(m) != m for m in meets):
-            raise SheafError("basic opens do not form a base")
-
 
 def _levels_of_opens(ps: Presheaf, x: FinTop) -> dict:
     """Map each nonempty open of x to the presheaf level labelled by it."""
@@ -332,8 +321,8 @@ def _stalk(ps: Presheaf, point: str, levels, key, germ_of: dict) -> tuple:
 
 def _etale(base: FinTop, stalks: dict, basics: dict, germ_of: dict) -> EtaleSpace:
     """The etale space with these stalks, germs in stalk order.  Its basics
-    form a base by construction (see lambda0 and _lambda1), so
-    check_base_property is not run here; the test suite runs it on both."""
+    form a base by construction (see lambda0 and lambda1); the test suite
+    checks both."""
     total = tuple(chain.from_iterable(stalks.values()))
     proj = {g: point for point, stalk in stalks.items() for g in stalk}
     return EtaleSpace(base, total, proj, basics, stalks, germ_of)
@@ -392,12 +381,30 @@ def gamma0(e: EtaleSpace, u) -> list[dict]:
 
 def lambda1(ps: Presheaf, x: FinTop) -> EtaleSpace:
     """The stonean etale space: stalks indexed by ultrafilters on RO(X),
-    germs identified by dense agreement below a filter element."""
-    return _lambda1(ps, x, ro_algebra(x))
+    germs identified by dense agreement below a filter element.
+
+    The basics are the germs of f in F(u) over the atoms of each q <= Reg u,
+    read off as the submasks of Reg u's atom bits in increasing order, the
+    order of ro.alg.elements().  They form a base: each single germ, f's at
+    an atom g <= Reg u, is itself a basic, so every set of germs, the meet
+    of two basics among them, is a union of basics.  Only this function
+    builds them: there are about 3^n for n atoms, and sheafify reads none."""
+    ro = ro_algebra(x)
+    base, stalks, germ_of = _lambda1(ps, x, ro)
+    basics = {}
+    for u in x.nonempty_opens():
+        lev = subset_label(u)
+        reg_u, q_bits = ro.reg_embed(u).bits, 0
+        while q_bits := (q_bits - reg_u) & reg_u:  # the next submask up
+            q = Elem(ro.alg, q_bits)
+            for f in ps.sections[lev]:
+                key = f"{lev}:{f}@{q.label}"
+                basics[key] = frozenset(germ_of[lev, f, pt] for pt in q.atom_labels())
+    return _etale(base, stalks, basics, germ_of)
 
 
-def _lambda1(ps: Presheaf, x: FinTop, ro) -> EtaleSpace:
-    """Lambda1 with RO(X) given.
+def _lambda1(ps: Presheaf, x: FinTop, ro) -> tuple[FinTop, dict, dict]:
+    """Lambda1's discrete base, stalks and germ_of, with RO(X) given.
 
     Let g be an atom of RO(X) and f in F(U), h in F(V) with U and V in the
     ultrafilter at g (g inside Reg U and Reg V).  Every minimal nonempty
@@ -410,17 +417,11 @@ def _lambda1(ps: Presheaf, x: FinTop, ro) -> EtaleSpace:
     predense below W has a member meeting m, and that member contains m.
     And g holds exactly one such m: g is Reg m for any minimal m inside it,
     and a second minimal open, disjoint from m, misses Cl m.  So the
-    restriction to that one m is each section's germ key.
-
-    The basics are the germs of f in F(u) over the atoms of each q <= Reg u,
-    read off as the submasks of Reg u's atom bits in increasing order, the
-    order of ro.alg.elements().  They form a base: each single germ, f's at
-    an atom g <= Reg u, is itself a basic, so every set of germs, the meet
-    of two basics among them, is a union of basics."""
+    restriction to that one m is each section's germ key."""
     levels = _levels_of_opens(ps, x)
     mask_of = {u: x._check_subset(u) for u in levels}
     minimal = [u for u in levels if not any(v < u for v in levels)]
-    stalks, germ_of, basics = {}, {}, {}
+    stalks, germ_of = {}, {}
     points = tuple(sorted(ro.atom_subsets))
     base = FinTop(points, frozenset(
         frozenset(c) for r in range(len(points) + 1)
@@ -432,15 +433,7 @@ def _lambda1(ps: Presheaf, x: FinTop, ro) -> EtaleSpace:
                      if g_mask & x._reg(mask_of[u]) == g_mask]
         stalks[g_label] = _stalk(
             ps, g_label, in_filter, lambda lev, f: ps.res(m, lev, f), germ_of)
-    for u, lev in levels.items():
-        reg_u, q_bits = ro.reg_embed(u).bits, 0
-        while q_bits := (q_bits - reg_u) & reg_u:  # the next submask up
-            q = Elem(ro.alg, q_bits)
-            q_points = frozenset(q.atom_labels())
-            for f in ps.sections[lev]:
-                key = f"{lev}:{f}@{q.label}"
-                basics[key] = frozenset(germ_of[lev, f, pt] for pt in q_points)
-    return _etale(base, stalks, basics, germ_of)
+    return base, stalks, germ_of
 
 
 class Bundle(Record, frozen=False):
@@ -456,13 +449,8 @@ class Bundle(Record, frozen=False):
         if not self.space.base.is_discrete:
             raise SheafError(
                 "extremally disconnected bundle needs a discrete base at finite scale")
-        if not self.image_dense:
+        if not self.space.base.is_dense(frozenset(self.space.proj.values())):
             raise SheafError("projection image is not dense in the base")
-
-    @property
-    def image_dense(self) -> bool:
-        image = frozenset(self.space.proj.values())
-        return self.space.base.is_dense(image)
 
 
 def gamma1(p: Bundle, u) -> list[dict]:
@@ -473,9 +461,14 @@ def gamma1(p: Bundle, u) -> list[dict]:
     u = frozenset(u)
     if u not in p.space.base.opens or not u:
         raise SheafError(f"{subset_label(u)} is not a nonempty open of the base")
+    return _choices(p.space.stalks, u)
+
+
+def _choices(stalks: dict, u) -> list[dict]:
+    """The choice functions of germs over the points of u, in product order."""
     points = sorted(u)
     return [dict(zip(points, combo))
-            for combo in product(*(p.space.stalks[pt] for pt in points))]
+            for combo in product(*(stalks[pt] for pt in points))]
 
 
 def _section_id(s: dict) -> str:
@@ -485,16 +478,16 @@ def _section_id(s: dict) -> str:
 def gamma_half(p: Bundle) -> Presheaf:
     """Gamma1 restricted to RO(base)+ (= all nonempty subsets of the discrete
     base), as a presheaf keyed by subset labels."""
-    return _gamma_half(p)[0]
+    return _gamma_half(p.space.base, p.space.stalks)[0]
 
 
-def _gamma_half(p: Bundle) -> tuple[Presheaf, dict]:
-    """gamma_half, with each level's sections as choice functions by id.
-    Restricting a choice function to the points of q composes."""
-    x = p.space.base
+def _gamma_half(x: FinTop, stalks: dict) -> tuple[Presheaf, dict]:
+    """gamma_half of the bundle over the discrete base x with these stalks,
+    with each level's sections as choice functions by id.  Restricting a
+    choice function to the points of q composes."""
     base = opens_poset(x)
     points = {subset_label(u): u for u in x.nonempty_opens()}
-    choices = {lev: {_section_id(s): s for s in gamma1(p, u)}
+    choices = {lev: {_section_id(s): s for s in _choices(stalks, u)}
                for lev, u in points.items()}
     sections = {lev: tuple(sorted(secs)) for lev, secs in choices.items()}
     restrict = _restrictions(base, sections, lambda q, lev, sid: _section_id(
@@ -516,16 +509,19 @@ def sheafify(ps: Presheaf, x: FinTop):
 
     The result is a presheaf on O(St(RO(X)))+ (all nonempty subsets of the
     discrete finite Stone space); the unit sends f in F(U) to the section
-    G |-> [f]_G over N_Reg(U)."""
+    G |-> [f]_G over N_Reg(U).  Gamma1 reads Lambda1's stalks, not its
+    basics, which are not built."""
     ro = ro_algebra(x)
-    e = _lambda1(ps, x, ro)
-    sheaf = gamma_half(Bundle(e))
-    stone_ro = BoolAlg(tuple(sorted(e.base.points)))
+    base, stalks, germ_of = _lambda1(ps, x, ro)
+    if not all(stalks.values()):  # Bundle's check, on a discrete base
+        raise SheafError("projection image is not dense in the base")
+    sheaf = _gamma_half(base, stalks)[0]
+    stone_ro = BoolAlg(tuple(sorted(base.points)))
     i = BAHom.from_dict(ro.alg, stone_ro, {a: a for a in stone_ro.atoms})
     theta = {}
     for u in x.nonempty_opens():
         lev, points = subset_label(u), ro.reg_embed(u).atom_labels()
-        theta[lev] = {f: _section_id({pt: e.germ_of[lev, f, pt] for pt in points})
+        theta[lev] = {f: _section_id({pt: germ_of[lev, f, pt] for pt in points})
                       for f in ps.sections[lev]}
     return sheaf, SheafifyUnit(i, theta)
 

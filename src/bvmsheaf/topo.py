@@ -4,7 +4,8 @@ boolean completions, and the homomorphisms induced by open continuous maps.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_
 
 from .balg import AlgebraError, BAHom, BoolAlg, Elem
 from .record import Record
@@ -30,7 +31,8 @@ def subset_label(subset) -> str:
 class FinTop(Record):
     """A finite topological space as an explicit family of open point sets.
 
-    Point sets are computed as int masks, bit i standing for points[i].  The
+    The constructor is the one check that the family is a topology.  Point
+    sets are computed as int masks, bit i standing for points[i].  The
     point index and the open masks are built once, after the checks, and the
     interior of a mask (the OR of the open masks inside it) is memoized per
     instance; closure, Reg and the density, open and closed tests are read
@@ -53,21 +55,21 @@ class FinTop(Record):
             if not u <= pts:
                 raise TopologyError(f"open set {subset_label(u)} not within points")
         bit = {p: 1 << i for i, p in enumerate(self.points)}
-        open_bits = {u: sum(bit[p] for p in u) for u in self.opens}
-        masks = frozenset(open_bits.values())
+        masks = frozenset(sum(bit[p] for p in u) for u in self.opens)
         top = (1 << len(self.points)) - 1
         if 0 not in masks or top not in masks:
             raise TopologyError("opens must contain the empty set and the full set")
-        for u, a in open_bits.items():
-            for v, b in open_bits.items():
-                if a | b not in masks:
-                    raise TopologyError(
-                        f"opens not closed under union: {subset_label(u)} u {subset_label(v)}"
-                    )
-                if a & b not in masks:
-                    raise TopologyError(
-                        f"opens not closed under intersection: {subset_label(u)} n {subset_label(v)}"
-                    )
+        # Alexandrov: with U_p the meet of the opens around p, u and u & v
+        # are the unions of the U_p for p in them, so the family is a
+        # topology iff it holds every union of the U_p: O(|opens| |points|).
+        unions = {0}
+        for b in bit.values():
+            u_p = reduce(and_, (a for a in masks if a & b))
+            unions |= {s | u_p for s in unions}
+            if not unions <= masks:
+                missing = subset_label(self._set(min(unions - masks)))
+                raise TopologyError(
+                    f"opens not closed under union and intersection: {missing} missing")
         object.__setattr__(self, "_bit", bit)
         object.__setattr__(self, "_masks", masks)
         object.__setattr__(self, "_top", top)
@@ -331,16 +333,14 @@ def ro_algebra(x: FinTop) -> RoAlgebra:
 class ClopAlgebra:
     """CLOP(X) as a powerset algebra over the minimal nonempty clopens.
 
-    Only defined when the clopens separate into atoms, which is automatic:
-    minimal nonempty clopens partition the space."""
+    The minimal nonempty clopens partition the space, as the atoms of any
+    finite boolean algebra of sets do, so the cover is not checked here; the
+    test suite checks it on every small topology."""
 
     def __init__(self, space: FinTop):
         self.space = space
         clps = [u for u in space.clopens() if u]
         atoms = [u for u in clps if not any(v < u for v in clps if v)]
-        covered = frozenset().union(*atoms) if atoms else frozenset()
-        if covered != space.full:
-            raise TopologyError("clopen atoms do not cover the space")
         self.atom_subsets = {subset_label(u): u for u in atoms}
         self.alg = BoolAlg(tuple(sorted(self.atom_subsets)))
 
@@ -371,24 +371,13 @@ def boolean_completion(p: FinPoset):
     """RO(P, down-topology) with the dense embedding e(p) = Reg(down(p)).
 
     Returns (RoAlgebra, e) where e maps each poset element to an algebra
-    element; the embedding is checked to preserve order and incompatibility
-    and to have dense range in RO+.
-    """
-    space = down_topology(p)
-    ro = RoAlgebra(space)
-    e = {a: ro.reg_embed(p.down(a)) for a in p.elements}
-    for a in p.elements:
-        for b in p.elements:
-            if p.le(a, b) and not e[a] <= e[b]:
-                raise TopologyError(f"completion map not order preserving at {a},{b}")
-            if not p.compatible(a, b) and not (e[a] & e[b]).is_bottom:
-                raise TopologyError(
-                    f"completion map not incompatibility preserving at {a},{b}"
-                )
-    for elem in ro.alg.elements():
-        if not elem.is_bottom and not any(e[a] <= elem for a in p.elements):
-            raise TopologyError(f"range of e not dense below {elem}")
-    return ro, e
+    element.  e preserves order and incompatibility and has dense range in
+    RO+ by construction, as the boolean completion of a poset does (Jech,
+    Set Theory, ch. 14): Reg is monotone, disjoint opens have disjoint
+    regularizations, and a nonzero regular open holds some down(a).  The
+    test suite asserts all three on every poset of at most 4 elements."""
+    ro = RoAlgebra(down_topology(p))
+    return ro, {a: ro.reg_embed(p.down(a)) for a in p.elements}
 
 
 class ContMap(Record):
@@ -456,10 +445,12 @@ def induced_ro_hom(f: ContMap) -> BAHom:
     """The complete homomorphism RO(target) -> RO(source) induced by an open
     continuous map via U |-> f^{-1}[U].
 
-    Rejects non-open maps with a witness; also verifies the exchange identity
-    Reg(f^{-1}[U]) = f^{-1}[Reg U] on every open U, which is what makes the
-    preimage of a regular open regular.
-    """
+    Rejects non-open maps with a witness.  An open map satisfies
+    Reg(f^{-1}[U]) = f^{-1}[Reg U] (the source paper's link between open
+    maps and complete homomorphisms), so f^{-1} of the target atoms
+    partitions RO(source)'s top and each source atom maps into exactly one
+    target atom, read off at any of its points.  The test suite asserts the
+    identity on every open map between spaces of at most 3 points."""
     witness = f.open_witness()
     if witness is not None:
         raise NotOpenMapError(
@@ -467,19 +458,7 @@ def induced_ro_hom(f: ContMap) -> BAHom:
             f"map is not open: image of {subset_label(witness)} "
             f"is {subset_label(f.image(witness))}, not open",
         )
-    for u in f.target.opens:
-        if f.source.regularize(f.preimage(u)) != f.preimage(f.target.regularize(u)):
-            raise TopologyError(
-                f"Reg(f^-1[U]) != f^-1[Reg U] at U={subset_label(u)}"
-            )
     ro_src, ro_tgt = RoAlgebra(f.source), RoAlgebra(f.target)
-    atom_map = {}
-    for a_label, a_sub in ro_src.atom_subsets.items():
-        hits = [b_label for b_label, b_sub in ro_tgt.atom_subsets.items()
-                if f.image(a_sub) <= b_sub]
-        if len(hits) != 1:
-            raise TopologyError(
-                f"preimage homomorphism is not atom-induced at {a_label}"
-            )
-        atom_map[a_label] = hits[0]
+    atom_at = {pt: b for b, sub in ro_tgt.atom_subsets.items() for pt in sub}
+    atom_map = {a: atom_at[f(min(sub))] for a, sub in ro_src.atom_subsets.items()}
     return BAHom.from_dict(ro_tgt.alg, ro_src.alg, atom_map)

@@ -14,7 +14,8 @@ from bvmsheaf.bvm import (BVModel, check_morphism, has_mixing, is_elementary,
                           validate)
 from bvmsheaf.logic import Signature, parse
 from bvmsheaf.sheaf import (Bundle, NotSeparatedError, Presheaf, alg_poset,
-                            gamma_half, is_separated, lift_i_star, sheafify)
+                            gamma_half, is_separated, lambda1, lift_i_star,
+                            sheafify)
 from bvmsheaf.topo import FinTop
 
 from util import (_gamma1_structured, _stone_etale, chain_mixify,
@@ -322,6 +323,16 @@ def test_phi_bundle_empty_when_value_zero():
     assert clauses.agree
 
 
+def test_global_sections_of_bundle_edge_cases():
+    # the empty choice over an empty N_{b_phi}, and none over an empty stalk
+    m = m_r()
+    pb = phi_bundle(m, parse(m.sig, "~(x = x)"))
+    assert global_sections_of_bundle(pb) == [{}]
+    pb = phi_bundle(m, parse(m.sig, "R(x)"))
+    pb.stalks = {**pb.stalks, "a1": ()}
+    assert global_sections_of_bundle(pb) == []
+
+
 def test_phi_bundle_requires_free_variable():
     m = m_r()
     from bvmsheaf.bvm import ModelError
@@ -342,6 +353,20 @@ def test_fullness_clauses_all_true_on_samples():
             assert c.a_phi_closed and c.has_global_section
             if rep.mixing_checked:
                 assert c.product_section is True
+
+
+def test_a_phi_is_n_b_phi_on_the_fullness_sample():
+    """A_phi = N_{b_phi} by construction, which _phi_bundle leaves
+    unchecked, on every formula of the fullness sample."""
+    rng = random.Random(59)
+    bundles = 0
+    for _ in range(12):
+        m = random_model(rng)
+        for c in fullness_via_sections(m, 2).clauses:
+            pb = phi_bundle(m, c.formula)
+            assert pb.a_phi == pb.n_b_phi
+            bundles += 1
+    assert bundles > 100
 
 
 def test_product_section_clause_under_mixing():
@@ -485,7 +510,7 @@ def test_internal_presheaves_pass_the_functoriality_check():
         i = BAHom.from_dict(m.alg, wider, {**{a: a for a in m.alg.atoms},
                                            "z": m.alg.atoms[-1]})
         ext = ext_to_stone(lm)
-        for ps in (lm, ext, gamma_half(Bundle(e1)),
+        for ps in (lm, ext, gamma_half(Bundle(lambda1(ext, stone.space))),
                    _gamma1_structured(m, e1, tarski, germ_class, phi),
                    lift_i_star(i, lm), sheafify(ext, stone.space)[0]):
             ps._check_functorial()

@@ -150,6 +150,27 @@ def test_unknown_name_exit_two(capsys):
     assert code == 2 and "unknown model" in err
 
 
+def test_unknown_command_exits_two_before_dispatch(capsys):
+    # argparse's required subcommand rejects it; _dispatch never sees it
+    with pytest.raises(SystemExit) as exc:
+        run(["nosuch"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'nosuch'" in capsys.readouterr().err
+
+
+def test_malformed_topology_exit_two_with_one_line(tmp_path, capsys):
+    # {a} and {b} are open, their union {a,b} is not
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"topologies": {"T": {
+        "points": ["a", "b", "c"], "opens": [[], ["a"], ["b"], ["a", "b", "c"]]}}}))
+    message = "opens not closed under union and intersection: {a,b} missing"
+    with pytest.raises(InputError, match=re.escape(message)):
+        load_workspace([str(path)])
+    code, out, err = _run(capsys, "duality-check", "T", "-f", str(path))
+    assert code == 2 and out == ""
+    assert err == f"input error: bad topology object: {message}\n"
+
+
 def test_grammar_error_exit_two_with_position(capsys):
     code, _, err = _run(capsys, *fx("eval", "M_R", "R(x"))
     assert code == 2 and "position" in err

@@ -7,19 +7,20 @@ import pytest
 
 from bvmsheaf.balg import BAHom, mk_powerset
 from bvmsheaf.sheaf import (_MAX_FAILURES, Bundle, EtaleSpace, Presheaf,
-                            PresheafMorphism, SheafError, _lambda1,
-                            _section_id, alg_poset, check_presheaf_morphism,
-                            gamma0, gamma1, gamma_half, is_separated,
+                            PresheafMorphism, SheafError, _section_id,
+                            alg_poset, check_presheaf_morphism, gamma0,
+                            gamma1, gamma_half, is_separated,
                             is_stonean_sheaf, is_topological_sheaf, lambda0,
                             lambda1, lift_i_star, sheafify)
 from bvmsheaf.topo import (FinPoset, FinTop, opens_poset, ro_algebra,
                            subset_label)
 
 from util import (_collations, _compatible_families, _sheaf_scan,
-                  _sup_coverings, all_posets, all_topologies, check_etale,
-                  check_local_homeo, distributive_with_bottom,
-                  find_presheaf_isomorphism, is_predense_below, is_ro_base,
-                  pairwise_lambda0, pairwise_lambda1, poset_sup,
+                  _sup_coverings, all_posets, all_topologies,
+                  check_base_property, check_etale, check_local_homeo,
+                  distributive_with_bottom, find_presheaf_isomorphism,
+                  is_predense_below, is_ro_base, pairwise_lambda0,
+                  pairwise_lambda1, poset_sup,
                   random_functorial_presheaf, random_subpresheaf,
                   ro_scan_basics, section_sheaf)
 
@@ -260,7 +261,7 @@ def test_etale_mask_kernel_matches_literal_definitions():
         literal = _literal_base_property(e)
         verdicts.add(literal)
         try:
-            e.check_base_property()
+            check_base_property(e)
             assert literal
         except SheafError:
             assert not literal
@@ -285,7 +286,7 @@ def test_check_base_property_rejects_a_non_base():
                    {"ab": frozenset({"a", "b"}), "bc": frozenset({"b", "c"})},
                    {"x": ("a", "b"), "y": ("c",)}, {})
     with pytest.raises(SheafError, match="^basic opens do not form a base$"):
-        e.check_base_property()
+        check_base_property(e)
 
 
 def test_gamma1_counts_products_of_stalk_sizes():
@@ -333,6 +334,15 @@ def test_sheafify_sierpinski():
     assert unit.theta["{0,1}"]["s"] == unit.theta["{1}"]["t"]
     assert unit.theta["{1}"]["t"] != unit.theta["{1}"]["u"]
     assert unit.i.is_isomorphism
+
+
+def test_sheafify_rejects_a_presheaf_with_an_empty_stalk():
+    # no section over {1} leaves the one RO atom's stalk empty; sheafify
+    # refuses it as Bundle does, without building Lambda1's basics
+    ps = Presheaf.make(opens_poset(SIER), {"{1}": (), "{0,1}": ()},
+                       {("{1}", "{0,1}"): {}})
+    with pytest.raises(SheafError, match="^projection image is not dense in the base$"):
+        sheafify(ps, SIER)
 
 
 def test_sheafify_fixes_stonean_sheaves():
@@ -876,7 +886,7 @@ def test_keyed_germs_match_pairwise_oracle():
 
 
 def test_internal_etale_spaces_have_basics_that_form_a_base():
-    """lambda0 and _lambda1 build bases by construction (their docstrings
+    """lambda0 and lambda1 build bases by construction (their docstrings
     give the argument), so _etale does not run check_base_property; this
     runs it on their outputs over every topology of at most 4 points, and on
     ext(L(M)) over St(B) for a model sample."""
@@ -889,30 +899,29 @@ def test_internal_etale_spaces_have_basics_that_form_a_base():
         for x in all_topologies(("p", "q", "r", "s")[:n]):
             ps = random_functorial_presheaf(rng, x)
             for e in (lambda0(ps, x), lambda1(ps, x)):
-                e.check_base_property()
+                check_base_property(e)
                 checked += 1
     for _ in range(40):
         m = random_model(rng, max_atoms=4, max_domain=3)
         space = stone_space(m.alg).space
         ext = ext_to_stone(L(m))
         for e in (lambda0(ext, space), lambda1(ext, space)):
-            e.check_base_property()
+            check_base_property(e)
             checked += 1
     assert checked == 2 * (389 + 40)
 
 
 def test_lambda1_basics_match_the_ro_scan_in_key_order():
-    """_lambda1 walks the submasks of Reg u's atom bits upward; scanning
-    every RO element against Reg u in ro.alg.elements() order gives the same
-    basics dict, key order included, on every topology of at most 4
-    points."""
+    """lambda1, the one builder of the basics, walks the submasks of Reg u's
+    atom bits upward; scanning every RO element against Reg u in
+    ro.alg.elements() order gives the same basics dict, key order included,
+    on every topology of at most 4 points."""
     rng = random.Random(20261020)
     for n in range(1, 5):
         for x in all_topologies(("p", "q", "r", "s")[:n]):
             ps = random_functorial_presheaf(rng, x)
-            ro = ro_algebra(x)
-            e = _lambda1(ps, x, ro)
-            want = ro_scan_basics(ps, x, ro, e.germ_of)
+            e = lambda1(ps, x)
+            want = ro_scan_basics(ps, x, ro_algebra(x), e.germ_of)
             assert list(e.basics.items()) == list(want.items())
 
 

@@ -9,8 +9,9 @@ from bvmsheaf.topo import (ContMap, FinPoset, FinTop, NotOpenMapError,
                            ro_algebra, subset_label)
 
 from util import (all_continuous_maps, all_posets, all_topologies,
-                  generate_topology, is_predense_below, poset_sup,
-                  regularize_pointwise, ro_joins_match)
+                  completion_failures, generate_topology, is_predense_below,
+                  is_topology_pairwise, poset_sup, regularize_pointwise,
+                  ro_joins_match)
 
 SIER = FinTop(("0", "1"),
               frozenset({frozenset(), frozenset({"1"}), frozenset({"0", "1"})}))
@@ -29,6 +30,59 @@ def test_fintop_validation():
         FinTop(("a", "b", "c"), frozenset({
             frozenset(), frozenset({"a"}), frozenset({"b"}),
             frozenset({"a", "b", "c"})}))
+
+
+def _families(points, required):
+    """Every family of subsets of points that holds the required sets."""
+    subsets = [frozenset(p for i, p in enumerate(points) if m >> i & 1)
+               for m in range(1 << len(points))]
+    free = [u for u in subsets if u not in required]
+    for mask in range(1 << len(free)):
+        yield required | {u for i, u in enumerate(free) if mask >> i & 1}
+
+
+def test_fintop_verdict_matches_the_pairwise_scan():
+    """FinTop decides by the unions of the minimal neighbourhoods U_p; the
+    pairwise union and meet scan it replaced is the oracle, on every family
+    of subsets of at most 3 points and on every family of subsets of 4
+    points that holds the empty and the full set.  A rejection names a
+    missing set in one line."""
+    counts = []
+    for n in range(1, 5):
+        points = ("p", "q", "r", "s")[:n]
+        required = ({frozenset(), frozenset(points)} if n == 4 else set())
+        topologies = families = 0
+        for fam in _families(points, frozenset(required)):
+            families += 1
+            want = is_topology_pairwise(points, fam)
+            try:
+                FinTop(points, frozenset(fam))
+                assert want
+                topologies += 1
+            except TopologyError as err:
+                assert not want
+                text = str(err)
+                assert "\n" not in text
+                if text.startswith("opens not closed"):
+                    label = text.split(": ")[1].removesuffix(" missing")
+                    missing = frozenset(label.strip("{}").split(",")) - {""}
+                    assert missing not in fam
+        counts.append((families, topologies))
+    assert counts == [(4, 1), (16, 4), (256, 29), (16384, 355)]
+
+
+def test_clop_atoms_partition_the_space():
+    """The ClopAlgebra atoms, nonempty and pairwise disjoint, cover the
+    space, which the constructor leaves unchecked, on all 389 topologies of
+    at most 4 points."""
+    checked = 0
+    for n in range(1, 5):
+        for x in all_topologies(("p", "q", "r", "s")[:n]):
+            atoms = list(clop_algebra(x).atom_subsets.values())
+            assert all(atoms) and frozenset().union(*atoms) == x.full
+            assert sum(map(len, atoms)) == len(x.points)
+            checked += 1
+    assert checked == 389
 
 
 def test_regularize_sierpinski():
@@ -234,7 +288,8 @@ def test_boolean_completion_of_complete_algebra_positive_part():
 
 def test_boolean_completion_dense_embedding_small_posets():
     for poset in all_posets(("a", "b", "c")):
-        ro, e = boolean_completion(poset)  # raises if not a dense embedding
+        ro, e = boolean_completion(poset)
+        assert completion_failures(poset, ro, e) == []
         for a in poset.elements:
             assert not e[a].is_bottom
 

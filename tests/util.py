@@ -14,7 +14,7 @@ from bvmsheaf.bvm import (BVModel, BVMorphism, MixingReport, ModelError,
                           _class_reps, check_morphism, tarski_quotient)
 from bvmsheaf.logic import (And, Eq, Exists, Forall, Implies, Not, Or, Rel,
                             Var)
-from bvmsheaf.sheaf import (_MAX_FAILURES, Bundle, EtaleSpace, Presheaf,
+from bvmsheaf.sheaf import (_MAX_FAILURES, EtaleSpace, Presheaf, SheafError,
                             SheafReport, _gamma_half, _lambda1, _section_id,
                             alg_poset)
 from bvmsheaf.topo import (FinPoset, FinTop, opens_poset, ro_algebra,
@@ -91,6 +91,33 @@ def all_topologies(points) -> list:
             frozenset(p for i, p in enumerate(points) if m >> i & 1)
             for m in fam)
         out.append(FinTop(points, opens))
+    return out
+
+
+def is_topology_pairwise(points, opens) -> bool:
+    """Whether the family opens of subsets of points is a topology, by the
+    pairwise scan FinTop's constructor replaced: it holds the empty and the
+    full set, and the union and the meet of every pair of its members."""
+    opens = frozenset(frozenset(u) for u in opens)
+    if frozenset() not in opens or frozenset(points) not in opens:
+        return False
+    return all(u | v in opens and u & v in opens for u in opens for v in opens)
+
+
+def completion_failures(p: FinPoset, ro, e: dict) -> list[str]:
+    """The ways e: P -> RO+ fails to be a dense embedding, pair by pair and
+    element by element: order, incompatibility, density of the range.
+    boolean_completion gets all three by construction."""
+    out = []
+    for a in p.elements:
+        for b in p.elements:
+            if p.le(a, b) and not e[a] <= e[b]:
+                out.append(f"not order preserving at {a},{b}")
+            if not p.compatible(a, b) and not (e[a] & e[b]).is_bottom:
+                out.append(f"not incompatibility preserving at {a},{b}")
+    for elem in ro.alg.elements():
+        if not elem.is_bottom and not any(e[a] <= elem for a in p.elements):
+            out.append(f"range not dense below {elem}")
     return out
 
 
@@ -302,15 +329,17 @@ def level_join_R(f):
 # -- the functor chain R o Gamma1 o Lambda1 o L, kept as the oracle of mixify --
 
 def _stone_etale(m: BVModel):
-    """lambda1 of ext(L(M)) over St(B), with the stalk Tarski models, the
-    germ -> class dictionary needed to transport relation structure, and
-    phi: sigma |-> the id of sigma-dot, the section of germs of sigma's
-    class at the top.  One RO(St(B)) serves Lambda1 and the stalk points."""
+    """Lambda1 of ext(L(M)) over St(B) as _lambda1's (base, stalks, germ_of),
+    with the stalk Tarski models, the germ -> class dictionary needed to
+    transport relation structure, and phi: sigma |-> the id of sigma-dot,
+    the section of germs of sigma's class at the top.  One RO(St(B)) serves
+    Lambda1 and the stalk points."""
     lm = L(m)
     stone = stone_space(m.alg)
     ext = ext_to_stone(lm)
     ro = ro_algebra(stone.space)
     e1 = _lambda1(ext, stone.space, ro)
+    base, _, germ_of = e1
     point_of = {label: next(iter(sub)) for label, sub in ro.atom_subsets.items()}
     top_stone = subset_label(frozenset(stone.space.points))
     tarski = {}
@@ -320,25 +349,26 @@ def _stone_etale(m: BVModel):
         tarski[g_label] = tarski_quotient(m, filt)
         rep_g = _class_reps(m, filt)
         for sigma in lm.sections[m.alg.top.label]:
-            germ = e1.germ_of[top_stone, sigma, g_label]
+            germ = germ_of[top_stone, sigma, g_label]
             germ_class[germ] = rep_g[sigma]
     rep1 = _class_reps(m, Filter(m.alg, m.alg.top))
-    pts = sorted(e1.base.points)
-    phi = {sigma: _section_id({g: e1.germ_of[top_stone, rep1[sigma], g]
+    pts = sorted(base.points)
+    phi = {sigma: _section_id({g: germ_of[top_stone, rep1[sigma], g]
                                for g in pts})
            for sigma in m.domain}
     return stone, e1, point_of, tarski, germ_class, phi
 
 
-def _gamma1_structured(m: BVModel, e1: EtaleSpace, tarski: dict,
+def _gamma1_structured(m: BVModel, e1: tuple, tarski: dict,
                        germ_class: dict, phi: dict) -> StructuredPresheaf:
     """Gamma1 of the bundle as gamma_half computes it, relabelled along the
     isomorphism O(St)+ = B+ for the powerset algebra of the stalk points:
     the table at (q, p) is gamma_half's at the point sets of q and p, so the
     restrictions still compose.  Relation structure is read stalkwise, and
     each constant's top section is phi of its element."""
-    g1, choices = _gamma_half(Bundle(e1))
-    alg = BoolAlg(tuple(sorted(e1.base.points)))
+    base, stalks, _ = e1
+    g1, choices = _gamma_half(base, stalks)
+    alg = BoolAlg(tuple(sorted(base.points)))
     poset = alg_poset(alg)
     points_of = {w.label: w.atom_labels() for w in alg.elements()
                  if not w.is_bottom}
@@ -547,6 +577,17 @@ def stalk_at_filter(ps: Presheaf, levels: list) -> dict:
                             related)
 
 
+def check_base_property(e: EtaleSpace) -> None:
+    """Pairwise intersections of basics are unions of basics, checked once
+    per distinct nonzero meet of two distinct basic masks: a basic met with
+    itself is open, and deduping the basics changes neither the set of
+    meets nor any union, so the verdict is the pairwise scan's.  lambda0 and
+    lambda1 build bases by construction and do not call it."""
+    meets = {b1 & b2 for b1, b2 in combinations(e._basic_masks, 2)} - {0}
+    if any(e._interior(m) != m for m in meets):
+        raise SheafError("basic opens do not form a base")
+
+
 def _etale_from_classes(base, classes_at: dict, basics_of) -> EtaleSpace:
     """Germs named after their class roots, stalks in sorted root order."""
     total, proj, stalks, germ_of = [], {}, {}, {}
@@ -558,7 +599,7 @@ def _etale_from_classes(base, classes_at: dict, basics_of) -> EtaleSpace:
         total.extend(stalk)
         proj.update((g, point) for g in stalk)
     e = EtaleSpace(base, tuple(total), proj, basics_of(germ_of), stalks, germ_of)
-    e.check_base_property()
+    check_base_property(e)
     return e
 
 
@@ -613,7 +654,7 @@ def pairwise_lambda1(ps: Presheaf, x: FinTop) -> EtaleSpace:
 
 def ro_scan_basics(ps: Presheaf, x: FinTop, ro, germ_of: dict) -> dict:
     """The basics of lambda1, in key order, by scanning every element q of
-    RO(X) against Reg u at each level u: the scan _lambda1's submask walk
+    RO(X) against Reg u at each level u: the scan lambda1's submask walk
     replaced."""
     out = {}
     for u in x.nonempty_opens():
