@@ -7,7 +7,6 @@ joins and complements are bitmask operations and every filter is principal.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 
 from .record import Record
 
@@ -303,8 +302,8 @@ class StoneSpace:
 
         self.alg = alg
         self.points = tuple(alg.atoms)
-        subsets = [frozenset(s) for s in _powerset(self.points)]
-        self.space = topo.FinTop(self.points, frozenset(subsets))
+        self.space = topo.FinTop(self.points, frozenset(
+            self.clopen(b) for b in alg.elements()))
 
     def clopen(self, b: Elem) -> frozenset:
         """N_b as a point set of the space."""
@@ -312,18 +311,8 @@ class StoneSpace:
             raise AlgebraError("element of a different algebra")
         return frozenset(b.atom_labels())
 
-    def elem_of(self, subset: frozenset) -> Elem:
-        """Inverse of clopen: the element whose N_b is the given point set."""
-        return self.alg.from_labels(subset)
-
     def ultrafilter(self, point: str) -> Filter:
         return Filter(self.alg, self.alg.atom(point))
-
-
-def _powerset(items):
-    items = list(items)
-    for size in range(len(items) + 1):
-        yield from combinations(items, size)
 
 
 @lru_cache(maxsize=64)
@@ -346,13 +335,3 @@ def quotient(alg: BoolAlg, f: Filter) -> tuple[BoolAlg, BAHom]:
     quot = BoolAlg(kept)
     proj = BAHom.from_dict(alg, quot, {a: a for a in kept})
     return quot, proj
-
-
-def left_adjoint(i: BAHom):
-    """The unique left adjoint pi_i of i, as a function Elem(target) -> Elem(source)."""
-    return i.left_adjoint
-
-
-def dual_map(i: BAHom):
-    """The dual function St(target) -> St(source), G |-> i^{-1}[G]."""
-    return i.dual

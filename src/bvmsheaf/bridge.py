@@ -15,8 +15,9 @@ from .bvm import (BVModel, BVMorphism, ModelError, _class_reps, _smallest_cover,
 from .logic import Eq, Formula, Rel, Signature, Var, free_vars
 from .record import Record, field
 from .sheaf import (NotSeparatedError, Presheaf, PresheafMorphism, SheafError,
-                    _restrictions, _section_id, alg_poset, elem_from_label,
-                    gamma0, is_separated, is_stonean_sheaf, lambda0)
+                    _choices, _pullback, _restrictions, _section_id,
+                    alg_poset, elem_from_label, gamma0, is_separated,
+                    is_stonean_sheaf, lambda0)
 from .topo import FinTop, opens_poset, subset_label
 
 
@@ -197,13 +198,9 @@ def ext_to_stone(f: Presheaf) -> Presheaf:
     if f.alg is None:
         raise SheafError("ext needs a presheaf on an algebra base")
     x = stone_space(f.alg).space
-    base = opens_poset(x)
     at = {subset_label(w): f.alg.from_labels(w).label
           for w in x.nonempty_opens()}
-    sections = {w: f.sections[at[w]] for w in base.elements}
-    restrict = {(w, v): f.restrict[at[w], at[v]]
-                for v in base.elements for w in sorted(base.down(v))}
-    return Presheaf(base, sections, restrict)
+    return _pullback(f, opens_poset(x), at)
 
 
 class MixSheafReport(Record):
@@ -391,9 +388,7 @@ def global_sections_of_bundle(pb: PhiBundle) -> list[dict]:
     """Continuous right inverses of the projection over all of N_{b_phi}
     (at finite scale: stalkwise choices, none if a stalk is empty, and the
     empty choice over an empty N_{b_phi})."""
-    points = sorted(pb.n_b_phi)
-    return [dict(zip(points, combo))
-            for combo in product(*(pb.stalks[pt] for pt in points))]
+    return _choices(pb.stalks, pb.n_b_phi)
 
 
 class FullnessClauses(Record):
@@ -413,12 +408,6 @@ class FullnessClauses(Record):
         if self.product_section is not None:
             return self.product_section in base
         return True
-
-
-def fullness_clauses(m: BVModel, f: Formula,
-                     with_product_clause: bool) -> FullnessClauses:
-    """The fullness clauses of one formula's bundle (PhiBundle.clauses)."""
-    return phi_bundle(m, f).clauses(with_product_clause)
 
 
 class FullnessSectionsReport(Record):

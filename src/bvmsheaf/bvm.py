@@ -8,7 +8,6 @@ model here is automatically well behaved.
 
 from __future__ import annotations
 
-import random
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations, product
 from math import comb, factorial, prod
@@ -755,7 +754,7 @@ def is_elementary(mor: BVMorphism, depth: int = 2) -> bool:
     return True
 
 
-# -- fixed validity list and random models -----------------------------------
+# -- fixed validity list -------------------------------------------------------
 
 def standard_validities(m: BVModel) -> list[Formula]:
     """Ten classical validities instantiated in the model's own signature
@@ -785,49 +784,3 @@ def standard_validities(m: BVModel) -> list[Formula]:
         Implies(Exists("x", Forall("y", psi_xy)),
                 Forall("y", Exists("x", psi_xy))),
     ]
-
-
-def random_model(rng: random.Random, max_atoms: int = 3,
-                 max_domain: int = 4) -> BVModel:
-    """A random valid model: random tables repaired to satisfy the equality
-    axioms (transitive closure in the algebra) and congruence (saturation)."""
-    alg = BoolAlg(tuple(f"a{i+1}" for i in range(rng.randint(1, max_atoms))))
-    elems = list(alg.elements())
-    dom = tuple(f"d{i}" for i in range(rng.randint(2, max_domain)))
-    eq = {}
-    for i, a in enumerate(dom):
-        eq[a, a] = alg.top
-        for b in dom[i + 1:]:
-            v = rng.choice(elems)
-            eq[a, b] = eq[b, a] = v
-    changed = True
-    while changed:
-        changed = False
-        for a in dom:
-            for b in dom:
-                for c in dom:
-                    need = eq[a, b] & eq[b, c]
-                    if not need <= eq[a, c]:
-                        eq[a, c] = eq[c, a] = eq[a, c] | need
-                        changed = True
-    n_rels = rng.choice([1, 1, 1, 2])
-    arities = {}
-    for k in range(n_rels):
-        arities["RQ"[k]] = rng.randint(1, 2)
-    rels = {}
-    for sym, arity in arities.items():
-        table = {tup: rng.choice(elems) for tup in product(dom, repeat=arity)}
-        changed = True
-        while changed:
-            changed = False
-            for tup in table:
-                for other in table:
-                    agree = alg.meet_all(eq[s, t] for s, t in zip(tup, other))
-                    need = agree & table[tup]
-                    if not need <= table[other]:
-                        table[other] = table[other] | need
-                        changed = True
-        rels[sym] = table
-    consts = {"k": rng.choice(dom)} if rng.random() < 0.3 else {}
-    sig = Signature.make(arities, consts.keys())
-    return BVModel(alg, sig, dom, eq, rels, consts)

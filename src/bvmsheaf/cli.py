@@ -184,7 +184,11 @@ def _dispatch(args, ws: Workspace) -> int:
     if cmd == "sheafify":
         ps = ws.presheaf(args.presheaf)
         x = _topology_of_presheaf(ws, args.presheaf)
-        sh, unit = sheaf.sheafify(ps, x)
+        try:
+            sh, unit = sheaf.sheafify(ps, x)
+        except sheaf.SheafError as exc:  # an empty stalk: no dense image
+            raise InputError(
+                f"cannot sheafify presheaf {args.presheaf!r}: {exc}") from exc
         stonean = sheaf.is_stonean_sheaf(sh)
         out = {"levels": {p: list(sh.sections[p]) for p in sh.base.elements},
                "unit": {lev: dict(mapping) for lev, mapping in unit.theta.items()},

@@ -13,9 +13,10 @@ from functools import cached_property, lru_cache
 from itertools import chain, combinations, islice, product
 from math import prod
 
-from .balg import BAHom, BoolAlg, Elem
+from .balg import BAHom, BoolAlg, Elem, stone_space
 from .record import Record
-from .topo import FinPoset, FinTop, opens_poset, ro_algebra, subset_label
+from .topo import (FinPoset, FinTop, _inclusion_poset, opens_poset, ro_algebra,
+                   subset_label)
 
 
 class SheafError(ValueError):
@@ -30,10 +31,8 @@ class NotSeparatedError(SheafError):
 def alg_poset(alg: BoolAlg) -> FinPoset:
     """B+ as a poset, elements labelled canonically (atom joins).  Built
     once per algebra: both are frozen, so equal algebras share the poset."""
-    label = {bits: Elem(alg, bits).label for bits in range(1, len(alg))}
-    leq = frozenset((label[a], label[b])
-                    for a in label for b in label if a & ~b == 0)
-    return FinPoset(tuple(label.values()), leq)
+    return _inclusion_poset(
+        {bits: Elem(alg, bits).label for bits in range(1, len(alg))})
 
 
 def elem_from_label(alg: BoolAlg, label: str) -> Elem:
@@ -49,7 +48,7 @@ class Presheaf(Record, frozen=False):
     each pair (q, p) with q <= p to a dict F(p) -> F(q).  make(), the entry
     point for input, rejects duplicate section ids and keys that are not such
     a pair, and validates functoriality exhaustively; the constructors of
-    this package use _restrictions instead and are not re-checked."""
+    this package use _restrictions or _pullback and are not re-checked."""
 
     base: FinPoset
     sections: dict
@@ -404,7 +403,7 @@ def lambda1(ps: Presheaf, x: FinTop) -> EtaleSpace:
 
 
 def _lambda1(ps: Presheaf, x: FinTop, ro) -> tuple[FinTop, dict, dict]:
-    """Lambda1's discrete base, stalks and germ_of, with RO(X) given.
+    """Lambda1's base St(RO(X)), stalks and germ_of, with RO(X) given.
 
     Let g be an atom of RO(X) and f in F(U), h in F(V) with U and V in the
     ultrafilter at g (g inside Reg U and Reg V).  Every minimal nonempty
@@ -422,11 +421,8 @@ def _lambda1(ps: Presheaf, x: FinTop, ro) -> tuple[FinTop, dict, dict]:
     mask_of = {u: x._check_subset(u) for u in levels}
     minimal = [u for u in levels if not any(v < u for v in levels)]
     stalks, germ_of = {}, {}
-    points = tuple(sorted(ro.atom_subsets))
-    base = FinTop(points, frozenset(
-        frozenset(c) for r in range(len(points) + 1)
-        for c in combinations(points, r)))
-    for g_label in points:
+    base = stone_space(ro.alg).space
+    for g_label in base.points:
         g_mask = x._check_subset(ro.atom_subsets[g_label])
         m = next(levels[u] for u in minimal if mask_of[u] & g_mask == mask_of[u])
         in_filter = [lev for u, lev in levels.items()
@@ -516,31 +512,42 @@ def sheafify(ps: Presheaf, x: FinTop):
     if not all(stalks.values()):  # Bundle's check, on a discrete base
         raise SheafError("projection image is not dense in the base")
     sheaf = _gamma_half(base, stalks)[0]
-    stone_ro = BoolAlg(tuple(sorted(base.points)))
-    i = BAHom.from_dict(ro.alg, stone_ro, {a: a for a in stone_ro.atoms})
     theta = {}
     for u in x.nonempty_opens():
         lev, points = subset_label(u), ro.reg_embed(u).atom_labels()
         theta[lev] = {f: _section_id({pt: germ_of[lev, f, pt] for pt in points})
                       for f in ps.sections[lev]}
-    return sheaf, SheafifyUnit(i, theta)
+    return sheaf, SheafifyUnit(BAHom.identity(ro.alg), theta)
 
 
 # -- morphisms of presheaves on algebra bases ---------------------------------
 
 
-def lift_i_star(i: BAHom, ps: Presheaf) -> Presheaf:
-    """i_*(F) on target+ via the left adjoint: level U |-> F(pi_i(U)).
-    pi_i is monotone, so F's own restrictions relabelled along it compose."""
+def _pullback(ps: Presheaf, base: FinPoset, pi: dict,
+              alg: BoolAlg | None = None) -> Presheaf:
+    """F pulled back along the monotone map pi from base to F's base: level
+    u gets F(pi u), and the table at (q, p) is F's own table at (pi q, pi p),
+    shared, not copied.  pi is monotone, so these tables compose."""
+    sections = {u: ps.sections[pi[u]] for u in base.elements}
+    restrict = {(q, p): ps.restrict[pi[q], pi[p]]
+                for p in base.elements for q in sorted(base.down(p))}
+    return Presheaf(base, sections, restrict, alg)
+
+
+def _left_adjoint_levels(i: BAHom, ps: Presheaf) -> tuple[FinPoset, dict]:
+    """target+ and its map U |-> pi_i(U) onto the levels of ps, which must
+    be a presheaf on source+."""
     if ps.alg != i.source:
         raise SheafError("presheaf does not live on the source algebra")
     base = alg_poset(i.target)
-    pi = {u: i.left_adjoint(elem_from_label(i.target, u)).label
-          for u in base.elements}
-    sections = {u: ps.sections[pi[u]] for u in base.elements}
-    restrict = _restrictions(base, sections,
-                             lambda u, v, f: ps.res(pi[u], pi[v], f))
-    return Presheaf(base, sections, restrict, i.target)
+    return base, {u: i.left_adjoint(elem_from_label(i.target, u)).label
+                  for u in base.elements}
+
+
+def lift_i_star(i: BAHom, ps: Presheaf) -> Presheaf:
+    """i_*(F) on target+ via the left adjoint: level U |-> F(pi_i(U)).
+    pi_i is monotone, so F's own restrictions relabelled along it compose."""
+    return _pullback(ps, *_left_adjoint_levels(i, ps), i.target)
 
 
 class PresheafMorphism(Record, frozen=False):
@@ -568,22 +575,26 @@ def presheaf_morphism(i: BAHom, theta: dict, source: Presheaf,
 
 def check_presheaf_morphism(mor: PresheafMorphism):
     """Validate all naturality squares; returns the offending (U, V) pair or
-    None when every square commutes."""
-    lifted = lift_i_star(mor.i, mor.source)
-    tgt = mor.target
-    for u_label in lifted.base.elements:
-        if u_label not in mor.theta:
-            raise SheafError(f"theta missing at level {u_label}")
-        for f in lifted.sections[u_label]:
-            if mor.theta[u_label].get(f) not in tgt.sections[u_label]:
-                raise SheafError(f"theta at {u_label} does not map into the target")
-    for u_label in lifted.base.elements:
-        for v_label in lifted.base.elements:
-            if not lifted.base.le(u_label, v_label) or u_label == v_label:
-                continue
-            for f in lifted.sections[v_label]:
-                down_then_theta = mor.theta[u_label][lifted.res(u_label, v_label, f)]
-                theta_then_down = tgt.res(u_label, v_label, mor.theta[v_label][f])
-                if down_then_theta != theta_then_down:
-                    return (u_label, v_label)
+    None when every square commutes.  The squares are read off the source
+    along pi_i, with no i_*(F) built: U runs in element order and V over the
+    levels strictly above U in element order, so the pair is the first
+    failing one in that order."""
+    base, pi = _left_adjoint_levels(mor.i, mor.source)
+    src, tgt, theta = mor.source, mor.target, mor.theta
+    for u in base.elements:
+        if u not in theta:
+            raise SheafError(f"theta missing at level {u}")
+        for f in src.sections[pi[u]]:
+            if theta[u].get(f) not in tgt.sections[u]:
+                raise SheafError(f"theta at {u} does not map into the target")
+    up = dict.fromkeys(base.elements, 0)  # bits of the levels above each
+    for k, v in enumerate(base.elements):
+        for q in base.down(v):
+            up[q] |= 1 << k
+    for u in base.elements:
+        for v in base._labels(up[u] & ~base._mask[u]):
+            pu, pv, down = pi[u], pi[v], tgt.restrict[u, v]
+            for f in src.sections[pv]:
+                if theta[u][src.res(pu, pv, f)] != down[theta[v][f]]:
+                    return (u, v)
     return None

@@ -15,7 +15,7 @@ from bvmsheaf.balg import Filter, mk_powerset, stone_space, ultrafilters
 from bvmsheaf.bridge import (L, R, adjunction_witness, fullness_via_sections,
                              mixify, mixing_iff_sheaf)
 from bvmsheaf.bvm import (BVModel, eval_formula, has_mixing, is_full,
-                          open_pool, random_model, standard_validities,
+                          open_pool, standard_validities,
                           tarski_quotient, validate)
 from bvmsheaf.logic import Signature, substitute
 from bvmsheaf.sheaf import is_stonean_sheaf, lambda1, sheafify
@@ -25,7 +25,7 @@ from util import (_sheaf_scan, all_continuous_maps, all_homs, all_posets,
                   all_topologies, brute_force_left_adjoint,
                   brute_force_ultrafilters, completion_failures,
                   find_model_isomorphism, find_presheaf_isomorphism,
-                  random_separated_presheaf,
+                  random_model, random_separated_presheaf,
                   random_subpresheaf, regularize_pointwise, search_mixing,
                   section_sheaf)
 
@@ -74,7 +74,7 @@ def test_criterion_01_stone_duality():
         for a in alg.elements():
             na = st.clopen(a)
             seen.add(na)
-            assert st.elem_of(na) == a
+            assert alg.from_labels(na) == a
             for b in alg.elements():
                 assert st.clopen(a & b) == na & st.clopen(b)
                 assert st.clopen(a | b) == na | st.clopen(b)

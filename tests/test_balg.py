@@ -2,9 +2,8 @@
 
 import pytest
 
-from bvmsheaf.balg import (AlgebraError, BAHom, Elem, Filter, dual_map,
-                           left_adjoint, mk_powerset, quotient, stone_space,
-                           ultrafilters)
+from bvmsheaf.balg import (AlgebraError, BAHom, Elem, Filter, mk_powerset,
+                           quotient, stone_space, ultrafilters)
 
 from util import (all_homs, antichains, brute_force_left_adjoint,
                   brute_force_ultrafilters)
@@ -107,7 +106,7 @@ def test_clopen_map_is_isomorphism_exhaustive():
         seen = set()
         for a in alg.elements():
             na = st.clopen(a)
-            assert st.elem_of(na) == a
+            assert alg.from_labels(na) == a
             seen.add(na)
             for b in alg.elements():
                 assert st.clopen(a & b) == na & st.clopen(b)
@@ -155,14 +154,14 @@ def _hom_b4_to_b8():
 
 def test_left_adjoint_examples():
     i = _hom_b2_to_b4()
-    pi = left_adjoint(i)
+    pi = i.left_adjoint
     assert pi(B4.atom("a1")) == B2.top
     assert pi(B4.bottom) == B2.bottom
     ident = BAHom.identity(B4)
     for e in B4.elements():
-        assert left_adjoint(ident)(e) == e
+        assert ident.left_adjoint(e) == e
     j = _hom_b4_to_b8()
-    pj = left_adjoint(j)
+    pj = j.left_adjoint
     assert pj(B8.from_labels(["a1", "a2"])) == B4.atom("a1")
     assert pj(B8.atom("a3")) == B4.atom("a2")
 
@@ -172,7 +171,7 @@ def test_left_adjoint_matches_brute_force_and_galois():
     for src in algebras:
         for tgt in algebras:
             for i in all_homs(src, tgt):
-                pi = left_adjoint(i)
+                pi = i.left_adjoint
                 for c in tgt.elements():
                     assert pi(c) == brute_force_left_adjoint(i, c)
                     for b in src.elements():
@@ -183,7 +182,7 @@ def test_left_adjoint_unique_by_function_enumeration():
     # small enough to scan every function Elem(B4) -> Elem(B2)
     from itertools import product as iproduct
     i = _hom_b2_to_b4()
-    pi = left_adjoint(i)
+    pi = i.left_adjoint
     elems4, elems2 = list(B4.elements()), list(B2.elements())
     adjoints = []
     for images in iproduct(elems2, repeat=len(elems4)):
@@ -198,13 +197,13 @@ def test_left_adjoint_unique_by_function_enumeration():
 def test_dual_map_examples():
     ident = BAHom.identity(B4)
     for u in ultrafilters(B4):
-        assert dual_map(ident)(u) == u
+        assert ident.dual(u) == u
     j = _hom_b4_to_b8()
     g_a2 = Filter(B8, B8.atom("a2"))
-    assert dual_map(j)(g_a2) == Filter(B4, B4.atom("a1"))
+    assert j.dual(g_a2) == Filter(B4, B4.atom("a1"))
     i = _hom_b2_to_b4()
     assert i.is_injective
-    images = {dual_map(i)(u) for u in ultrafilters(B4)}
+    images = {i.dual(u) for u in ultrafilters(B4)}
     assert images == set(ultrafilters(B2))
 
 

@@ -6,12 +6,11 @@ import pytest
 
 from bvmsheaf.balg import BAHom, BoolAlg, Elem, Filter, mk_powerset
 from bvmsheaf.bridge import (L, R, adjunction_witness,
-                             ext_to_stone, fullness_clauses,
-                             fullness_via_sections, global_sections_of_bundle,
+                             ext_to_stone, fullness_via_sections,
+                             global_sections_of_bundle,
                              mixify, mixing_iff_sheaf, phi_bundle)
 from bvmsheaf.bvm import (BVModel, check_morphism, has_mixing, is_elementary,
-                          quotient_model, random_model, tarski_quotient,
-                          validate)
+                          quotient_model, tarski_quotient, validate)
 from bvmsheaf.logic import Signature, parse
 from bvmsheaf.sheaf import (Bundle, NotSeparatedError, Presheaf, alg_poset,
                             gamma_half, is_separated, lambda1, lift_i_star,
@@ -20,7 +19,7 @@ from bvmsheaf.topo import FinTop
 
 from util import (_gamma1_structured, _stone_etale, chain_mixify,
                   find_model_isomorphism, level_join_R, quotient_L,
-                  random_separated_presheaf, random_subpresheaf,
+                  random_model, random_separated_presheaf, random_subpresheaf,
                   section_sheaf, stalk_at_filter)
 
 B2 = mk_powerset(["a1"])
@@ -319,7 +318,7 @@ def test_phi_bundle_empty_when_value_zero():
     assert pb.b_phi.is_bottom
     assert pb.n_b_phi == frozenset() and pb.a_phi == frozenset()
     assert pb.space is None
-    clauses = fullness_clauses(m, parse(m.sig, "~(x = x)"), True)
+    clauses = pb.clauses(True)
     assert clauses.agree
 
 
@@ -348,7 +347,7 @@ def test_fullness_clauses_all_true_on_samples():
         assert rep.all_agree
         for c in rep.clauses:
             # the shared per-model data gives what the per-formula path gives
-            assert c == fullness_clauses(m, c.formula, rep.mixing_checked)
+            assert c == phi_bundle(m, c.formula).clauses(rep.mixing_checked)
             assert c.finite_cover and c.a_phi_full
             assert c.a_phi_closed and c.has_global_section
             if rep.mixing_checked:

@@ -15,13 +15,13 @@ from bvmsheaf.bvm import (_EVAL, _SAT, BVModel, BVMorphism, MixingReport,
                           _smallest_cover, check_morphism, closed_pool,
                           eval_formula, generalize, has_mixing, is_elementary,
                           is_full, open_pool, product_model, quotient_model,
-                          random_model, satisfies, standard_validities,
+                          satisfies, standard_validities,
                           tarski_quotient, ultraproduct, validate)
 from bvmsheaf.logic import (And, Const, Eq, Exists, Implies, Not, Or, Rel,
                             Signature, Var, free_vars, parse, substitute)
 
-from util import (elem_validate, find_model_isomorphism, recursive_eval_bits,
-                  search_mixing)
+from util import (elem_validate, find_model_isomorphism, random_model,
+                  recursive_eval_bits, search_mixing)
 
 B2 = mk_powerset(["a1"])
 B4 = mk_powerset(["a1", "a2"])

@@ -355,6 +355,22 @@ def test_algebra_based_presheaf_from_json(tmp_path):
         R(ps)  # f and g agree on the dense covering {a1, a2}
 
 
+def test_sheafify_empty_level_exit_two_with_one_line(tmp_path, capsys):
+    # a well-formed presheaf whose empty level leaves a stalk of Lambda1
+    # empty, so the projection image is not dense and there is no Gamma1
+    path = tmp_path / "ps.json"
+    path.write_text(json.dumps({
+        "topologies": {"sier": {"points": ["0", "1"],
+                                "opens": [[], ["1"], ["0", "1"]]}},
+        "presheaves": {"F": {"base": {"topology": "sier"},
+                             "sections": {"{0,1}": [], "{1}": []},
+                             "restrictions": {"{1}<={0,1}": {}}}}}))
+    code, out, err = _run(capsys, "sheafify", "F", "-f", str(path))
+    assert code == 2 and out == ""
+    assert err == ("input error: cannot sheafify presheaf 'F': projection "
+                   "image is not dense in the base\n")
+
+
 def test_sheafify_rejects_non_topological_presheaf(tmp_path, capsys):
     path = tmp_path / "ps.json"
     path.write_text(json.dumps({

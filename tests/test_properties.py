@@ -6,9 +6,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from bvmsheaf.bridge import mixify  # noqa: E402
-from bvmsheaf.bvm import random_model  # noqa: E402
 
-from util import chain_mixify  # noqa: E402
+from util import chain_mixify, random_model  # noqa: E402
 
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)

@@ -8,7 +8,8 @@ import pytest
 from bvmsheaf.balg import BAHom, mk_powerset
 from bvmsheaf.sheaf import (_MAX_FAILURES, Bundle, EtaleSpace, Presheaf,
                             PresheafMorphism, SheafError, _section_id,
-                            alg_poset, check_presheaf_morphism, gamma0,
+                            alg_poset, check_presheaf_morphism,
+                            elem_from_label, gamma0,
                             gamma1, gamma_half, is_separated,
                             is_stonean_sheaf, is_topological_sheaf, lambda0,
                             lambda1, lift_i_star, sheafify)
@@ -19,9 +20,10 @@ from util import (_collations, _compatible_families, _sheaf_scan,
                   _sup_coverings, all_posets, all_topologies,
                   check_base_property, check_etale, check_local_homeo,
                   distributive_with_bottom, find_presheaf_isomorphism,
-                  is_predense_below, is_ro_base, pairwise_lambda0,
+                  is_predense_below, is_ro_base, naturality_outcomes,
+                  naturality_scan, pairwise_lambda0,
                   pairwise_lambda1, poset_sup,
-                  random_functorial_presheaf, random_subpresheaf,
+                  random_functorial_presheaf, random_model, random_subpresheaf,
                   ro_scan_basics, section_sheaf)
 
 SIER = FinTop(("0", "1"),
@@ -336,6 +338,29 @@ def test_sheafify_sierpinski():
     assert unit.i.is_isomorphism
 
 
+def test_sheafify_base_is_the_stone_space_and_its_unit_hom_the_identity():
+    """Lambda1's base is St(RO(X)) and the unit's i is the identity of RO(X):
+    both equal the discrete space on the sorted RO atoms and the atom
+    identification onto the algebra of those points, built afresh, on every
+    topology of at most 4 points."""
+    from bvmsheaf.balg import BoolAlg
+    from bvmsheaf.sheaf import _lambda1
+    rng = random.Random(20261021)
+    for n in range(1, 5):
+        for x in all_topologies(("p", "q", "r", "s")[:n]):
+            ps = random_functorial_presheaf(rng, x)
+            ro = ro_algebra(x)
+            points = tuple(sorted(ro.atom_subsets))
+            discrete = FinTop(points, frozenset(
+                frozenset(c) for r in range(len(points) + 1)
+                for c in combinations(points, r)))
+            assert _lambda1(ps, x, ro)[0] == discrete
+            stone_ro = BoolAlg(points)
+            _, unit = sheafify(ps, x)
+            assert unit.i == BAHom.from_dict(ro.alg, stone_ro,
+                                             {a: a for a in stone_ro.atoms})
+
+
 def test_sheafify_rejects_a_presheaf_with_an_empty_stalk():
     # no section over {1} leaves the one RO atom's stalk empty; sheafify
     # refuses it as Bundle does, without building Lambda1's basics
@@ -398,6 +423,42 @@ def test_presheaf_morphism_identity_and_violation():
         f, f)
     bad = check_presheaf_morphism(swapped)
     assert bad is not None and bad[0] == "a1"
+
+
+def test_naturality_check_matches_the_all_pairs_scan():
+    """check_presheaf_morphism reads each square off the source along pi_i
+    and walks the levels above each U; on mutated thetas over B+ at 1 to 4
+    atoms it returns the pair, or raises the message, of the all-pairs
+    scan."""
+    got = naturality_outcomes(check_presheaf_morphism)
+    assert got == naturality_outcomes(naturality_scan)
+    assert got.count(None) >= 48  # at least the identity thetas
+    assert sum(isinstance(g, tuple) for g in got) >= 40
+    errors = [g for g in got if isinstance(g, str)]
+    assert any("theta missing" in g for g in errors)
+    assert any("does not map into the target" in g for g in errors)
+
+
+def test_naturality_pair_does_not_depend_on_the_hash_seed():
+    """The pair is the first failing one in element order, so processes
+    under two hash seeds return the outcomes this one does."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import bvmsheaf
+    path = os.pathsep.join([str(Path(bvmsheaf.__file__).parent.parent),
+                            str(Path(__file__).parent)])
+    code = ("from bvmsheaf.sheaf import check_presheaf_morphism\n"
+            "from util import naturality_outcomes\n"
+            "print(repr(naturality_outcomes(check_presheaf_morphism)))")
+    want = repr(naturality_outcomes(check_presheaf_morphism)) + "\n"
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout == want
 
 
 def test_universal_property_small_instances():
@@ -892,7 +953,6 @@ def test_internal_etale_spaces_have_basics_that_form_a_base():
     ext(L(M)) over St(B) for a model sample."""
     from bvmsheaf.balg import stone_space
     from bvmsheaf.bridge import L, ext_to_stone
-    from bvmsheaf.bvm import random_model
     rng = random.Random(20261019)
     checked = 0
     for n in range(1, 5):
@@ -926,7 +986,6 @@ def test_lambda1_basics_match_the_ro_scan_in_key_order():
 
 
 def test_lift_i_star_identity_is_identity():
-    from bvmsheaf.bvm import random_model
     from bvmsheaf.bridge import L
     rng = random.Random(89)
     m = random_model(rng, max_atoms=2, max_domain=3)
@@ -941,7 +1000,6 @@ def test_lift_i_star_identity_is_identity():
 
 
 def test_lift_i_star_nonidentity_levels():
-    from bvmsheaf.bvm import random_model
     from bvmsheaf.bridge import L
     b4 = mk_powerset(["a1", "a2"])
     b8 = mk_powerset(["a1", "a2", "a3"])
@@ -958,6 +1016,11 @@ def test_lift_i_star_nonidentity_levels():
     assert lifted.sections["a3"] == f.sections["a2"]          # pi(a3)=a2
     assert lifted.sections["a1\u2228a2\u2228a3"] == \
         f.sections["a1\u2228a2"]
+    # and the table at (q, p) is F's own at (pi q, pi p), shared, not copied
+    pi = {u: i.left_adjoint(elem_from_label(b8, u)).label
+          for u in lifted.base.elements}
+    for (q, p), table in lifted.restrict.items():
+        assert table is f.restrict[pi[q], pi[p]]
 
 
 # the down-topology of the three-element poset q < p > r: a non-discrete
@@ -1042,7 +1105,6 @@ def test_dense_and_sup_sheaf_predicates_agree_on_b_plus():
     dense and the sup coverings are the same sets; and the minimal levels
     and the join-irreducibles are both the atoms."""
     from bvmsheaf.bridge import L
-    from bvmsheaf.bvm import random_model
     rng = random.Random(91)
     verdicts = set()
     for n in range(1, 5):

@@ -9,9 +9,9 @@ from bvmsheaf.topo import (ContMap, FinPoset, FinTop, NotOpenMapError,
                            ro_algebra, subset_label)
 
 from util import (all_continuous_maps, all_posets, all_topologies,
-                  completion_failures, generate_topology, is_predense_below,
-                  is_topology_pairwise, poset_sup, regularize_pointwise,
-                  ro_joins_match)
+                  completion_failures, generate_topology, inclusion_scan,
+                  is_predense_below, is_topology_pairwise, poset_sup,
+                  regularize_pointwise, ro_joins_match)
 
 SIER = FinTop(("0", "1"),
               frozenset({frozenset(), frozenset({"1"}), frozenset({"0", "1"})}))
@@ -423,6 +423,29 @@ def test_opens_poset_labels():
     po = opens_poset(SIER)
     assert set(po.elements) == {"{1}", "{0,1}"}
     assert po.le("{1}", "{0,1}")
+
+
+def test_inclusion_posets_match_the_pairwise_scan():
+    """alg_poset and opens_poset walk each member's submasks; the pairwise
+    scan of every two members gives the same order, and the elements keep
+    their order, on B+ at 1 to 6 atoms and on O(X)+ for every topology of
+    at most 4 points."""
+    from bvmsheaf.balg import mk_powerset
+    from bvmsheaf.sheaf import alg_poset
+    families = []
+    for n in range(1, 7):
+        alg = mk_powerset([f"a{i + 1}" for i in range(n)])
+        families.append((alg_poset(alg), {
+            e.label: frozenset(e.atom_labels())
+            for e in alg.elements() if not e.is_bottom}))
+    for n in range(1, 5):
+        for x in all_topologies(("p", "q", "r", "s")[:n]):
+            families.append((opens_poset(x), {
+                subset_label(u): u for u in x.nonempty_opens()}))
+    assert len(families) == 6 + 389
+    for po, members in families:
+        assert po.elements == tuple(members)
+        assert po.leq == inclusion_scan(members)
 
 
 def test_duality_round_trips_at_finite_scale():

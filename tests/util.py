@@ -6,6 +6,7 @@ all elements, spaces and posets by filtering all candidate families.
 """
 
 from itertools import combinations, permutations, product
+from random import Random
 
 from bvmsheaf.balg import (AlgebraError, BAHom, BoolAlg, Elem, Filter,
                            stone_space)
@@ -13,10 +14,11 @@ from bvmsheaf.bridge import L, R, StructuredPresheaf, ext_to_stone
 from bvmsheaf.bvm import (BVModel, BVMorphism, MixingReport, ModelError,
                           _class_reps, check_morphism, tarski_quotient)
 from bvmsheaf.logic import (And, Eq, Exists, Forall, Implies, Not, Or, Rel,
-                            Var)
-from bvmsheaf.sheaf import (_MAX_FAILURES, EtaleSpace, Presheaf, SheafError,
-                            SheafReport, _gamma_half, _lambda1, _section_id,
-                            alg_poset)
+                            Signature, Var)
+from bvmsheaf.sheaf import (_MAX_FAILURES, EtaleSpace, Presheaf,
+                            PresheafMorphism, SheafError, SheafReport,
+                            _gamma_half, _lambda1, _section_id, alg_poset,
+                            elem_from_label, lift_i_star)
 from bvmsheaf.topo import (FinPoset, FinTop, opens_poset, ro_algebra,
                            subset_label)
 
@@ -251,11 +253,55 @@ def random_subpresheaf(rng, ps: Presheaf, keep: float = 0.6) -> Presheaf:
     return Presheaf.make(ps.base, sections, restrict, alg=ps.alg)
 
 
+def random_model(rng: Random, max_atoms: int = 3,
+                 max_domain: int = 4) -> BVModel:
+    """A random valid model: random tables repaired to satisfy the equality
+    axioms (transitive closure in the algebra) and congruence (saturation)."""
+    alg = BoolAlg(tuple(f"a{i+1}" for i in range(rng.randint(1, max_atoms))))
+    elems = list(alg.elements())
+    dom = tuple(f"d{i}" for i in range(rng.randint(2, max_domain)))
+    eq = {}
+    for i, a in enumerate(dom):
+        eq[a, a] = alg.top
+        for b in dom[i + 1:]:
+            v = rng.choice(elems)
+            eq[a, b] = eq[b, a] = v
+    changed = True
+    while changed:
+        changed = False
+        for a in dom:
+            for b in dom:
+                for c in dom:
+                    need = eq[a, b] & eq[b, c]
+                    if not need <= eq[a, c]:
+                        eq[a, c] = eq[c, a] = eq[a, c] | need
+                        changed = True
+    n_rels = rng.choice([1, 1, 1, 2])
+    arities = {}
+    for k in range(n_rels):
+        arities["RQ"[k]] = rng.randint(1, 2)
+    rels = {}
+    for sym, arity in arities.items():
+        table = {tup: rng.choice(elems) for tup in product(dom, repeat=arity)}
+        changed = True
+        while changed:
+            changed = False
+            for tup in table:
+                for other in table:
+                    agree = alg.meet_all(eq[s, t] for s, t in zip(tup, other))
+                    need = agree & table[tup]
+                    if not need <= table[other]:
+                        table[other] = table[other] | need
+                        changed = True
+        rels[sym] = table
+    consts = {"k": rng.choice(dom)} if rng.random() < 0.3 else {}
+    sig = Signature.make(arities, consts.keys())
+    return BVModel(alg, sig, dom, eq, rels, consts)
+
+
 def random_separated_presheaf(rng, max_atoms: int = 3, max_stalk: int = 3):
     """A random separated presheaf on B+ for a random small algebra, sampled
     as a restriction-closed subfamily of the full choice sheaf."""
-    from bvmsheaf.bvm import random_model
-    from bvmsheaf.bridge import L
     m = random_model(rng, max_atoms=max_atoms, max_domain=max_stalk)
     return random_subpresheaf(rng, L(m)), m
 
@@ -297,7 +343,6 @@ def level_join_R(f):
     from itertools import product as _product
     from bvmsheaf.bridge import StructuredPresheaf
     from bvmsheaf.bvm import BVModel
-    from bvmsheaf.logic import Signature
     from bvmsheaf.sheaf import elem_from_label
     alg = f.alg
     top_label = alg.top.label
@@ -992,3 +1037,85 @@ def _match_sections(f0: Presheaf, f1: Presheaf, base_map: dict):
         return None
 
     return extend(0, {})
+
+
+def naturality_scan(mor):
+    """check_presheaf_morphism's verdict by the all-pairs scan it replaced:
+    pi_i by the brute-force left adjoint, theta checked level by level, then
+    every pair U <= V of target+ tested with FinPoset.le, U and V each in
+    element order.  Returns the first failing pair or None, and raises the
+    same SheafError messages."""
+    i, src, tgt, theta = mor.i, mor.source, mor.target, mor.theta
+    if src.alg != i.source:
+        raise SheafError("presheaf does not live on the source algebra")
+    base = alg_poset(i.target)
+    pi = {u: brute_force_left_adjoint(i, elem_from_label(i.target, u)).label
+          for u in base.elements}
+    for u in base.elements:
+        if u not in theta:
+            raise SheafError(f"theta missing at level {u}")
+        for f in src.sections[pi[u]]:
+            if theta[u].get(f) not in tgt.sections[u]:
+                raise SheafError(f"theta at {u} does not map into the target")
+    for u in base.elements:
+        for v in base.elements:
+            if not base.le(u, v) or u == v:
+                continue
+            for f in src.sections[pi[v]]:
+                if theta[u][src.res(pi[u], pi[v], f)] != \
+                        tgt.res(u, v, theta[v][f]):
+                    return (u, v)
+    return None
+
+
+def mutated_morphisms(seed: int = 18) -> list:
+    """Presheaf morphisms (i, theta): L(M) -> i_*(L(M)) over B+ at 1 to 4
+    atoms.  For each pair of algebra sizes, three random homs i and models
+    M on the source algebra; for each, theta is the identity, the identity
+    with one or two sections redirected within their level, or the identity
+    with a level dropped or a section sent outside the target."""
+    rng = Random(seed)
+    algs = [BoolAlg(tuple(f"a{k + 1}" for k in range(n))) for n in range(1, 5)]
+    out = []
+    for src, tgt in product(algs, repeat=2):
+        for _ in range(3):
+            i = rng.choice(all_homs(src, tgt))
+            m = random_model(rng, src.atom_count, 3)
+            while m.alg != src:
+                m = random_model(rng, src.atom_count, 3)
+            target = lift_i_star(i, L(m))
+            levels = target.base.elements
+            wide = [u for u in levels if len(target.sections[u]) > 1]
+            for kind in range(4):
+                theta = {u: {f: f for f in target.sections[u]} for u in levels}
+                for _ in range(kind if kind in (1, 2) and wide else 0):
+                    u = rng.choice(wide)
+                    f, g = rng.sample(target.sections[u], 2)
+                    theta[u][f] = g
+                if kind == 3:
+                    u = rng.choice(levels)
+                    if rng.random() < 0.5:
+                        del theta[u]
+                    else:
+                        theta[u][target.sections[u][0]] = "outside"
+                out.append(PresheafMorphism(i, theta, L(m), target))
+    return out
+
+
+def naturality_outcomes(check) -> list:
+    """check's result on each of mutated_morphisms(): the failing pair,
+    None, or "error: " and the SheafError message."""
+    out = []
+    for mor in mutated_morphisms():
+        try:
+            out.append(check(mor))
+        except SheafError as exc:
+            out.append(f"error: {exc}")
+    return out
+
+
+def inclusion_scan(members: dict) -> frozenset:
+    """The pairs (a, b) with members[a] inside members[b], by the pairwise
+    scan of every two members that alg_poset and opens_poset replaced."""
+    return frozenset((a, b) for a, s in members.items()
+                     for b, t in members.items() if s <= t)
