@@ -46,9 +46,9 @@ class Presheaf(Record, frozen=False):
 
     sections maps each base element to a tuple of section ids; restrict maps
     each pair (q, p) with q <= p to a dict F(p) -> F(q).  make(), the entry
-    point for input, rejects duplicate section ids and keys that are not such
-    a pair, and validates functoriality exhaustively; the constructors of
-    this package use _restrictions or _pullback and are not re-checked."""
+    point for input, rejects duplicate section ids, keys that are not such a
+    pair and table entries off F(p), and validates functoriality exhaustively;
+    the constructors of this package use _restrictions or _pullback unchecked."""
 
     base: FinPoset
     sections: dict
@@ -93,6 +93,8 @@ class Presheaf(Record, frozen=False):
                     if r[f] not in self.sections[q]:
                         raise SheafError(
                             f"restriction {q} <= {p} leaves the sections at {q}")
+                if len(r) != len(self.sections[p]):  # a key off F(p)
+                    raise SheafError(f"restriction {q} <= {p} defined on a non-section")
                 if q == p and any(r[f] != f for f in self.sections[p]):
                     raise SheafError(f"identity restriction at {p} is not identity")
         for p in self.base.elements:
@@ -493,10 +495,10 @@ def _gamma_half(x: FinTop, stalks: dict) -> tuple[Presheaf, dict]:
 
 class SheafifyUnit(Record, frozen=False):
     """The canonical morphism from a presheaf into its stonean
-    sheafification: the Stone embedding of RO(X) into the clopens of its
-    Stone space, paired with the per-level section maps f |-> f-dot."""
+    sheafification: the identity of RO(X), which is the clopen algebra of the
+    discrete finite St(RO(X)), with the per-level section maps f |-> f-dot."""
 
-    i: BAHom      # RO(X) -> RO(St(RO(X))), the atom identification
+    i: BAHom      # the identity of RO(X)
     theta: dict   # source level label -> {section -> sheafified section id}
 
 

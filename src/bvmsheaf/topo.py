@@ -258,16 +258,19 @@ class FinPoset(Record):
 
 def _inclusion_poset(label: dict) -> FinPoset:
     """A family of nonzero int masks under inclusion: label maps each member
-    to its name, and the elements follow label's order.  Each member's
-    submasks are walked and those in the family kept, at most 3^n steps
-    over n bits in all."""
+    to its name, and the elements follow label's order.  Each member m walks
+    its 2^|m| submasks or scans the family, whichever is shorter: at most
+    3^n steps over n bits, and never more than the pairwise scan."""
     leq = []
     for m, name in label.items():
-        s = m
-        while s:
-            if s in label:
-                leq.append((label[s], name))
-            s = (s - 1) & m
+        if 1 << m.bit_count() <= len(label):
+            s = m
+            while s:
+                if s in label:
+                    leq.append((label[s], name))
+                s = (s - 1) & m
+        else:
+            leq += [(n, name) for s, n in label.items() if s & ~m == 0]
     return FinPoset(tuple(label.values()), frozenset(leq))
 
 

@@ -232,6 +232,10 @@ def test_malformed_domain_exit_two_with_one_line(tmp_path, capsys, workspace,
     pytest.param({"{0,1}": ["s"], "{1}": ["t"]},
                  {"{1}<={0,1}": {"s": "t"}, "{9}<={1}": {"t": "t"}},
                  "{9} <= {1} is not a pair", id="foreign-level"),
+    pytest.param({"{0,1}": ["s"], "{1}": ["t"]},
+                 {"{1}<={0,1}": {"s": "t", "junk": "zz"}},
+                 "{1} <= {0,1} defined on a non-section",
+                 id="key-off-sections"),
     pytest.param({"{0,1}": 5, "{1}": ["t"]}, {},
                  "the sections at {0,1} must be an array of ids",
                  id="sections-number"),

@@ -19,8 +19,9 @@ from bvmsheaf.topo import (FinPoset, FinTop, opens_poset, ro_algebra,
 from util import (_collations, _compatible_families, _sheaf_scan,
                   _sup_coverings, all_posets, all_topologies,
                   check_base_property, check_etale, check_local_homeo,
-                  distributive_with_bottom, find_presheaf_isomorphism,
-                  is_predense_below, is_ro_base, naturality_outcomes,
+                  distributive_with_bottom, failing_squares,
+                  find_presheaf_isomorphism, is_predense_below, is_ro_base,
+                  mutated_morphisms, naturality_outcomes,
                   naturality_scan, pairwise_lambda0,
                   pairwise_lambda1, poset_sup,
                   random_functorial_presheaf, random_model, random_subpresheaf,
@@ -437,6 +438,24 @@ def test_naturality_check_matches_the_all_pairs_scan():
     errors = [g for g in got if isinstance(g, str)]
     assert any("theta missing" in g for g in errors)
     assert any("does not map into the target" in g for g in errors)
+
+
+def test_naturality_check_finds_a_lone_failing_square():
+    """Among mutated_morphisms() are those of one_square_morphism, whose
+    one failing square, by the all-pairs scan, is the cover of target+
+    carrying the fresh sections; the check returns that square, so one it
+    skipped would show as None."""
+    lone = [mor for mor in mutated_morphisms()
+            if any("z" in fs for fs in mor.target.sections.values())]
+    pairs = set()
+    for mor in lone:
+        u, v = (next(w for w, fs in mor.target.sections.items() if s in fs)
+                for s in "zy")
+        assert list(failing_squares(mor)) == [(u, v)]
+        assert check_presheaf_morphism(mor) == (u, v)
+        pairs.add((mor.i.target.atom_count, u, v))
+    # every cover of B+ at 2 to 4 atoms: 2 + 9 + 28
+    assert len(pairs) == 39
 
 
 def test_naturality_pair_does_not_depend_on_the_hash_seed():

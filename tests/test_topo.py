@@ -448,6 +448,22 @@ def test_inclusion_posets_match_the_pairwise_scan():
         assert po.leq == inclusion_scan(members)
 
 
+def test_opens_poset_of_a_long_chain_matches_the_pairwise_scan():
+    """A chain topology on 27 points has 28 opens; opens_poset scans its
+    family for each open rather than walking its 2^27 submasks, so it
+    returns at once and agrees with the pairwise scan.  A walk of every
+    member's submasks takes tens of seconds here and fails the bound."""
+    import time
+    points = tuple(f"p{k:02d}" for k in range(27))
+    x = FinTop(points, frozenset(frozenset(points[:k]) for k in range(28)))
+    start = time.perf_counter()
+    po = opens_poset(x)
+    assert time.perf_counter() - start < 1.0
+    members = {subset_label(u): u for u in x.nonempty_opens()}
+    assert po.elements == tuple(members)
+    assert po.leq == inclusion_scan(members)
+
+
 def test_duality_round_trips_at_finite_scale():
     # stone_space(ro_algebra(discrete X)) is homeomorphic to X (same size,
     # both discrete); ro_algebra(stone_space(B)) is isomorphic to B (same

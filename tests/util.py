@@ -1039,12 +1039,12 @@ def _match_sections(f0: Presheaf, f1: Presheaf, base_map: dict):
     return extend(0, {})
 
 
-def naturality_scan(mor):
-    """check_presheaf_morphism's verdict by the all-pairs scan it replaced:
-    pi_i by the brute-force left adjoint, theta checked level by level, then
-    every pair U <= V of target+ tested with FinPoset.le, U and V each in
-    element order.  Returns the first failing pair or None, and raises the
-    same SheafError messages."""
+def failing_squares(mor):
+    """The failing pairs U < V of check_presheaf_morphism by the all-pairs
+    scan it replaced: pi_i by the brute-force left adjoint, theta checked
+    level by level (raising the same SheafError messages), then every pair
+    U <= V of target+ tested with FinPoset.le, U and V each in element
+    order.  A generator, so the first pair costs no more than the scan."""
     i, src, tgt, theta = mor.i, mor.source, mor.target, mor.theta
     if src.alg != i.source:
         raise SheafError("presheaf does not live on the source algebra")
@@ -1061,19 +1061,25 @@ def naturality_scan(mor):
         for v in base.elements:
             if not base.le(u, v) or u == v:
                 continue
-            for f in src.sections[pi[v]]:
-                if theta[u][src.res(pi[u], pi[v], f)] != \
-                        tgt.res(u, v, theta[v][f]):
-                    return (u, v)
-    return None
+            if any(theta[u][src.res(pi[u], pi[v], f)] !=
+                   tgt.res(u, v, theta[v][f]) for f in src.sections[pi[v]]):
+                yield (u, v)
+
+
+def naturality_scan(mor):
+    """check_presheaf_morphism's verdict by the all-pairs scan: the first of
+    failing_squares(mor), or None."""
+    return next(failing_squares(mor), None)
 
 
 def mutated_morphisms(seed: int = 18) -> list:
-    """Presheaf morphisms (i, theta): L(M) -> i_*(L(M)) over B+ at 1 to 4
-    atoms.  For each pair of algebra sizes, three random homs i and models
-    M on the source algebra; for each, theta is the identity, the identity
-    with one or two sections redirected within their level, or the identity
-    with a level dropped or a section sent outside the target."""
+    """Presheaf morphisms (i, theta) over B+ at 1 to 4 atoms.  For each
+    pair of algebra sizes, three random homs i and models M on the source
+    algebra; for each, four morphisms L(M) -> i_*(L(M)), theta being the
+    identity, the identity with one or two sections redirected within their
+    level, or the identity with a level dropped or a section sent outside
+    the target; then one_square_morphism(i, L(M), u, v) for every pair of
+    one_square_pairs(i), each failing at that one square."""
     rng = Random(seed)
     algs = [BoolAlg(tuple(f"a{k + 1}" for k in range(n))) for n in range(1, 5)]
     out = []
@@ -1099,7 +1105,52 @@ def mutated_morphisms(seed: int = 18) -> list:
                     else:
                         theta[u][target.sections[u][0]] = "outside"
                 out.append(PresheafMorphism(i, theta, L(m), target))
+            out += [one_square_morphism(i, L(m), u, v)
+                    for u, v in one_square_pairs(i)]
     return out
+
+
+def one_square_pairs(i) -> list:
+    """The covers u < v of target+ with v = i(pi_i(v)), in element order:
+    no level above such a v shares its source level pi_i(v)."""
+    out = []
+    for v in alg_poset(i.target).elements:
+        e = elem_from_label(i.target, v)
+        if i(i.left_adjoint(e)) == e:
+            atoms = e.atom_labels()
+            out += [(i.target.from_labels(set(atoms) - {a}).label, v)
+                    for a in atoms if len(atoms) > 1]
+    return out
+
+
+def one_square_morphism(i, ps, u: str, v: str) -> PresheafMorphism:
+    """A morphism (i, theta) whose one failing square is the pair (u, v)
+    of one_square_pairs(i).  The source is ps with a fresh section "x" at
+    a = pi_i(v) that restricts as ps's first section at a does and is the
+    restriction of nothing.  The target is i_*(source) with fresh sections
+    "y" at v and "z" at u: y restricts as x does, except to z at u, and z
+    as x's restriction to u does.  theta is the identity but sends x to y
+    at v, so only the square at u < v sees the difference."""
+    a = i.left_adjoint(elem_from_label(i.target, v)).label
+    sections = {**ps.sections, a: ps.sections[a] + ("x",)}
+    restrict = {pair: dict(r) for pair, r in ps.restrict.items()}
+    for q in ps.base.down(a):
+        restrict[q, a]["x"] = "x" if q == a else restrict[q, a][ps.sections[a][0]]
+    source = Presheaf.make(ps.base, sections, restrict, ps.alg)
+    lift = lift_i_star(i, source)
+    sections = {**lift.sections, v: lift.sections[v] + ("y",),
+                u: lift.sections[u] + ("z",)}
+    restrict = {pair: dict(r) for pair, r in lift.restrict.items()}
+    for q in lift.base.down(v):
+        restrict[q, v]["y"] = ("y" if q == v else "z" if q == u
+                               else restrict[q, v]["x"])
+    x_at_u = lift.res(u, v, "x")
+    for q in lift.base.down(u):
+        restrict[q, u]["z"] = "z" if q == u else restrict[q, u][x_at_u]
+    target = Presheaf.make(lift.base, sections, restrict, i.target)
+    theta = {w: {f: f for f in lift.sections[w]} for w in lift.base.elements}
+    theta[v]["x"] = "y"
+    return PresheafMorphism(i, theta, source, target)
 
 
 def naturality_outcomes(check) -> list:
