@@ -327,20 +327,11 @@ class PhiBundle(Record, frozen=False):
         return out
 
     def clauses(self, with_product_clause: bool) -> "FullnessClauses":
-        """The four (five under mixing) equivalent fullness clauses, each by
-        its own computation."""
-        # a smallest tuple set whose values join to b_phi (all of them always do)
-        finite_cover = _smallest_cover(
-            {t: self.values[t].bits for t in sorted(self.values)},
-            self.b_phi.bits) is not None
-        a_phi_full = self.a_phi == self.n_b_phi
-        a_phi_closed = self.space is None or self.space.is_closed(self.a_phi)
-        product_section = ((not self.n_b_phi) or any(
-            self.b_phi <= val for val in self.values.values())
-            if with_product_clause else None)
-        has_section = bool(global_sections_of_bundle(self))
-        return FullnessClauses(self.formula, finite_cover, a_phi_full,
-                               a_phi_closed, has_section, product_section)
+        """The four (five under mixing) equivalent fullness clauses, read off
+        the tuple values by _clause_row."""
+        return _clause_row(self.formula,
+                           {t: v.bits for t, v in self.values.items()},
+                           self.n_b_phi, self.space, with_product_clause)
 
 
 def _stone_data(m: BVModel) -> tuple:
@@ -357,16 +348,12 @@ def phi_bundle(m: BVModel, f: Formula) -> PhiBundle:
 
 def _phi_bundle(m: BVModel, f: Formula, stone, reps: dict,
                 subspaces: dict) -> PhiBundle:
-    """phi_bundle on shared Stone data.  phi is evaluated once per tuple, and
-    b_phi = [E free. phi] is by definition the join of the tuple values, and
-    G_pt holds a value iff the value has pt's atom bit.  So A_phi = N_{b_phi}
-    at finite scale, dense by construction: some tuple value has each atom
-    bit of b_phi.  The test suite asserts the equality."""
-    free = tuple(sorted(free_vars(f)))
-    if not free:
-        raise ModelError("phi_bundle needs a formula with free variables")
-    bits = {tup: m._evaluator.bits(f, dict(zip(free, tup)))
-            for tup in product(m.domain, repeat=len(free))}
+    """phi_bundle on shared Stone data.  b_phi = [E free. phi] is by
+    definition the join of the tuple values, and G_pt holds a value iff the
+    value has pt's atom bit.  So A_phi = N_{b_phi} at finite scale, dense by
+    construction: some tuple value has each atom bit of b_phi.  The test
+    suite asserts the equality."""
+    free, bits = _tuple_values(m, f)
     b_phi = Elem(m.alg, reduce(or_, bits.values(), 0))
     n_b = frozenset(b_phi.atom_labels())
     stalks, a_phi = {}, set()
@@ -382,6 +369,34 @@ def _phi_bundle(m: BVModel, f: Formula, stone, reps: dict,
         subspaces[n_b] = stone.space.subspace(n_b)
     space = subspaces.get(n_b)
     return PhiBundle(f, free, b_phi, frozenset(a_phi), n_b, stalks, values, space)
+
+
+def _tuple_values(m: BVModel, f: Formula) -> tuple[tuple, dict]:
+    """phi's free variables, sorted, and its value (a bitmask) at each tuple
+    of ids, in product order: phi is evaluated once per tuple."""
+    free = tuple(sorted(free_vars(f)))
+    if not free:
+        raise ModelError("phi_bundle needs a formula with free variables")
+    return free, {tup: m._evaluator.bits(f, dict(zip(free, tup)))
+                  for tup in product(m.domain, repeat=len(free))}
+
+
+def _clause_row(f: Formula, values: dict, n_b: frozenset, space,
+                with_product_clause: bool) -> "FullnessClauses":
+    """phi's fullness clauses, read off its tuple values (tuple -> bitmask),
+    the points n_b of N_{b_phi} and their Stone subspace (None if empty).
+    b_phi is the join of the values, and the stalk over a point of N_{b_phi}
+    is nonempty iff some value has its atom bit: so A_phi = N_{b_phi}, and
+    the product of the stalks, the global sections, is nonempty.  The test
+    suite compares each row with the clauses computed on the bundle."""
+    vals = [values[t] for t in sorted(values)]
+    b = reduce(or_, vals, 0)
+    finite_cover = _smallest_cover(dict(enumerate(vals)), b) is not None
+    a_phi_closed = space is None or space.is_closed(n_b)
+    product_section = (any(not b & ~v for v in vals)
+                       if with_product_clause else None)
+    return FullnessClauses(f, finite_cover, True, a_phi_closed, True,
+                           product_section)
 
 
 def global_sections_of_bundle(pb: PhiBundle) -> list[dict]:
@@ -420,7 +435,9 @@ def fullness_via_sections(m: BVModel, depth: int = 2) -> FullnessSectionsReport:
     """Run the clause comparison over the canonical open-formula pool:
     quantifier-free one-variable formulas, and from depth 2 on also
     two-free-variable atoms and quantified one-variable formulas obtained by
-    re-generalizing a strided sample of the closed pool."""
+    re-generalizing a strided sample of the closed pool.  Each row is read
+    off the formula's tuple values, with no bundle built, and each subspace
+    on N_{b_phi} is built once per model."""
     mixing = has_mixing(m).passed
     pool: list[Formula] = list(open_pool(m.sig, m.domain, "x"))
     if depth >= 2:
@@ -435,8 +452,13 @@ def fullness_via_sections(m: BVModel, depth: int = 2) -> FullnessSectionsReport:
             if "x" in free_vars(g):
                 deep.append(g)
         pool.extend(deep[:10])
-    stone_data = _stone_data(m)
-    clauses = tuple(
-        _phi_bundle(m, f, *stone_data).clauses(mixing) for f in pool
-    )
-    return FullnessSectionsReport(clauses, all(c.agree for c in clauses), mixing)
+    space, subspaces, rows = stone_space(m.alg).space, {}, []
+    for f in pool:
+        values = _tuple_values(m, f)[1]
+        b = reduce(or_, values.values(), 0)
+        if b not in subspaces:
+            n_b = frozenset(Elem(m.alg, b).atom_labels())
+            subspaces[b] = n_b, space.subspace(n_b) if n_b else None
+        rows.append(_clause_row(f, values, *subspaces[b], mixing))
+    return FullnessSectionsReport(tuple(rows), all(c.agree for c in rows),
+                                  mixing)

@@ -238,11 +238,21 @@ def _eval_eq(ev, env, f):
 
 
 def _eval_rel(ev, env, f):
+    args = f.args
     try:
-        return ev.rels[f.sym][tuple([env[t.name] if type(t) is Var
-                                     else ev.consts[t.name] for t in f.args])]
+        if len(args) == 1:  # inline keys: a list comprehension costs a frame
+            a, = args
+            key = env[a.name] if type(a) is Var else ev.consts[a.name],
+        elif len(args) == 2:
+            a, b = args
+            key = (env[a.name] if type(a) is Var else ev.consts[a.name],
+                   env[b.name] if type(b) is Var else ev.consts[b.name])
+        else:
+            key = tuple([env[t.name] if type(t) is Var else ev.consts[t.name]
+                         for t in args])
+        return ev.rels[f.sym][key]
     except KeyError:
-        return ev._lookup(f.sym, f.args, env)
+        return ev._lookup(f.sym, args, env)
 
 
 def _eval_exists(ev, env, f):
@@ -316,6 +326,13 @@ class TarskiModel(Record):
         """The arity of each relation symbol, for satisfies' arity check."""
         return self.sig.rel_arity
 
+    @cached_property
+    def _consts(self) -> dict:
+        """Every name resolve_constant resolves, with its id, for satisfies'
+        atoms; they call resolve_constant, which raises, on a miss."""
+        names = (*self.consts, *(f"c_{d}" for d in (*self.aliases, *self.domain)))
+        return {c: self.resolve_constant(c) for c in names}
+
     def resolve_constant(self, name: str) -> str:
         if name in self.consts:
             return self.consts[name]
@@ -381,23 +398,34 @@ def _sat_term(t, env, x):
 
 
 def _sat_rel(t, env, f):
+    args = f.args
     try:
         held = t.rels[f.sym]
-        key = tuple([_sat_term(t, env, a) for a in f.args])
+        if len(args) == 1:  # inline keys: a list comprehension costs a frame
+            a, = args
+            key = env[a.name] if type(a) is Var else t._consts[a.name],
+        elif len(args) == 2:
+            a, b = args
+            key = (env[a.name] if type(a) is Var else t._consts[a.name],
+                   env[b.name] if type(b) is Var else t._consts[b.name])
+        else:
+            key = tuple([_sat_term(t, env, a) for a in args])
     except KeyError:
-        _sat_fault(t, env, f.sym, f.args)
+        _sat_fault(t, env, f.sym, args)
     if key in held:
         return True
     if len(key) != t._arity.get(f.sym, len(key)):
-        _sat_fault(t, env, f.sym, f.args)
+        _sat_fault(t, env, f.sym, args)
     return False
 
 
 def _sat_eq(t, env, f):
+    lhs, rhs = f.lhs, f.rhs
     try:
-        return _sat_term(t, env, f.lhs) == _sat_term(t, env, f.rhs)
+        return ((env[lhs.name] if type(lhs) is Var else t._consts[lhs.name])
+                == (env[rhs.name] if type(rhs) is Var else t._consts[rhs.name]))
     except KeyError:
-        _sat_fault(t, env, None, (f.lhs, f.rhs))
+        _sat_fault(t, env, None, (lhs, rhs))
 
 
 def _sat_fault(t, env, sym, terms):

@@ -17,8 +17,8 @@ from bvmsheaf.sheaf import (Bundle, NotSeparatedError, Presheaf, alg_poset,
                             sheafify)
 from bvmsheaf.topo import FinTop
 
-from util import (_gamma1_structured, _stone_etale, chain_mixify,
-                  find_model_isomorphism, level_join_R, quotient_L,
+from util import (_gamma1_structured, _stone_etale, bundle_clauses_scan,
+                  chain_mixify, find_model_isomorphism, level_join_R, quotient_L,
                   random_model, random_separated_presheaf, random_subpresheaf,
                   section_sheaf, stalk_at_filter)
 
@@ -346,8 +346,9 @@ def test_fullness_clauses_all_true_on_samples():
         rep = fullness_via_sections(m, 2)
         assert rep.all_agree
         for c in rep.clauses:
-            # the shared per-model data gives what the per-formula path gives
-            assert c == phi_bundle(m, c.formula).clauses(rep.mixing_checked)
+            # the row read off the masks is the clauses computed on the bundle
+            assert c == bundle_clauses_scan(phi_bundle(m, c.formula),
+                                            rep.mixing_checked)
             assert c.finite_cover and c.a_phi_full
             assert c.a_phi_closed and c.has_global_section
             if rep.mixing_checked:

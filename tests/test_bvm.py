@@ -9,7 +9,8 @@ from operator import or_
 import pytest
 
 from bvmsheaf.balg import AlgebraError, Filter, mk_powerset, stone_space
-from bvmsheaf.bridge import _phi_bundle, _stone_data, mixify
+from bvmsheaf.bridge import (_phi_bundle, _stone_data, fullness_via_sections,
+                             mixify)
 from bvmsheaf.bvm import (_EVAL, _SAT, BVModel, BVMorphism, MixingReport,
                           ModelError, TarskiModel, UnknownConstantError,
                           _smallest_cover, check_morphism, closed_pool,
@@ -20,8 +21,8 @@ from bvmsheaf.bvm import (_EVAL, _SAT, BVModel, BVMorphism, MixingReport,
 from bvmsheaf.logic import (And, Const, Eq, Exists, Implies, Not, Or, Rel,
                             Signature, Var, free_vars, parse, substitute)
 
-from util import (elem_validate, find_model_isomorphism, random_model,
-                  recursive_eval_bits, search_mixing)
+from util import (bundle_clauses_scan, elem_validate, find_model_isomorphism,
+                  random_model, recursive_eval_bits, search_mixing)
 
 B2 = mk_powerset(["a1"])
 B4 = mk_powerset(["a1", "a2"])
@@ -133,6 +134,12 @@ def _error_rows(sig):
          "variable 'x' is bound to 'zz'", True),
         (Exists("x", Eq(x, Var("y"))), None, ModelError,
          "free variable 'y'", True),
+        # both walkers build the keys of arity 1 and 2 inline and longer
+        # ones in a loop: a ternary atom, and an unknown symbol at arity 2
+        (Exists("x", Rel("R", (x, Const("c_t"), x))), None, ModelError,
+         "relation 'R' has arity 1, given 3 terms", True),
+        (Rel("Q", (x, Const("c_s"))), {"x": "s"}, ModelError,
+         "unknown relation symbol 'Q'", True),
     ]
 
 
@@ -176,6 +183,68 @@ def test_los_check_catches_a_fault_in_either_walker(monkeypatch):
         assert not report.full and report.los_mismatches
         assert ("F(a1)", parse(m_r().sig, "~R(c_t)")) in report.los_mismatches
     assert is_full(m_r()).full
+
+
+def test_satisfies_resolves_quotient_aliases_as_resolve_constant():
+    """In M/G a non-representative t names its class through c_t; satisfies'
+    constant table resolves c_t, the model constant k and every element
+    constant as resolve_constant does."""
+    m = BVModel.make(B4, ["s", "t", "u"], eq={("s", "t"): B4.atom("a1")},
+                     rels={"R": {("s",): B4.atom("a1"), ("t",): B4.atom("a1"),
+                                 ("u",): B4.atom("a2")}},
+                     consts={"k": "t"})
+    assert validate(m).ok and is_full(m).full
+    x = Var("x")
+    for atom, rep_t in (("a1", "s"), ("a2", "t")):
+        t = tarski_quotient(m, Filter(B4, B4.atom(atom)))
+        assert t.resolve_constant("c_t") == t._consts["c_t"] == rep_t
+        assert t.resolve_constant("k") == t._consts["k"] == rep_t
+        assert satisfies(t, Eq(Const("c_t"), Const("c_s"))) == (atom == "a1")
+        for name in ("k", "c_s", "c_t", "c_u"):
+            assert satisfies(t, Eq(Const(name), x),
+                             {"x": t.resolve_constant(name)})
+        with pytest.raises(UnknownConstantError, match="c_zz"):
+            satisfies(t, Eq(Const("c_zz"), Const("c_s")))
+
+
+def ternary_model() -> BVModel:
+    """Three atoms, domain s, t, u with [s=t] = a1 and [t=u] = a2, a unary R,
+    a ternary T and a constant k.  At each atom a relation holds of a tuple
+    by a predicate of the tuple's classes there, so the model is valid."""
+    alg = mk_powerset(["a1", "a2", "a3"])
+    dom = ("s", "t", "u")
+    rep = ({"s": "s", "t": "s", "u": "u"}, {"s": "s", "t": "t", "u": "t"},
+           {d: d for d in dom})
+    t_holds = (lambda c: len(set(c)) == 2, lambda c: c[0] == "s",
+               lambda c: c in {("s", "t", "u"), ("u", "u", "s")})
+
+    def value(holds, tup):
+        return alg.from_labels(a for i, a in enumerate(alg.atoms)
+                               if holds[i](tuple(rep[i][d] for d in tup)))
+    rels = {"R": {(d,): value([lambda c: c == ("s",)] * 3, (d,)) for d in dom},
+            "T": {tup: value(t_holds, tup)
+                  for tup in product(dom, repeat=3)}}
+    eq = {("s", "t"): alg.atom("a1"), ("t", "u"): alg.atom("a2")}
+    return BVModel.make(alg, dom, eq=eq, rels=rels, consts={"k": "u"})
+
+
+def test_walkers_on_a_ternary_relation():
+    """The arity-3 paths of both walkers: eval_formula against the recursive
+    oracle on the closed pool and on the open pool under every env, and the
+    Los test, which runs satisfies on the same pool."""
+    m = ternary_model()
+    assert validate(m).ok and m.sig.rel_arity == {"R": 1, "T": 3}
+    top = m.alg.top.bits
+    pool = closed_pool(m.sig, m.domain, 2)
+    assert sum("sym='T'" in repr(f) for f in pool) > 100
+    for f in pool:
+        assert eval_formula(m, f).bits == recursive_eval_bits(m, f, {}, top)
+    for f in open_pool(m.sig, m.domain, "x"):
+        for d in m.domain:
+            assert eval_formula(m, f, {"x": d}).bits == \
+                recursive_eval_bits(m, f, {"x": d}, top)
+    rep = is_full(m, 2)
+    assert rep.full and rep.formulas_checked == len(pool)
 
 
 def test_quotient_by_trivial_filter_is_isomorphic_copy():
@@ -577,6 +646,28 @@ def test_phi_bundle_matches_recursive_oracle(oracle_models):
             assert pb.stalks == stalks
             assert pb.a_phi == frozenset(pt for pt in stalks if stalks[pt])
             assert pb.space == space_of.get(n_b)
+
+
+def test_clause_rows_match_the_bundle_scan(oracle_models):
+    """Each clause row fullness_via_sections reads off the bitmasks, field by
+    field, against the clauses computed on the formula's bundle; on the
+    mixifications the product clause is on."""
+    fields = ("formula", "finite_cover", "a_phi_full", "a_phi_closed",
+              "has_global_section", "product_section")
+    rows = 0
+    for m, _ in oracle_models:
+        for model in (m, mixify(m)[0]):
+            rep = fullness_via_sections(model, 2)
+            assert rep.mixing_checked or model is m
+            stone_data = _stone_data(model)
+            for c in rep.clauses:
+                scan = bundle_clauses_scan(
+                    _phi_bundle(model, c.formula, *stone_data),
+                    rep.mixing_checked)
+                assert [getattr(c, k) for k in fields] == \
+                    [getattr(scan, k) for k in fields]
+                rows += 1
+    assert rows > 10000
 
 
 def _broken_copies(m, rng):

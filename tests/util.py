@@ -10,15 +10,17 @@ from random import Random
 
 from bvmsheaf.balg import (AlgebraError, BAHom, BoolAlg, Elem, Filter,
                            stone_space)
-from bvmsheaf.bridge import L, R, StructuredPresheaf, ext_to_stone
+from bvmsheaf.bridge import (FullnessClauses, L, R, StructuredPresheaf,
+                             ext_to_stone)
 from bvmsheaf.bvm import (BVModel, BVMorphism, MixingReport, ModelError,
-                          _class_reps, check_morphism, tarski_quotient)
+                          _class_reps, _smallest_cover, check_morphism,
+                          tarski_quotient)
 from bvmsheaf.logic import (And, Eq, Exists, Forall, Implies, Not, Or, Rel,
                             Signature, Var)
 from bvmsheaf.sheaf import (_MAX_FAILURES, EtaleSpace, Presheaf,
                             PresheafMorphism, SheafError, SheafReport,
-                            _gamma_half, _lambda1, _section_id, alg_poset,
-                            elem_from_label, lift_i_star)
+                            _choices, _gamma_half, _lambda1, _section_id,
+                            alg_poset, elem_from_label, lift_i_star)
 from bvmsheaf.topo import (FinPoset, FinTop, opens_poset, ro_algebra,
                            subset_label)
 
@@ -492,6 +494,28 @@ def random_functorial_presheaf(rng, x: FinTop) -> Presheaf:
                     name[_root(cls, (u, f))]: name[_root(cls, (v, cut(f, v)))]
                     for f in secs[u]}
     return Presheaf.make(opens_poset(x), sections, restrict)
+
+
+# -- the clauses on the bundle, kept as the oracle of the clause rows ----------
+
+def bundle_clauses_scan(pb, with_product_clause: bool) -> FullnessClauses:
+    """The four (five under mixing) fullness clauses of a PhiBundle, each by
+    its own computation on the bundle: a smallest cover of b_phi by the
+    tuple values, A_phi as the points whose class-tuple stalk is nonempty,
+    its closedness in the subspace on N_{b_phi}, the global sections
+    enumerated as choice functions, and a tuple value above b_phi."""
+    finite_cover = _smallest_cover(
+        {t: pb.values[t].bits for t in sorted(pb.values)},
+        pb.b_phi.bits) is not None
+    a_phi = frozenset(pt for pt, stalk in pb.stalks.items() if stalk)
+    a_phi_full = a_phi == pb.n_b_phi
+    a_phi_closed = pb.space is None or pb.space.is_closed(a_phi)
+    product_section = ((not pb.n_b_phi) or any(
+        pb.b_phi <= val for val in pb.values.values())
+        if with_product_clause else None)
+    has_section = bool(_choices(pb.stalks, pb.n_b_phi))
+    return FullnessClauses(pb.formula, finite_cover, a_phi_full,
+                           a_phi_closed, has_section, product_section)
 
 
 # -- the sup-covering scan, kept as the oracle of is_topological_sheaf ---------
