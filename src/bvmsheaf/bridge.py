@@ -9,16 +9,16 @@ from functools import reduce
 from itertools import product
 from operator import or_
 
-from .balg import BAHom, BoolAlg, Elem, Filter, stone_space
-from .bvm import (BVModel, BVMorphism, ModelError, _class_reps, _smallest_cover,
-                  closed_pool, generalize, has_mixing, open_pool)
+from .balg import BAHom, BoolAlg, Elem, stone_space
+from .bvm import (BVModel, BVMorphism, ModelError, _class_reps, closed_pool,
+                  generalize, has_mixing, open_pool)
 from .logic import Eq, Formula, Rel, Signature, Var, free_vars
 from .record import Record, field
 from .sheaf import (NotSeparatedError, Presheaf, PresheafMorphism, SheafError,
                     _choices, _pullback, _restrictions, _section_id,
                     alg_poset, elem_from_label, gamma0, is_separated,
                     is_stonean_sheaf, lambda0)
-from .topo import FinTop, opens_poset, subset_label
+from .topo import opens_poset, subset_label
 
 
 class StructuredPresheaf(Presheaf):
@@ -45,19 +45,18 @@ def _L(m: BVModel) -> StructuredPresheaf:
     """L(m), read off the bits.
 
     tau and sigma are one class of M/F_b iff b <= [tau=sigma], since F_b is
-    the up-set of b; the representative is the least id of the class, as in
-    quotient_model.  A relation instance over representatives is top in
-    M/F_b iff b <= its value, since the projection c |-> c /\\ b sends the
-    value to b exactly then.  m must be a valid model: for q <= p, classes
-    coarsen from p to q as equality is transitive, so sending each
-    representative at p to its representative at q composes, unchecked."""
+    the up-set of b; the representative is the least id of the class, from
+    _class_reps as in every quotient.  A relation instance over
+    representatives is top in M/F_b iff b <= its value, since the projection
+    c |-> c /\\ b sends the value to b exactly then.  m must be a valid
+    model: for q <= p, classes coarsen from p to q as equality is
+    transitive, so sending each representative at p to its representative
+    at q composes, unchecked."""
     poset = alg_poset(m.alg)
-    eq = {pair: v.bits for pair, v in m.eq.items()}
     sections, rel_top, reps_at = {}, {}, {}
     for label in poset.elements:
         bb = elem_from_label(m.alg, label).bits
-        rep = reps_at[label] = {
-            a: min(b for b in m.domain if eq[b, a] & bb == bb) for a in m.domain}
+        rep = reps_at[label] = _class_reps(m, bb)
         sections[label] = tuple(r for r in m.domain if rep[r] == r)
         for sym, table in m.rels.items():
             for tup, val in table.items():
@@ -125,7 +124,7 @@ class AdjunctionWitness(Record, frozen=False):
 
 
 def _unit(m: BVModel, rlm: BVModel) -> BVMorphism:
-    rep1 = _class_reps(m, Filter(m.alg, m.alg.top))
+    rep1 = _class_reps(m, m.alg.top.bits)
     return BVMorphism(m, rlm, BAHom.identity(m.alg), dict(rep1))
 
 
@@ -172,7 +171,7 @@ def adjunction_witness(m: BVModel, f: Presheaf | None = None) -> AdjunctionWitne
                 triangle_l_ok = False
 
     # Id_R at F: R(eps_F) o eta_{R(F)} is the identity on R(F).
-    rep1_rf = _class_reps(rf, Filter(rf.alg, rf.alg.top))
+    rep1_rf = _class_reps(rf, rf.alg.top.bits)
     f_top = f.alg.top.label
     triangle_r_ok = all(
         counit.theta[f_top][rep1_rf[tau]] == tau for tau in rf.domain
@@ -259,11 +258,11 @@ def mixify(m: BVModel) -> tuple[BVModel, BVMorphism]:
     bit (the tuple holds in M/G_a), and sigma-dot is the tuple of sigma's
     classes.  The test suite builds the functor chain itself, as the oracle
     this is compared with."""
-    n, atoms = m.alg.atom_count, m.alg.atom_elems()
+    n = m.alg.atom_count
     points = [subset_label((a,)) for a in m.alg.atoms]
     order = sorted(range(n), key=points.__getitem__)  # atom k of alg is m's order[k]
     alg = BoolAlg(tuple(points[i] for i in order))
-    reps = [_class_reps(m, Filter(m.alg, atoms[i])) for i in order]
+    reps = [_class_reps(m, 1 << i) for i in order]
 
     def section_id(classes) -> str:
         return ";".join(f"{g}={g}:{g}:{r}" for g, r in zip(alg.atoms, classes))
@@ -301,7 +300,6 @@ class PhiBundle(Record, frozen=False):
     n_b_phi: frozenset         # the stone points of N_{b_phi}
     stalks: dict               # stone point -> tuple of class-tuples
     values: dict               # witness tuple -> truth value
-    space: FinTop | None       # the subspace on N_{b_phi}; None when empty
 
     @property
     def total(self) -> list:
@@ -311,19 +309,18 @@ class PhiBundle(Record, frozen=False):
         """The generating basis: for each witness tuple and each nonzero
         c <= b_phi, the tuple's germs over the points of N_c where the
         tuple's truth value lies in the ultrafilter."""
+        reps = [(i, pt, _class_reps(m, 1 << i))
+                for i, pt in enumerate(m.alg.atoms) if self.b_phi.bits >> i & 1]
         out = {}
         for tup in sorted(self.values):
+            v = self.values[tup].bits
             for c in m.alg.elements():
                 if c.is_bottom or not c <= self.b_phi:
                     continue
-                germs = []
-                for pt in sorted(c.atom_labels()):
-                    g = Filter(m.alg, m.alg.atom(pt))
-                    if self.values[tup] in g:
-                        rep_g = _class_reps(m, g)
-                        germs.append((pt, tuple(rep_g[t] for t in tup)))
+                germs = frozenset((pt, tuple(rep[t] for t in tup))
+                                  for i, pt, rep in reps if (c.bits & v) >> i & 1)
                 if germs:
-                    out[tup, c.label] = frozenset(germs)
+                    out[tup, c.label] = germs
         return out
 
     def clauses(self, with_product_clause: bool) -> "FullnessClauses":
@@ -331,44 +328,27 @@ class PhiBundle(Record, frozen=False):
         the tuple values by _clause_row."""
         return _clause_row(self.formula,
                            {t: v.bits for t, v in self.values.items()},
-                           self.n_b_phi, self.space, with_product_clause)
-
-
-def _stone_data(m: BVModel) -> tuple:
-    """The Stone space, the class representatives at each of its points, and
-    an empty memo of its subspaces keyed by point set."""
-    stone = stone_space(m.alg)
-    reps = {pt: _class_reps(m, stone.ultrafilter(pt)) for pt in stone.points}
-    return stone, reps, {}
+                           with_product_clause)
 
 
 def phi_bundle(m: BVModel, f: Formula) -> PhiBundle:
-    return _phi_bundle(m, f, *_stone_data(m))
-
-
-def _phi_bundle(m: BVModel, f: Formula, stone, reps: dict,
-                subspaces: dict) -> PhiBundle:
-    """phi_bundle on shared Stone data.  b_phi = [E free. phi] is by
-    definition the join of the tuple values, and G_pt holds a value iff the
-    value has pt's atom bit.  So A_phi = N_{b_phi} at finite scale, dense by
-    construction: some tuple value has each atom bit of b_phi.  The test
-    suite asserts the equality."""
+    """E^phi, with class representatives at the points of N_{b_phi} only.
+    b_phi = [E free. phi] is by definition the join of the tuple values,
+    and G_pt holds a value iff the value has pt's atom bit.  So A_phi =
+    N_{b_phi} at finite scale, dense by construction: some tuple value has
+    each atom bit of b_phi.  The test suite asserts the equality."""
     free, bits = _tuple_values(m, f)
     b_phi = Elem(m.alg, reduce(or_, bits.values(), 0))
     n_b = frozenset(b_phi.atom_labels())
-    stalks, a_phi = {}, set()
+    stalks = {}
     for pt in sorted(n_b):
         atom = 1 << m.alg.atom_index(pt)
-        classes = sorted({tuple(reps[pt][t] for t in tup)
-                          for tup, val in bits.items() if val & atom})
-        stalks[pt] = tuple(classes)
-        if classes:
-            a_phi.add(pt)
+        rep = _class_reps(m, atom)
+        stalks[pt] = tuple(sorted({tuple(rep[t] for t in tup)
+                                   for tup, val in bits.items() if val & atom}))
+    a_phi = frozenset(pt for pt, stalk in stalks.items() if stalk)
     values = {tup: Elem(m.alg, val) for tup, val in bits.items()}
-    if n_b and n_b not in subspaces:
-        subspaces[n_b] = stone.space.subspace(n_b)
-    space = subspaces.get(n_b)
-    return PhiBundle(f, free, b_phi, frozenset(a_phi), n_b, stalks, values, space)
+    return PhiBundle(f, free, b_phi, a_phi, n_b, stalks, values)
 
 
 def _tuple_values(m: BVModel, f: Formula) -> tuple[tuple, dict]:
@@ -381,22 +361,24 @@ def _tuple_values(m: BVModel, f: Formula) -> tuple[tuple, dict]:
                   for tup in product(m.domain, repeat=len(free))}
 
 
-def _clause_row(f: Formula, values: dict, n_b: frozenset, space,
+def _clause_row(f: Formula, values: dict,
                 with_product_clause: bool) -> "FullnessClauses":
-    """phi's fullness clauses, read off its tuple values (tuple -> bitmask),
-    the points n_b of N_{b_phi} and their Stone subspace (None if empty).
-    b_phi is the join of the values, and the stalk over a point of N_{b_phi}
-    is nonempty iff some value has its atom bit: so A_phi = N_{b_phi}, and
-    the product of the stalks, the global sections, is nonempty.  The test
-    suite compares each row with the clauses computed on the bundle."""
-    vals = [values[t] for t in sorted(values)]
-    b = reduce(or_, vals, 0)
-    finite_cover = _smallest_cover(dict(enumerate(vals)), b) is not None
-    a_phi_closed = space is None or space.is_closed(n_b)
-    product_section = (any(not b & ~v for v in vals)
+    """phi's fullness clauses, read off its tuple values (tuple -> bitmask).
+    Four hold by construction at finite scale:
+    (1) b_phi is by definition the join of finitely many tuple values, so
+        those values cover it;
+    (2) the stalk over a point of N_{b_phi} is nonempty iff some value has
+        the point's atom bit, so A_phi = N_{b_phi};
+    (3) St(B) of a finite algebra is discrete, so A_phi is closed;
+    (4) the stalks are then all nonempty, so their product, the global
+        sections, is nonempty.
+    Only the product clause is computed: some single value equals b_phi.
+    The test suite compares each row with the clauses computed on the
+    bundle."""
+    b = reduce(or_, values.values(), 0)
+    product_section = (any(v == b for v in values.values())
                        if with_product_clause else None)
-    return FullnessClauses(f, finite_cover, True, a_phi_closed, True,
-                           product_section)
+    return FullnessClauses(f, True, True, True, True, product_section)
 
 
 def global_sections_of_bundle(pb: PhiBundle) -> list[dict]:
@@ -407,6 +389,11 @@ def global_sections_of_bundle(pb: PhiBundle) -> list[dict]:
 
 
 class FullnessClauses(Record):
+    """phi's fullness clauses: (1) finitely many tuple values cover b_phi,
+    (2) A_phi = N_{b_phi}, (3) A_phi is closed, (4) E^phi has a global
+    section, and under mixing (5) one tuple value is b_phi.  At finite scale
+    (1)-(4) hold by construction, as _clause_row says; (5) is computed."""
+
     formula: Formula
     finite_cover: bool
     a_phi_full: bool
@@ -436,8 +423,7 @@ def fullness_via_sections(m: BVModel, depth: int = 2) -> FullnessSectionsReport:
     quantifier-free one-variable formulas, and from depth 2 on also
     two-free-variable atoms and quantified one-variable formulas obtained by
     re-generalizing a strided sample of the closed pool.  Each row is read
-    off the formula's tuple values, with no bundle built, and each subspace
-    on N_{b_phi} is built once per model."""
+    off the formula's tuple values by _clause_row, with no bundle built."""
     mixing = has_mixing(m).passed
     pool: list[Formula] = list(open_pool(m.sig, m.domain, "x"))
     if depth >= 2:
@@ -452,13 +438,5 @@ def fullness_via_sections(m: BVModel, depth: int = 2) -> FullnessSectionsReport:
             if "x" in free_vars(g):
                 deep.append(g)
         pool.extend(deep[:10])
-    space, subspaces, rows = stone_space(m.alg).space, {}, []
-    for f in pool:
-        values = _tuple_values(m, f)[1]
-        b = reduce(or_, values.values(), 0)
-        if b not in subspaces:
-            n_b = frozenset(Elem(m.alg, b).atom_labels())
-            subspaces[b] = n_b, space.subspace(n_b) if n_b else None
-        rows.append(_clause_row(f, values, *subspaces[b], mixing))
-    return FullnessSectionsReport(tuple(rows), all(c.agree for c in rows),
-                                  mixing)
+    rows = tuple(_clause_row(f, _tuple_values(m, f)[1], mixing) for f in pool)
+    return FullnessSectionsReport(rows, all(c.agree for c in rows), mixing)

@@ -33,8 +33,9 @@ class BVModel(Record, frozen=False):
     """A B-valued interpretation: domain, equality table, relation tables,
     constant assignments.  Immutable by convention; operations are pure.
     The evaluator kept on the model reads the tables at the model's first
-    evaluation, and bridge.L(m) is kept on the model from its first call
-    the same way, so the tables may be changed only before either."""
+    evaluation, L, mixing check or quotient, all of which read its int
+    tables, and bridge.L(m) is kept on the model from its first call; so
+    the tables may be changed only before the first of these."""
 
     alg: BoolAlg
     sig: Signature
@@ -289,7 +290,7 @@ def quotient_model(m: BVModel, f: Filter) -> BVModel:
     (sigma ~ tau iff [sigma=tau] in F) represented by their least id, and all
     truth values are pushed through the projection b |-> b /\\ gen."""
     qalg, proj = quotient(m.alg, f)
-    rep = _class_reps(m, f)
+    rep = _class_reps(m, f.gen.bits)
     reps = tuple(r for r in m.domain if rep[r] == r)
     eq = {(a, b): proj(m.eq[a, b]) for a in reps for b in reps}
     rels = {
@@ -301,13 +302,12 @@ def quotient_model(m: BVModel, f: Filter) -> BVModel:
     return BVModel(qalg, m.sig, reps, eq, rels, consts)
 
 
-def _class_reps(m: BVModel, f: Filter) -> dict:
-    """Class representative for each element: the least id in its class."""
-    g = f.gen.bits
-    return {
-        a: min(b for b in m.domain if m.eq[b, a].bits & g == g)
-        for a in m.domain
-    }
+def _class_reps(m: BVModel, g: int) -> dict:
+    """The least id of each element's class in M/F, for F the filter above
+    the mask g: a and b are one class iff g <= [a=b].  Every quotient reads
+    its classes here, off the evaluator's int equality table."""
+    eq, dom = m._evaluator.eq, m.domain
+    return {a: min(b for b in dom if eq[b, a] & g == g) for a in dom}
 
 
 class TarskiModel(Record):
@@ -348,9 +348,11 @@ class TarskiModel(Record):
 def tarski_quotient(m: BVModel, g: Filter) -> TarskiModel:
     """M/G for an ultrafilter G, as a Tarski structure.  This is the
     independent oracle used by the Los checks."""
+    if g.alg != m.alg:
+        raise AlgebraError("filter lives on a different algebra")
     if not g.is_ultrafilter:
         raise ModelError("tarski_quotient needs an ultrafilter")
-    rep = _class_reps(m, g)
+    rep = _class_reps(m, g.gen.bits)
     reps = tuple(r for r in m.domain if rep[r] == r)
     rels = {
         sym: frozenset(
@@ -640,14 +642,13 @@ def has_mixing(m: BVModel, max_antichain: int | None = None) -> MixingReport:
         raise AlgebraError("antichain size cap must be at least 1")
     n, dom = m.alg.atom_count, m.domain
     cap = n if max_antichain is None else min(max_antichain, n)
-    eq = {pair: v.bits for pair, v in m.eq.items()}
-    image = {tuple(min(b for b in dom if eq[b, d] >> i & 1) for i in range(n))
-             for d in dom}
+    reps = [_class_reps(m, 1 << i) for i in range(n)]
+    image = {tuple(rep[d] for rep in reps) for d in dom}
     onto = len(image) == prod(len({r[i] for r in image}) for i in range(n))
     if onto or cap < 2:
         return MixingReport(True, None, sum(
             _stirling2(n + 1, j + 1) for j in range(1, cap + 1)))
-    checked = 2 ** n - 1
+    eq, checked = m._evaluator.eq, 2 ** n - 1
     for a, b in combinations(range(1, 2 ** n), 2):
         if a & b:
             continue

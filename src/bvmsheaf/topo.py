@@ -242,16 +242,6 @@ class FinPoset(Record):
     def refinements(self, a: str, b: str) -> list[str]:
         return self._labels(self._mask.get(a, 0) & self._mask.get(b, 0))
 
-    def downsets(self) -> list[frozenset]:
-        """All down-closed subsets (the opens of the downward topology)."""
-        out = []
-        elems = list(self.elements)
-        for mask in range(2 ** len(elems)):
-            sub = frozenset(e for i, e in enumerate(elems) if mask >> i & 1)
-            if all(self.down(a) <= sub for a in sub):
-                out.append(sub)
-        return out
-
     def __repr__(self):
         return f"FinPoset({list(self.elements)})"
 
@@ -283,8 +273,12 @@ def opens_poset(x: FinTop) -> FinPoset:
 
 
 def down_topology(p: FinPoset) -> FinTop:
-    """The downward topology: opens are exactly the down-sets."""
-    return FinTop(p.elements, frozenset(p.downsets()))
+    """The downward topology: opens are exactly the down-sets, the unions
+    of the principal down sets, built as in FinTop's Alexandrov check."""
+    unions = {0}
+    for m in p._mask.values():
+        unions |= {s | m for s in unions}
+    return FinTop(p.elements, frozenset(frozenset(p._labels(u)) for u in unions))
 
 
 class RoAlgebra:
@@ -304,40 +298,34 @@ class RoAlgebra:
                  if not any(v < u for v in ros)]
         self.atom_subsets = {subset_label(u): u for u in atoms}
         self.alg = BoolAlg(tuple(sorted(self.atom_subsets)))
+        # the point mask of each atom, in the algebra's bit order
+        self._atoms = [space._check_subset(self.atom_subsets[a])
+                       for a in self.alg.atoms]
 
-    def _atom_masks(self) -> list[int]:
-        """Point mask of each atom, in the algebra's bit order."""
-        return [self.space._check_subset(self.atom_subsets[a]) for a in self.alg.atoms]
-
-    def _join_mask(self, bits: int, atoms: list[int]) -> int:
-        """Point mask of Reg of the union of the atoms in bits."""
-        union = 0
-        for i, a in enumerate(atoms):
-            if bits >> i & 1:
-                union |= a
-        return self.space._reg(union)
-
-    @staticmethod
-    def _elem_bits(m: int, atoms: list[int]) -> int:
+    def _elem_bits(self, m: int) -> int:
         """Element bits of the atoms inside the point mask m."""
-        return sum(1 << i for i, a in enumerate(atoms) if a & m == a)
+        return sum(1 << i for i, a in enumerate(self._atoms) if a & m == a)
 
     def to_subset(self, e: Elem) -> frozenset:
         """The regular open realized by e: Reg of the union of its atoms."""
         if e.alg != self.alg:
             raise AlgebraError("element of a different algebra")
-        return self.space._set(self._join_mask(e.bits, self._atom_masks()))
+        union = 0
+        for i, a in enumerate(self._atoms):
+            if e.bits >> i & 1:
+                union |= a
+        return self.space._set(self.space._reg(union))
 
     def from_subset(self, u) -> Elem:
         u = frozenset(u)
         if not self.space.is_regular_open(u) and u:
             raise TopologyError(f"{subset_label(u)} is not regular open")
-        return Elem(self.alg, self._elem_bits(self.space._check_subset(u), self._atom_masks()))
+        return Elem(self.alg, self._elem_bits(self.space._check_subset(u)))
 
     def reg_embed(self, u) -> Elem:
         """U |-> Reg(U) as an element, for arbitrary open U."""
         m = self.space._reg(self.space._check_subset(u))
-        return Elem(self.alg, self._elem_bits(m, self._atom_masks()))
+        return Elem(self.alg, self._elem_bits(m))
 
 
 def ro_algebra(x: FinTop) -> RoAlgebra:

@@ -17,8 +17,8 @@ from bvmsheaf.sheaf import (Bundle, NotSeparatedError, Presheaf, alg_poset,
                             sheafify)
 from bvmsheaf.topo import FinTop
 
-from util import (_gamma1_structured, _stone_etale, bundle_clauses_scan,
-                  chain_mixify, find_model_isomorphism, level_join_R, quotient_L,
+from util import (_gamma1_structured, _stone_etale, basic_opens_scan,
+                  bundle_clauses_scan, chain_mixify, find_model_isomorphism, level_join_R, quotient_L,
                   random_model, random_separated_presheaf, random_subpresheaf,
                   section_sheaf, stalk_at_filter)
 
@@ -317,7 +317,6 @@ def test_phi_bundle_empty_when_value_zero():
     pb = phi_bundle(m, parse(m.sig, "~(x = x)"))
     assert pb.b_phi.is_bottom
     assert pb.n_b_phi == frozenset() and pb.a_phi == frozenset()
-    assert pb.space is None
     clauses = pb.clauses(True)
     assert clauses.agree
 
@@ -356,7 +355,7 @@ def test_fullness_clauses_all_true_on_samples():
 
 
 def test_a_phi_is_n_b_phi_on_the_fullness_sample():
-    """A_phi = N_{b_phi} by construction, which _phi_bundle leaves
+    """A_phi = N_{b_phi} by construction, which phi_bundle leaves
     unchecked, on every formula of the fullness sample."""
     rng = random.Random(59)
     bundles = 0
@@ -407,6 +406,21 @@ def test_phi_bundle_basic_opens_cover_total():
         pts = [pt for pt, _ in germs]
         assert len(pts) == len(set(pts))
         assert set(pts) <= set(pb.n_b_phi)
+
+
+def test_basic_opens_match_the_filter_scan():
+    """basic_opens, with the classes at the points of N_{b_phi} built once,
+    against the scan building an ultrafilter and its classes for every
+    (tuple, c, point), on every formula of the fullness sample."""
+    rng = random.Random(59)
+    bundles = 0
+    for _ in range(12):
+        m = random_model(rng)
+        for c in fullness_via_sections(m, 2).clauses:
+            pb = phi_bundle(m, c.formula)
+            assert pb.basic_opens(m) == basic_opens_scan(pb, m)
+            bundles += 1
+    assert bundles > 100
 
 
 def test_l_stalk_bijection_respects_equality():

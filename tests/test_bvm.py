@@ -8,9 +8,8 @@ from operator import or_
 
 import pytest
 
-from bvmsheaf.balg import AlgebraError, Filter, mk_powerset, stone_space
-from bvmsheaf.bridge import (_phi_bundle, _stone_data, fullness_via_sections,
-                             mixify)
+from bvmsheaf.balg import AlgebraError, Filter, mk_powerset
+from bvmsheaf.bridge import fullness_via_sections, mixify, phi_bundle
 from bvmsheaf.bvm import (_EVAL, _SAT, BVModel, BVMorphism, MixingReport,
                           ModelError, TarskiModel, UnknownConstantError,
                           _smallest_cover, check_morphism, closed_pool,
@@ -148,6 +147,20 @@ def test_eval_errors_under_quantifiers():
     for f, env, error, message, _ in _error_rows(m.sig):
         with pytest.raises(error, match=message):
             eval_formula(m, f, env)
+
+
+@pytest.mark.parametrize("arities", [{}, {"R": 1}],
+                         ids=["no-relations", "unary"])
+@pytest.mark.parametrize("quotient", [quotient_model, tarski_quotient])
+def test_quotients_reject_a_filter_on_another_algebra(quotient, arities):
+    """The class kernel reads only the filter's mask, so each quotient checks
+    the filter's algebra itself; with no relation symbol nothing else
+    would."""
+    m = BVModel.make(B4, ("s", "t"), eq={("s", "t"): B4.atom("a1")},
+                     sig=Signature.make(arities, ()))
+    other = mk_powerset(["b1"])
+    with pytest.raises(AlgebraError, match="filter lives on a different algebra"):
+        quotient(m, Filter(other, other.atom("b1")))
 
 
 def test_satisfies_raises_the_evaluators_errors():
@@ -611,13 +624,9 @@ def _bundle_pool(m):
 
 def test_phi_bundle_matches_recursive_oracle(oracle_models):
     """Every PhiBundle field, from b_phi (the oracle's value of the
-    existential closure) and the oracle's tuple values.  The Stone data is
-    shared across a model's formulas, as fullness_via_sections shares it;
-    phi_bundle builds the same data per call."""
+    existential closure) and the oracle's tuple values."""
     for m, _ in oracle_models:
         top = m.alg.top.bits
-        stone_data = _stone_data(m)
-        space_of = {}
         reps = {pt: {a: min(b for b in m.domain if m.eq[b, a].bits >> i & 1)
                      for a in m.domain}
                 for i, pt in enumerate(m.alg.atoms)}
@@ -635,9 +644,7 @@ def test_phi_bundle_matches_recursive_oracle(oracle_models):
                                   if val >> i & 1}))
                 for i, pt in enumerate(m.alg.atoms) if b_phi >> i & 1}
             n_b = frozenset(stalks)
-            if n_b and n_b not in space_of:
-                space_of[n_b] = stone_space(m.alg).space.subspace(n_b)
-            pb = _phi_bundle(m, f, *stone_data)
+            pb = phi_bundle(m, f)
             assert (pb.formula, pb.free) == (f, free)
             assert pb.b_phi.bits == b_phi
             assert [(t, v.bits) for t, v in pb.values.items()] == \
@@ -645,7 +652,6 @@ def test_phi_bundle_matches_recursive_oracle(oracle_models):
             assert pb.n_b_phi == n_b
             assert pb.stalks == stalks
             assert pb.a_phi == frozenset(pt for pt in stalks if stalks[pt])
-            assert pb.space == space_of.get(n_b)
 
 
 def test_clause_rows_match_the_bundle_scan(oracle_models):
@@ -659,11 +665,9 @@ def test_clause_rows_match_the_bundle_scan(oracle_models):
         for model in (m, mixify(m)[0]):
             rep = fullness_via_sections(model, 2)
             assert rep.mixing_checked or model is m
-            stone_data = _stone_data(model)
             for c in rep.clauses:
-                scan = bundle_clauses_scan(
-                    _phi_bundle(model, c.formula, *stone_data),
-                    rep.mixing_checked)
+                scan = bundle_clauses_scan(phi_bundle(model, c.formula),
+                                           rep.mixing_checked)
                 assert [getattr(c, k) for k in fields] == \
                     [getattr(scan, k) for k in fields]
                 rows += 1

@@ -13,8 +13,7 @@ from bvmsheaf.balg import (AlgebraError, BAHom, BoolAlg, Elem, Filter,
 from bvmsheaf.bridge import (FullnessClauses, L, R, StructuredPresheaf,
                              ext_to_stone)
 from bvmsheaf.bvm import (BVModel, BVMorphism, MixingReport, ModelError,
-                          _class_reps, _smallest_cover, check_morphism,
-                          tarski_quotient)
+                          _smallest_cover, check_morphism, tarski_quotient)
 from bvmsheaf.logic import (And, Eq, Exists, Forall, Implies, Not, Or, Rel,
                             Signature, Var)
 from bvmsheaf.sheaf import (_MAX_FAILURES, EtaleSpace, Presheaf,
@@ -153,6 +152,17 @@ def all_posets(labels) -> list:
             out.append(FinPoset(labels, frozenset(
                 (labels[a], labels[b]) for a, b in rel)))
     return out
+
+
+def downset_scan(po: FinPoset) -> frozenset:
+    """Every down-closed subset, found by scanning all 2^|P| subsets with le:
+    the opens down_topology builds from the principal down sets."""
+    out = set()
+    for mask in range(1 << len(po.elements)):
+        sub = frozenset(e for i, e in enumerate(po.elements) if mask >> i & 1)
+        if all(b in sub for a in sub for b in po.elements if po.le(b, a)):
+            out.add(sub)
+    return frozenset(out)
 
 
 def is_predense_below(po: FinPoset, family, p: str) -> bool:
@@ -308,25 +318,30 @@ def random_separated_presheaf(rng, max_atoms: int = 3, max_stalk: int = 3):
     return random_subpresheaf(rng, L(m)), m
 
 
+def filter_reps(m: BVModel, filt: Filter) -> dict:
+    """The least id of each element's class in M/F, by Filter membership on
+    the Elem equality table: sharing no code with bvm's _class_reps."""
+    return {a: min(b for b in m.domain if filt.gen <= m.eq[b, a])
+            for a in m.domain}
+
+
 def quotient_L(m):
-    """L(M) built level by level from the quotient models M/F_b, each over
-    its own quotient algebra: the construction L replaced by the equality
-    bits, kept as its oracle."""
-    from bvmsheaf.balg import Filter
-    from bvmsheaf.bridge import StructuredPresheaf
-    from bvmsheaf.bvm import _class_reps, quotient_model
-    from bvmsheaf.sheaf import alg_poset, elem_from_label
+    """L(M) built level by level by Filter membership on the Elem tables:
+    the classes of M/F_b by filter_reps, and a relation instance over
+    representatives top in M/F_b iff its value is in F_b.  The construction
+    L replaced by the equality bits, kept as its oracle; it calls neither
+    _class_reps nor quotient_model."""
     poset = alg_poset(m.alg)
     sections, restrict, rel_top = {}, {}, {}
     reps_at = {}
     for label in poset.elements:
         filt = Filter(m.alg, elem_from_label(m.alg, label))
-        reps_at[label] = _class_reps(m, filt)
-        qm = quotient_model(m, filt)
-        sections[label] = qm.domain
-        for sym, table in qm.rels.items():
+        rep = reps_at[label] = filter_reps(m, filt)
+        sections[label] = tuple(r for r in m.domain if rep[r] == r)
+        for sym, table in m.rels.items():
             for tup, val in table.items():
-                rel_top[label, sym, tup] = val.is_top
+                if all(rep[t] == t for t in tup):
+                    rel_top[label, sym, tup] = val in filt
     for la in poset.elements:
         for lb in poset.elements:
             if poset.le(la, lb) and la != lb:
@@ -394,11 +409,11 @@ def _stone_etale(m: BVModel):
     for g_label, stone_pt in point_of.items():
         filt = stone.ultrafilter(stone_pt)
         tarski[g_label] = tarski_quotient(m, filt)
-        rep_g = _class_reps(m, filt)
+        rep_g = filter_reps(m, filt)
         for sigma in lm.sections[m.alg.top.label]:
             germ = germ_of[top_stone, sigma, g_label]
             germ_class[germ] = rep_g[sigma]
-    rep1 = _class_reps(m, Filter(m.alg, m.alg.top))
+    rep1 = filter_reps(m, Filter(m.alg, m.alg.top))
     pts = sorted(base.points)
     phi = {sigma: _section_id({g: germ_of[top_stone, rep1[sigma], g]
                                for g in pts})
@@ -502,20 +517,43 @@ def bundle_clauses_scan(pb, with_product_clause: bool) -> FullnessClauses:
     """The four (five under mixing) fullness clauses of a PhiBundle, each by
     its own computation on the bundle: a smallest cover of b_phi by the
     tuple values, A_phi as the points whose class-tuple stalk is nonempty,
-    its closedness in the subspace on N_{b_phi}, the global sections
-    enumerated as choice functions, and a tuple value above b_phi."""
+    its closedness in the Stone subspace on N_{b_phi}, built here, the
+    global sections enumerated as choice functions, and a tuple value above
+    b_phi."""
     finite_cover = _smallest_cover(
         {t: pb.values[t].bits for t in sorted(pb.values)},
         pb.b_phi.bits) is not None
     a_phi = frozenset(pt for pt, stalk in pb.stalks.items() if stalk)
     a_phi_full = a_phi == pb.n_b_phi
-    a_phi_closed = pb.space is None or pb.space.is_closed(a_phi)
+    space = (stone_space(pb.b_phi.alg).space.subspace(pb.n_b_phi)
+             if pb.n_b_phi else None)
+    a_phi_closed = space is None or space.is_closed(a_phi)
     product_section = ((not pb.n_b_phi) or any(
         pb.b_phi <= val for val in pb.values.values())
         if with_product_clause else None)
     has_section = bool(_choices(pb.stalks, pb.n_b_phi))
     return FullnessClauses(pb.formula, finite_cover, a_phi_full,
                            a_phi_closed, has_section, product_section)
+
+
+def basic_opens_scan(pb, m: BVModel) -> dict:
+    """PhiBundle.basic_opens with an ultrafilter and its classes built for
+    every (tuple, c, point): membership of the tuple's value in G_pt on the
+    Elem, classes by filter_reps."""
+    out = {}
+    for tup in sorted(pb.values):
+        for c in m.alg.elements():
+            if c.is_bottom or not c <= pb.b_phi:
+                continue
+            germs = []
+            for pt in sorted(c.atom_labels()):
+                g = Filter(m.alg, m.alg.atom(pt))
+                if pb.values[tup] in g:
+                    rep_g = filter_reps(m, g)
+                    germs.append((pt, tuple(rep_g[t] for t in tup)))
+            if germs:
+                out[tup, c.label] = frozenset(germs)
+    return out
 
 
 # -- the sup-covering scan, kept as the oracle of is_topological_sheaf ---------
