@@ -10,8 +10,8 @@ from itertools import product
 from operator import or_
 
 from .balg import BAHom, BoolAlg, Elem, stone_space
-from .bvm import (BVModel, BVMorphism, ModelError, _class_reps, closed_pool,
-                  generalize, has_mixing, open_pool)
+from .bvm import (_EVAL, BVModel, BVMorphism, ModelError, _class_reps,
+                  closed_pool, generalize, has_mixing, open_pool)
 from .logic import Eq, Formula, Rel, Signature, Var, free_vars
 from .record import Record, field
 from .sheaf import (NotSeparatedError, Presheaf, PresheafMorphism, SheafError,
@@ -353,12 +353,16 @@ def phi_bundle(m: BVModel, f: Formula) -> PhiBundle:
 
 def _tuple_values(m: BVModel, f: Formula) -> tuple[tuple, dict]:
     """phi's free variables, sorted, and its value (a bitmask) at each tuple
-    of ids, in product order: phi is evaluated once per tuple."""
+    of ids, in product order: phi is evaluated once per tuple, under one env
+    that each tuple rebinds."""
     free = tuple(sorted(free_vars(f)))
     if not free:
         raise ModelError("phi_bundle needs a formula with free variables")
-    return free, {tup: m._evaluator.bits(f, dict(zip(free, tup)))
-                  for tup in product(m.domain, repeat=len(free))}
+    ev, run, env, values = m._evaluator, _EVAL[type(f)], {}, {}
+    for tup in product(m.domain, repeat=len(free)):
+        env.update(zip(free, tup))
+        values[tup] = run(ev, env, f)
+    return free, values
 
 
 def _clause_row(f: Formula, values: dict,

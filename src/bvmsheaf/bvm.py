@@ -453,6 +453,24 @@ def _sat_fault(t, env, sym, terms):
                      f"given {len(key)} terms")
 
 
+def _sat_exists(t, env, f):
+    inner, run, body = dict(env), _SAT[type(f.body)], f.body
+    for d in t.domain:
+        inner[f.var] = d
+        if run(t, inner, body):
+            return True
+    return False
+
+
+def _sat_forall(t, env, f):
+    inner, run, body = dict(env), _SAT[type(f.body)], f.body
+    for d in t.domain:
+        inner[f.var] = d
+        if not run(t, inner, body):
+            return False
+    return True
+
+
 _SAT = _SatRunners({
     Rel: _sat_rel, Eq: _sat_eq,
     Not: lambda t, env, f: not _SAT[type(f.body)](t, env, f.body),
@@ -462,10 +480,7 @@ _SAT = _SatRunners({
                            or _SAT[type(f.rhs)](t, env, f.rhs)),
     Implies: lambda t, env, f: (not _SAT[type(f.lhs)](t, env, f.lhs)
                                 or _SAT[type(f.rhs)](t, env, f.rhs)),
-    Exists: lambda t, env, f: any(_SAT[type(f.body)](t, {**env, f.var: d}, f.body)
-                                  for d in t.domain),
-    Forall: lambda t, env, f: all(_SAT[type(f.body)](t, {**env, f.var: d}, f.body)
-                                  for d in t.domain),
+    Exists: _sat_exists, Forall: _sat_forall,
 })
 
 
@@ -548,11 +563,14 @@ def _closed_pool(sig: Signature, elements: tuple, depth: int,
                 if g != f:
                     nested.append(Exists(var, g))
         level.extend(dict.fromkeys(nested))
-        level.append(Exists(var, Eq(Var(var), Var(var))))
-        level.append(Forall(var, Eq(Var(var), Var(var))))
+        every = Forall(var, Eq(Var(var), Var(var)))
         pool.extend(level)
+        pool.append(every)
+        # E x. x = x is already in the level, from the open pool's atom
+        # x = x; the repeat stays in the level only for the next _spread
+        level.extend((Exists(var, Eq(Var(var), Var(var))), every))
         prev_quantified = level
-    return tuple(dict.fromkeys(pool))
+    return tuple(pool)
 
 
 # -- fullness (Los) and mixing ----------------------------------------------
@@ -582,25 +600,31 @@ def is_full(m: BVModel, depth: int = 2, formulas=None) -> FullnessReport:
     the instance.  An E-rooted formula's body is evaluated once at each d:
     the join is its value, and the cover is read off the same values.  Every
     existential is a finite join, so (b) always finds a cover and
-    procedures_agree reduces to full; (a) tests the evaluator.
+    procedures_agree reduces to full; (a) tests the evaluator.  Both loops
+    run the walkers' runner tables directly, each body under one env that
+    rebinds the quantified variable; with an empty env, satisfies would add
+    nothing to its runner.
     """
     pool = formulas if formulas is not None else closed_pool(
         m.sig, m.domain, depth)
-    values, covers = [], []
+    ev, values, covers = m._evaluator, [], []
     for f in pool:
         if isinstance(f, Exists):
-            body = {d: m._evaluator.bits(f.body, {f.var: d}) for d in m.domain}
+            env, run, body = {}, _EVAL[type(f.body)], {}
+            for d in m.domain:
+                env[f.var] = d
+                body[d] = run(ev, env, f.body)
             value = reduce(or_, body.values(), 0)
             covers.append((f, _smallest_cover(body, value)))
         else:
-            value = m._evaluator.bits(f, {})
+            value = _EVAL[type(f)](ev, {}, f)
         values.append((f, value))
     mismatches = []
     for g_atom in m.alg.atom_elems():
-        g = Filter(m.alg, g_atom)
+        g, bit = Filter(m.alg, g_atom), g_atom.bits
         t = tarski_quotient(m, g)
         for f, value in values:
-            if satisfies(t, f) != bool(value & g_atom.bits):
+            if _SAT[type(f)](t, {}, f) != bool(value & bit):
                 mismatches.append((g.label, f))
     covers_ok = all(cover is not None for _, cover in covers)
     full = not mismatches

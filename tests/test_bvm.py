@@ -4,7 +4,7 @@ products, morphisms."""
 import random
 from functools import reduce
 from itertools import product
-from operator import or_
+from operator import and_, or_
 
 import pytest
 
@@ -17,11 +17,12 @@ from bvmsheaf.bvm import (_EVAL, _SAT, BVModel, BVMorphism, MixingReport,
                           is_full, open_pool, product_model, quotient_model,
                           satisfies, standard_validities,
                           tarski_quotient, ultraproduct, validate)
-from bvmsheaf.logic import (And, Const, Eq, Exists, Implies, Not, Or, Rel,
-                            Signature, Var, free_vars, parse, substitute)
+from bvmsheaf.logic import (And, Const, Eq, Exists, Forall, Implies, Not, Or,
+                            Rel, Signature, Var, free_vars, parse, substitute)
 
-from util import (bundle_clauses_scan, elem_validate, find_model_isomorphism,
-                  random_model, recursive_eval_bits, search_mixing)
+from util import (bundle_clauses_scan, closed_pool_dedupe, elem_validate,
+                  find_model_isomorphism, random_model, recursive_eval_bits,
+                  search_mixing)
 
 B2 = mk_powerset(["a1"])
 B4 = mk_powerset(["a1", "a2"])
@@ -179,8 +180,14 @@ def test_satisfies_raises_the_evaluators_errors():
 def test_los_check_catches_a_fault_in_either_walker(monkeypatch):
     """The evaluator and satisfies dispatch through separate runner tables,
     so breaking one runner of either side alone makes is_full report
-    mismatches on a model that passes."""
-    assert is_full(m_r()).full
+    mismatches on a model that passes: the connective Not, and each
+    quantifier skipping the last domain element.  The closed pool holds no
+    universal with a body that can fail, so the formulas checked add the
+    universal closures of the open pool."""
+    m = m_r()
+    pool = closed_pool(m.sig, m.domain, 2)
+    pool += [Forall("x", f) for f in open_pool(m.sig, m.domain, "x")]
+    assert is_full(m, formulas=pool).full
 
     def eval_not_drops_a1(ev, env, f):
         return ev.top & ~ev.bits(f.body, env) & ~1
@@ -188,14 +195,36 @@ def test_los_check_catches_a_fault_in_either_walker(monkeypatch):
     def sat_not_ignored(t, env, f):
         return _SAT[type(f.body)](t, env, f.body)
 
-    for table, runner in ((_EVAL, eval_not_drops_a1),
-                          (_SAT, sat_not_ignored)):
+    def eval_skips_last(join, start):
+        def run(ev, env, f):
+            inner, out = dict(env), ev.top if start else 0
+            for d in ev.domain[:-1]:
+                inner[f.var] = d
+                out = join(out, ev.bits(f.body, inner))
+            return out
+        return run
+
+    def sat_skips_last(decide):
+        return lambda t, env, f: decide(
+            _SAT[type(f.body)](t, {**env, f.var: d}, f.body)
+            for d in t.domain[:-1])
+
+    # is_full evaluates an E-rooted formula's body itself, so the evaluator's
+    # Exists runner is caught on the nested existentials of depth 2
+    for table, kind, runner, caught in (
+            (_EVAL, Not, eval_not_drops_a1, "~R(c_t)"),
+            (_SAT, Not, sat_not_ignored, "~R(c_t)"),
+            (_SAT, Exists, sat_skips_last(any), "E x1. c_t = x1"),
+            (_EVAL, Exists, eval_skips_last(or_, False),
+             "E x2. E x1. (x2 = x1 & c_t = x1)"),
+            (_SAT, Forall, sat_skips_last(all), "A x. R(x)"),
+            (_EVAL, Forall, eval_skips_last(and_, True), "A x. R(x)")):
         with monkeypatch.context() as patch:
-            patch.setitem(table, Not, runner)
-            report = is_full(m_r())
+            patch.setitem(table, kind, runner)
+            report = is_full(m, formulas=pool)
         assert not report.full and report.los_mismatches
-        assert ("F(a1)", parse(m_r().sig, "~R(c_t)")) in report.los_mismatches
-    assert is_full(m_r()).full
+        assert ("F(a1)", parse(m.sig, caught)) in report.los_mismatches
+    assert is_full(m, formulas=pool).full
 
 
 def test_satisfies_resolves_quotient_aliases_as_resolve_constant():
@@ -258,6 +287,31 @@ def test_walkers_on_a_ternary_relation():
                 recursive_eval_bits(m, f, {"x": d}, top)
     rep = is_full(m, 2)
     assert rep.full and rep.formulas_checked == len(pool)
+
+
+def test_no_runner_writes_into_its_env():
+    """is_full and the clause rows hand the runners one env that they rebind
+    per value, so no runner of either walker may write into the env it is
+    given.  Every runner runs on the closed and open pools and the validity
+    list (which binds x and holds Or and Implies) of M_R and the ternary
+    model, under {} and under {"x": d}; satisfies on each Tarski quotient."""
+    kinds = set()
+    for m in (m_r(), ternary_model()):
+        closed = closed_pool(m.sig, m.domain, 2) + standard_validities(m)
+        opened = open_pool(m.sig, m.domain, "x")
+        walkers = [(_EVAL, m._evaluator, m.domain)]
+        for atom in m.alg.atom_elems():
+            t = tarski_quotient(m, Filter(m.alg, atom))
+            walkers.append((_SAT, t, t.domain))
+        for table, walker, ids in walkers:
+            runs = [({}, closed)] + [({"x": d}, closed + opened) for d in ids]
+            for env, pool in runs:
+                for f in pool:
+                    kinds.add(type(f))
+                    before = dict(env)
+                    table[type(f)](walker, env, f)
+                    assert env == before, (table is _SAT, f)
+    assert kinds == set(_EVAL) == set(_SAT)
 
 
 def test_quotient_by_trivial_filter_is_isomorphic_copy():
@@ -494,14 +548,18 @@ def test_pool_cache_hands_out_fresh_lists():
 
 
 def test_cached_pools_equal_the_uncached_builders():
+    """The cached pools against the uncached builders, and the closed pool,
+    built with no final dedupe, against the builder that dedupes."""
     from bvmsheaf.bvm import _closed_pool, _open_pool
     rng = random.Random(9)
     for _ in range(12):
         m = random_model(rng)
         ids = tuple(m.domain)
-        for depth in (1, 2):
-            assert closed_pool(m.sig, m.domain, depth) == \
+        for depth in (0, 1, 2, 3):
+            pool = closed_pool(m.sig, m.domain, depth)
+            assert pool == \
                 list(_closed_pool.__wrapped__(m.sig, ids, depth, 48, 20))
+            assert pool == closed_pool_dedupe(m.sig, m.domain, depth)
         assert open_pool(m.sig, m.domain, "x") == \
             list(_open_pool.__wrapped__(m.sig, ids, "x", 20))
 
@@ -576,8 +634,9 @@ def oracle_models():
 
 
 def test_eval_formula_matches_recursive_oracle(oracle_models):
-    """The closed pool, the open pool under every env, and the validity list
-    (the pools hold no Or or Implies)."""
+    """The closed pool, the open pool under every env, the validity list
+    (the pools hold no Or or Implies), and A x. E x. P(x..), whose inner
+    quantifier rebinds the variable the outer one bound."""
     for m, oracle in oracle_models:
         for f, value, _ in oracle:
             assert eval_formula(m, f).bits == value
@@ -587,6 +646,9 @@ def test_eval_formula_matches_recursive_oracle(oracle_models):
             for sub in (f, f.lhs, f.rhs) if binary else (f,):
                 assert eval_formula(m, sub).bits == \
                     recursive_eval_bits(m, sub, {}, top)
+        shadowed = Forall("x", Exists("x", _p_of_x(m)))
+        assert eval_formula(m, shadowed).bits == \
+            recursive_eval_bits(m, shadowed, {}, top)
         for f in open_pool(m.sig, m.domain, "x"):
             for d in m.domain:
                 env = {"x": d}
@@ -607,11 +669,20 @@ def test_is_full_covers_match_recursive_oracle(oracle_models):
             for f, value, body in oracle if body is not None)
 
 
+def _p_of_x(m):
+    """The model's first relation symbol with every argument x, as
+    standard_validities builds it."""
+    sym, arity = next(iter(m.sig.rel_arity.items()))
+    return Rel(sym, (Var("x"),) * arity)
+
+
 def _bundle_pool(m):
-    """One-variable open formulas, the two-variable atoms, and quantified
-    one-variable formulas re-generalized from the depth-1 closed pool."""
+    """One-variable open formulas, the two-variable atoms, quantified
+    one-variable formulas re-generalized from the depth-1 closed pool, and
+    x both free and bound."""
     x, y = Var("x"), Var("y")
     pool = list(open_pool(m.sig, m.domain, "x"))
+    pool.append(And(_p_of_x(m), Exists("x", Not(_p_of_x(m)))))
     pool.append(Eq(x, y))
     pool.extend(Rel(sym, (x, y)) for sym, arity in m.sig.rel_arity.items()
                 if arity == 2)

@@ -13,9 +13,10 @@ from bvmsheaf.balg import (AlgebraError, BAHom, BoolAlg, Elem, Filter,
 from bvmsheaf.bridge import (FullnessClauses, L, R, StructuredPresheaf,
                              ext_to_stone)
 from bvmsheaf.bvm import (BVModel, BVMorphism, MixingReport, ModelError,
-                          _smallest_cover, check_morphism, tarski_quotient)
-from bvmsheaf.logic import (And, Eq, Exists, Forall, Implies, Not, Or, Rel,
-                            Signature, Var)
+                          _atomic, _smallest_cover, _spread, check_morphism,
+                          generalize, open_pool, tarski_quotient)
+from bvmsheaf.logic import (And, Const, Eq, Exists, Forall, Implies, Not, Or,
+                            Rel, Signature, Var)
 from bvmsheaf.sheaf import (_MAX_FAILURES, EtaleSpace, Presheaf,
                             PresheafMorphism, SheafError, SheafReport,
                             _choices, _gamma_half, _lambda1, _section_id,
@@ -954,6 +955,38 @@ def _has_mixer(m: BVModel, chain, assignment) -> bool:
         all(a <= m.eq[tau, tau_a] for a, tau_a in zip(chain, assignment))
         for tau in m.domain
     )
+
+
+# -- the closed pool with a final dedupe, kept as the oracle of closed_pool ------
+
+def closed_pool_dedupe(sig: Signature, elements, depth: int,
+                       max_nested: int = 48, max_conj_atoms: int = 20) -> list:
+    """closed_pool by deduping at the end: every level, its repeated
+    E x. x = x included, goes into the pool, and dict.fromkeys removes the
+    repeats.  Uncached; the oracle of closed_pool, which puts no repeat in
+    the pool."""
+    elements = tuple(elements)
+    consts = [Const(f"c_{e}") for e in elements]
+    closed_atoms = list(dict.fromkeys(_atomic(sig, consts)))
+    pool = list(closed_atoms)
+    pool.extend(Not(a) for a in closed_atoms)
+    prev_quantified = []
+    for d in range(1, depth + 1):
+        var = f"x{d}"
+        level = [Exists(var, f)
+                 for f in open_pool(sig, elements, var, max_conj_atoms)]
+        nested = []
+        for f in _spread(prev_quantified, max_nested):
+            for e in elements:
+                g = generalize(f, f"c_{e}", var)
+                if g != f:
+                    nested.append(Exists(var, g))
+        level.extend(dict.fromkeys(nested))
+        level.append(Exists(var, Eq(Var(var), Var(var))))
+        level.append(Forall(var, Eq(Var(var), Var(var))))
+        pool.extend(level)
+        prev_quantified = level
+    return list(dict.fromkeys(pool))
 
 
 # -- formula evaluation by plain recursion ----------------------------------------
