@@ -73,12 +73,6 @@ class BoolAlg(Record):
         for bits in range(2 ** len(self.atoms)):
             yield Elem(self, bits)
 
-    def join_all(self, elems) -> "Elem":
-        out = self.bottom
-        for e in elems:
-            out = out | e
-        return out
-
     def meet_all(self, elems) -> "Elem":
         out = self.top
         for e in elems:
@@ -191,9 +185,6 @@ class Filter(Record):
     @property
     def is_ultrafilter(self) -> bool:
         return self.gen.is_atom
-
-    def members(self) -> list[Elem]:
-        return [e for e in self.alg.elements() if self.gen <= e]
 
     @property
     def label(self) -> str:

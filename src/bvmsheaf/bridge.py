@@ -337,7 +337,10 @@ def phi_bundle(m: BVModel, f: Formula) -> PhiBundle:
     and G_pt holds a value iff the value has pt's atom bit.  So A_phi =
     N_{b_phi} at finite scale, dense by construction: some tuple value has
     each atom bit of b_phi.  The test suite asserts the equality."""
-    free, bits = _tuple_values(m, f)
+    free = tuple(sorted(free_vars(f)))
+    if not free:
+        raise ModelError("phi_bundle needs a formula with free variables")
+    bits = _tuple_values(m, f, free)
     b_phi = Elem(m.alg, reduce(or_, bits.values(), 0))
     n_b = frozenset(b_phi.atom_labels())
     stalks = {}
@@ -351,18 +354,15 @@ def phi_bundle(m: BVModel, f: Formula) -> PhiBundle:
     return PhiBundle(f, free, b_phi, a_phi, n_b, stalks, values)
 
 
-def _tuple_values(m: BVModel, f: Formula) -> tuple[tuple, dict]:
-    """phi's free variables, sorted, and its value (a bitmask) at each tuple
-    of ids, in product order: phi is evaluated once per tuple, under one env
-    that each tuple rebinds."""
-    free = tuple(sorted(free_vars(f)))
-    if not free:
-        raise ModelError("phi_bundle needs a formula with free variables")
+def _tuple_values(m: BVModel, f: Formula, free: tuple) -> dict:
+    """phi's value (a bitmask) at each tuple of ids for its sorted free
+    variables, in product order: phi is evaluated once per tuple, under one
+    env that each tuple rebinds."""
     ev, run, env, values = m._evaluator, _EVAL[type(f)], {}, {}
     for tup in product(m.domain, repeat=len(free)):
         env.update(zip(free, tup))
         values[tup] = run(ev, env, f)
-    return free, values
+    return values
 
 
 def _clause_row(f: Formula, values: dict,
@@ -427,20 +427,21 @@ def fullness_via_sections(m: BVModel, depth: int = 2) -> FullnessSectionsReport:
     quantifier-free one-variable formulas, and from depth 2 on also
     two-free-variable atoms and quantified one-variable formulas obtained by
     re-generalizing a strided sample of the closed pool.  Each row is read
-    off the formula's tuple values by _clause_row, with no bundle built."""
+    off the formula's tuple values by _clause_row, with no bundle built.
+    The pool is built with each formula's free variables: x, or x and y."""
     mixing = has_mixing(m).passed
-    pool: list[Formula] = list(open_pool(m.sig, m.domain, "x"))
+    x, xy = ("x",), ("x", "y")
+    pool = [(f, x) for f in open_pool(m.sig, m.domain, "x")]
     if depth >= 2:
-        two_var = [Eq(Var("x"), Var("y"))]
+        pool.append((Eq(Var("x"), Var("y")), xy))
         for sym, arity in m.sig.rel_arity.items():
             if arity == 2:
-                two_var.append(Rel(sym, (Var("x"), Var("y"))))
-        pool.extend(two_var)
+                pool.append((Rel(sym, (Var("x"), Var("y"))), xy))
         deep = []
         for f in closed_pool(m.sig, m.domain, depth - 1)[::29]:
             g = generalize(f, f"c_{m.domain[0]}", "x")
             if "x" in free_vars(g):
-                deep.append(g)
+                deep.append((g, x))
         pool.extend(deep[:10])
-    rows = tuple(_clause_row(f, _tuple_values(m, f)[1], mixing) for f in pool)
+    rows = tuple(_clause_row(f, _tuple_values(m, f, free), mixing) for f, free in pool)
     return FullnessSectionsReport(rows, all(c.agree for c in rows), mixing)

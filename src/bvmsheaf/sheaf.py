@@ -563,18 +563,6 @@ class PresheafMorphism(Record, frozen=False):
     target: Presheaf
 
 
-def presheaf_morphism(i: BAHom, theta: dict, source: Presheaf,
-                      target: Presheaf) -> PresheafMorphism:
-    """Build and validate a presheaf morphism; a failed naturality square is
-    rejected with the offending pair U <= V."""
-    mor = PresheafMorphism(i, theta, source, target)
-    square = check_presheaf_morphism(mor)
-    if square is not None:
-        raise SheafError(
-            f"naturality square fails at {square[0]} <= {square[1]}")
-    return mor
-
-
 def check_presheaf_morphism(mor: PresheafMorphism):
     """Validate all naturality squares; returns the offending (U, V) pair or
     None when every square commutes.  The squares are read off the source

@@ -5,7 +5,7 @@ boolean completions, and the homomorphisms induced by open continuous maps.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from operator import and_
+from operator import and_, or_
 
 from .balg import AlgebraError, BAHom, BoolAlg, Elem
 from .record import Record
@@ -33,13 +33,13 @@ class FinTop(Record):
 
     The constructor is the one check that the family is a topology.  Point
     sets are computed as int masks, bit i standing for points[i].  The
-    point index and the open masks are built once, after the checks, and the
-    interior of a mask (the OR of the open masks inside it) is memoized per
-    instance; closure, Reg and the density, open and closed tests are read
-    off it.  A mask encodes the same set as the frozenset it replaces, so
-    every answer is unchanged.  The index and the memo are set with
-    object.__setattr__, not as fields, so equality, hashing and repr still
-    see only points and opens.
+    point index, the open masks and each point's minimal open neighbourhood
+    U_p are built once, after the checks.  The interior of a mask, the OR of
+    the U_p inside it (Barmak, LNM 2032, 1.1), and the point set of a mask
+    are memoized per instance; closure, Reg and the density, open and closed
+    tests are read off the interior.  The derived state is set in the
+    instance dict, not as fields, so equality, hashing and repr still see
+    only points and opens.
     """
 
     points: tuple[str, ...]
@@ -55,25 +55,28 @@ class FinTop(Record):
             if not u <= pts:
                 raise TopologyError(f"open set {subset_label(u)} not within points")
         bit = {p: 1 << i for i, p in enumerate(self.points)}
-        masks = frozenset(sum(bit[p] for p in u) for u in self.opens)
-        top = (1 << len(self.points)) - 1
-        if 0 not in masks or top not in masks:
+        set_of = {sum(map(bit.__getitem__, u)): u for u in self.opens}
+        if 0 not in set_of or (1 << len(bit)) - 1 not in set_of:
             raise TopologyError("opens must contain the empty set and the full set")
         # Alexandrov: with U_p the meet of the opens around p, u and u & v
         # are the unions of the U_p for p in them, so the family is a
         # topology iff it holds every union of the U_p: O(|opens| |points|).
-        unions = {0}
+        unions, nbhd = {0}, []
         for b in bit.values():
-            u_p = reduce(and_, (a for a in masks if a & b))
+            nbhd.append(u_p := reduce(and_, (a for a in set_of if a & b)))
             unions |= {s | u_p for s in unions}
-            if not unions <= masks:
-                missing = subset_label(self._set(min(unions - masks)))
+            if not unions <= set_of.keys():
+                m = min(unions - set_of.keys())
                 raise TopologyError(
-                    f"opens not closed under union and intersection: {missing} missing")
-        object.__setattr__(self, "_bit", bit)
-        object.__setattr__(self, "_masks", masks)
-        object.__setattr__(self, "_top", top)
-        object.__setattr__(self, "_int_memo", {})
+                    "opens not closed under union and intersection: "
+                    f"{subset_label(p for p, b in bit.items() if b & m)} missing")
+        self._index(bit, set_of, nbhd)
+
+    def _index(self, bit: dict, set_of: dict, nbhd) -> None:
+        """The derived state: point -> bit, mask -> open, and the U_p."""
+        vars(self).update(_bit=bit, _masks=frozenset(set_of), _nbhd=tuple(nbhd),
+                          _top=(1 << len(self.points)) - 1, _int_memo={},
+                          _set_memo=set_of)
 
     @property
     def full(self) -> frozenset:
@@ -83,19 +86,23 @@ class FinTop(Record):
         """The mask of the point set a; raises for points outside the space."""
         a = frozenset(a)
         try:
-            return sum(self._bit[p] for p in a)
+            return sum(map(self._bit.__getitem__, a))
         except KeyError:
             raise TopologyError(
                 f"{subset_label(a)} is not a subset of the space") from None
 
     def _set(self, m: int) -> frozenset:
-        return frozenset(p for i, p in enumerate(self.points) if m >> i & 1)
+        out = self._set_memo.get(m)
+        if out is None:
+            out = self._set_memo[m] = frozenset(
+                p for i, p in enumerate(self.points) if m >> i & 1)
+        return out
 
     def _int(self, m: int) -> int:
         out = self._int_memo.get(m)
         if out is None:
             out = 0
-            for u in self._masks:
+            for u in self._nbhd:
                 if u & m == u:
                     out |= u
             self._int_memo[m] = out
@@ -132,9 +139,6 @@ class FinTop(Record):
     def is_dense(self, a) -> bool:
         return self._cl(self._check_subset(a)) == self._top
 
-    def is_nowhere_dense(self, a) -> bool:
-        return not self._reg(self._check_subset(a))
-
     def is_dense_in(self, a, u) -> bool:
         """a is dense in the open set u: every nonempty open subset of u meets
         a, that is, no nonempty open lies inside u - a."""
@@ -142,14 +146,7 @@ class FinTop(Record):
         return not self._int(u & ~a)
 
     def nonempty_opens(self) -> list[frozenset]:
-        return sorted((u for u in self.opens if u), key=lambda u: (len(u), sorted(u)))
-
-    def regular_opens(self) -> list[frozenset]:
-        return [u for u in self.nonempty_opens() if self.regularize(u) == u]
-
-    def clopens(self) -> list[frozenset]:
-        return [u for u in sorted(self.opens, key=lambda u: (len(u), sorted(u)))
-                if self.is_closed(u)]
+        return sorted((u for u in self.opens if u), key=_size_order)
 
     @property
     def is_discrete(self) -> bool:
@@ -215,19 +212,20 @@ class FinPoset(Record):
 
     @staticmethod
     def from_pairs(elements, pairs) -> "FinPoset":
-        """Build from generating pairs; the reflexive-transitive closure is
-        computed and antisymmetry validated."""
+        """Build from generating pairs, closed on down masks (Warshall); the
+        first pair with a label outside elements is rejected."""
         elements = tuple(elements)
-        rel = {(a, a) for a in elements} | {tuple(p) for p in pairs}
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(rel):
-                for c, d in list(rel):
-                    if b == c and (a, d) not in rel:
-                        rel.add((a, d))
-                        changed = True
-        return FinPoset(elements, frozenset(rel))
+        index = {a: i for i, a in enumerate(elements)}
+        down = [1 << i for i in range(len(elements))]
+        for a, b in map(tuple, pairs):
+            if a not in index or b not in index:
+                raise TopologyError(f"relation pair ({a},{b}) outside the carrier")
+            down[index[b]] |= 1 << index[a]
+        for k in range(len(elements)):  # close every path through elements[k]
+            down = [d | down[k] if d >> k & 1 else d for d in down]
+        return FinPoset(elements, frozenset(
+            (a, b) for b, d in zip(elements, down)
+            for i, a in enumerate(elements) if d >> i & 1))
 
     def le(self, a: str, b: str) -> bool:
         return (a, b) in self.leq
@@ -274,18 +272,43 @@ def opens_poset(x: FinTop) -> FinPoset:
 
 def down_topology(p: FinPoset) -> FinTop:
     """The downward topology: opens are exactly the down-sets, the unions
-    of the principal down sets, built as in FinTop's Alexandrov check."""
+    of the principal down sets, built as in FinTop's Alexandrov check.
+    They form a topology with U_a = down(a) by construction, so the space
+    is built from them with no check."""
+    if not p.elements:
+        raise TopologyError("a space needs at least one point")
     unions = {0}
     for m in p._mask.values():
         unions |= {s | m for s in unions}
-    return FinTop(p.elements, frozenset(frozenset(p._labels(u)) for u in unions))
+    set_of = {u: frozenset(p._labels(u)) for u in unions}
+    x = object.__new__(FinTop)
+    vars(x).update(points=p.elements, opens=frozenset(set_of.values()))
+    x._index({a: 1 << i for i, a in enumerate(p.elements)}, set_of, p._mask.values())
+    return x
+
+
+def _size_order(u: frozenset) -> tuple:
+    return (len(u), sorted(u))
+
+
+def _atom_subsets(x: FinTop, family) -> dict:
+    """label -> point set of the minimal nonzero masks of a family whose
+    minimal members meet its other members only inside them, as the atoms
+    of RO(X) and CLOP(X) do, in the order of nonempty_opens.  The masks are
+    read by size, each kept iff it meets none kept before."""
+    atoms = []
+    for m in sorted(family, key=int.bit_count):
+        if m and not any(a & m for a in atoms):
+            atoms.append(m)
+    return {subset_label(u): u for u in sorted(map(x._set, atoms), key=_size_order)}
 
 
 class RoAlgebra:
     """The complete boolean algebra RO(X) re-atomized as a powerset algebra.
 
-    Atoms are the minimal nonzero regular opens; atom_subsets keeps the
-    bidirectional dictionary between atom labels and concrete point sets.
+    Atoms are the minimal nonzero regular opens, the minimal Reg(U_p): a
+    nonzero regular open r holds Reg(U_p) for each p in r.  atom_subsets
+    keeps the bidirectional dictionary between atom labels and point sets.
     RO(X) of a finite space is a complete boolean algebra by construction,
     the join of any family being Reg of its union, so the constructor does
     not re-prove it; the test suite does, on every small topology.
@@ -293,10 +316,7 @@ class RoAlgebra:
 
     def __init__(self, space: FinTop):
         self.space = space
-        ros = space.regular_opens()
-        atoms = [u for u in ros
-                 if not any(v < u for v in ros)]
-        self.atom_subsets = {subset_label(u): u for u in atoms}
+        self.atom_subsets = _atom_subsets(space, {space._reg(u) for u in space._nbhd})
         self.alg = BoolAlg(tuple(sorted(self.atom_subsets)))
         # the point mask of each atom, in the algebra's bit order
         self._atoms = [space._check_subset(self.atom_subsets[a])
@@ -310,10 +330,7 @@ class RoAlgebra:
         """The regular open realized by e: Reg of the union of its atoms."""
         if e.alg != self.alg:
             raise AlgebraError("element of a different algebra")
-        union = 0
-        for i, a in enumerate(self._atoms):
-            if e.bits >> i & 1:
-                union |= a
+        union = reduce(or_, (a for i, a in enumerate(self._atoms) if e.bits >> i & 1), 0)
         return self.space._set(self.space._reg(union))
 
     def from_subset(self, u) -> Elem:
@@ -341,15 +358,12 @@ class ClopAlgebra:
 
     def __init__(self, space: FinTop):
         self.space = space
-        clps = [u for u in space.clopens() if u]
-        atoms = [u for u in clps if not any(v < u for v in clps if v)]
-        self.atom_subsets = {subset_label(u): u for u in atoms}
+        self.atom_subsets = _atom_subsets(space, (
+            m for m in space._masks if space._top ^ m in space._masks))
         self.alg = BoolAlg(tuple(sorted(self.atom_subsets)))
 
     def to_subset(self, e: Elem) -> frozenset:
-        return frozenset().union(
-            *(self.atom_subsets[a] for a in e.atom_labels())
-        ) if not e.is_bottom else frozenset()
+        return frozenset().union(*(self.atom_subsets[a] for a in e.atom_labels()))
 
     def from_subset(self, u) -> Elem:
         u = frozenset(u)
@@ -363,10 +377,8 @@ def clop_algebra(x: FinTop) -> ClopAlgebra:
 
 
 def is_extremally_disconnected(x: FinTop) -> bool:
-    """CLOP(X) = RO(X) as set families."""
-    clop = {u for u in x.opens if x.is_closed(u)}
-    ro = {u for u in x.opens if x.regularize(u) == u}
-    return clop == ro
+    """CLOP(X) = RO(X) as set families: an open is clopen iff it is regular."""
+    return all((x._top ^ m in x._masks) == (x._reg(m) == m) for m in x._masks)
 
 
 def boolean_completion(p: FinPoset):
@@ -378,8 +390,9 @@ def boolean_completion(p: FinPoset):
     Set Theory, ch. 14): Reg is monotone, disjoint opens have disjoint
     regularizations, and a nonzero regular open holds some down(a).  The
     test suite asserts all three on every poset of at most 4 elements."""
-    ro = RoAlgebra(down_topology(p))
-    return ro, {a: ro.reg_embed(p.down(a)) for a in p.elements}
+    x = down_topology(p)
+    ro = RoAlgebra(x)
+    return ro, {a: Elem(ro.alg, ro._elem_bits(x._reg(m))) for a, m in p._mask.items()}
 
 
 class ContMap(Record):
@@ -462,5 +475,6 @@ def induced_ro_hom(f: ContMap) -> BAHom:
         )
     ro_src, ro_tgt = RoAlgebra(f.source), RoAlgebra(f.target)
     atom_at = {pt: b for b, sub in ro_tgt.atom_subsets.items() for pt in sub}
-    atom_map = {a: atom_at[f(min(sub))] for a, sub in ro_src.atom_subsets.items()}
+    to = f.mapping
+    atom_map = {a: atom_at[to[min(sub)]] for a, sub in ro_src.atom_subsets.items()}
     return BAHom.from_dict(ro_tgt.alg, ro_src.alg, atom_map)

@@ -6,7 +6,7 @@ from bvmsheaf.balg import (AlgebraError, BAHom, Elem, Filter, mk_powerset,
                            quotient, stone_space, ultrafilters)
 
 from util import (all_homs, antichains, brute_force_left_adjoint,
-                  brute_force_ultrafilters)
+                  brute_force_ultrafilters, filter_members)
 
 B2 = mk_powerset(["a1"])
 B4 = mk_powerset(["a1", "a2"])
@@ -70,7 +70,7 @@ def test_ultrafilters_against_brute_force():
     assert [u.gen.label for u in ultrafilters(B2)] == ["a1"]
     for alg in (B2, B4, B8):
         expected = brute_force_ultrafilters(alg)
-        got = [frozenset(e.bits for e in u.members()) for u in ultrafilters(alg)]
+        got = [frozenset(e.bits for e in filter_members(u)) for u in ultrafilters(alg)]
         assert sorted(got, key=sorted) == sorted(expected, key=sorted)
     assert len(ultrafilters(B8)) == 3
 

@@ -25,7 +25,7 @@ from util import (_collations, _compatible_families, _sheaf_scan,
                   naturality_scan, pairwise_lambda0,
                   pairwise_lambda1, poset_sup,
                   random_functorial_presheaf, random_model, random_subpresheaf,
-                  ro_scan_basics, section_sheaf)
+                  regular_opens, ro_scan_basics, section_sheaf)
 
 SIER = FinTop(("0", "1"),
               frozenset({frozenset(), frozenset({"1"}), frozenset({"0", "1"})}))
@@ -585,7 +585,7 @@ RO_BASE_X = FinTop(("0", "1", "2"), frozenset({
 def _restrict_to_ro(ps: Presheaf, x: FinTop) -> Presheaf:
     """The restriction of a topological presheaf to RO(X)+, as required by
     the stonean <-> sup-on-RO comparison."""
-    ros = [subset_label(u) for u in x.regular_opens()]
+    ros = [subset_label(u) for u in regular_opens(x)]
     base = FinPoset(tuple(ros), frozenset(
         (a, b) for a in ros for b in ros
         if ps.base.le(a, b)))
@@ -658,7 +658,7 @@ def test_sup_on_ro_does_not_imply_stonean_without_separatedness():
 
 
 def test_presheaf_morphism_constructor_rejects_bad_square():
-    from bvmsheaf.sheaf import presheaf_morphism
+    from util import presheaf_morphism
     b4 = mk_powerset(["a1", "a2"])
     po = alg_poset(b4)
     f = Presheaf.make(

@@ -9,10 +9,13 @@ from bvmsheaf.topo import (ContMap, FinPoset, FinTop, NotOpenMapError,
                            ro_algebra, subset_label)
 
 from util import (all_continuous_maps, all_posets, all_topologies,
-                  completion_failures, downset_scan, generate_topology,
-                  inclusion_scan,
-                  is_predense_below, is_topology_pairwise, poset_sup,
-                  regularize_pointwise, ro_joins_match)
+                  check_down_topology, check_space_against_scans,
+                  closure_scan, clopens, completion_failures, downset_scan,
+                  from_pairs_fixpoint, generate_topology, inclusion_scan,
+                  interior_scan, is_nowhere_dense, is_predense_below,
+                  is_topology_pairwise, poset_sup, preorder_topologies,
+                  regular_opens, regularize_pointwise, regularize_scan,
+                  ro_joins_match)
 
 SIER = FinTop(("0", "1"),
               frozenset({frozenset(), frozenset({"1"}), frozenset({"0", "1"})}))
@@ -86,6 +89,20 @@ def test_clop_atoms_partition_the_space():
     assert checked == 389
 
 
+def test_clop_algebra_subset_dictionary_roundtrip():
+    """On all 389 topologies of at most 4 points, every CLOP element is the
+    union of its atoms' point sets, a clopen, and from_subset inverts it."""
+    for n in range(1, 5):
+        for x in all_topologies(("p", "q", "r", "s")[:n]):
+            clop = clop_algebra(x)
+            for e in clop.alg.elements():
+                u = clop.to_subset(e)
+                assert u == frozenset().union(
+                    *(s for a, s in clop.atom_subsets.items() if a in e.atom_labels()))
+                assert x.is_open(u) and x.is_closed(u)
+                assert clop.from_subset(u) == e
+
+
 def test_regularize_sierpinski():
     assert SIER.closure({"1"}) == {"0", "1"}
     assert SIER.regularize({"1"}) == {"0", "1"}
@@ -114,55 +131,71 @@ def test_open_and_closed_tests_reject_points_outside_the_space(op, arg, label):
 
 def test_open_and_closed_tests_on_the_sierpinski_space():
     table = [(frozenset(), True, True), ({"1"}, True, False),
-             ({"0"}, False, True), ({"0", "1"}, True, True)]
+             ({"0"}, False, True), ({"0", "1"}, True, True),
+             (["1", "1"], True, False), (("0", "0"), False, True)]
     for a, is_open, is_closed in table:
         assert SIER.is_open(a) is is_open
         assert SIER.is_closed(a) is is_closed
-
-
-def _literal_interior(x, a):
-    return frozenset().union(*(u for u in x.opens if u <= a))
-
-
-def _literal_closure(x, a):
-    return x.full - _literal_interior(x, x.full - a)
-
-
-def _literal_regularize(x, a):
-    return _literal_interior(x, _literal_closure(x, a))
+    assert SIER.interior(["0", "0"]) == frozenset()
 
 
 def test_mask_kernel_matches_literal_definitions():
     """Every topology on at most 4 points and every subset: the mask kernel
-    agrees with the frozenset formulas it replaced, and Reg with its local
-    characterization."""
+    (the interior as the OR of the U_p inside a mask) agrees with the
+    frozenset scans it replaced, and Reg with its local characterization;
+    the RO and CLOP atoms, in their order, and extremal disconnectedness
+    agree with the scans (see check_space_against_scans)."""
     def by_size(u):
         return (len(u), sorted(u))
 
+    extremally_disconnected = []
     for n in range(1, 5):
         for x in all_topologies(("p", "q", "r", "s")[:n]):
+            extremally_disconnected.append(check_space_against_scans(x))
             subsets = [frozenset(p for i, p in enumerate(x.points) if m >> i & 1)
                        for m in range(1 << n)]
             for a in subsets:
-                reg = _literal_regularize(x, a)
-                assert x.interior(a) == _literal_interior(x, a)
-                assert x.closure(a) == _literal_closure(x, a)
-                assert x.regularize(a) == reg
+                reg = regularize_scan(x, a)
                 assert regularize_pointwise(x, a) == reg
                 assert x.is_open(a) == (a in x.opens)
                 assert x.is_closed(a) == (x.full - a in x.opens)
                 assert x.is_regular_open(a) == (a in x.opens and reg == a)
-                assert x.is_dense(a) == (_literal_closure(x, a) == x.full)
-                assert x.is_nowhere_dense(a) == (not _literal_regularize(x, a))
+                assert x.is_dense(a) == (closure_scan(x, a) == x.full)
+                assert is_nowhere_dense(x, a) == (not reg)
                 for u in subsets:
                     assert x.is_dense_in(a, u) == all(
                         v & a for v in x.opens if v and v <= u)
             opens = sorted(x.opens, key=by_size)
-            assert x.regular_opens() == [
-                u for u in opens if u and _literal_regularize(x, u) == u]
-            assert x.clopens() == [u for u in opens if x.full - u in x.opens]
+            assert regular_opens(x) == [
+                u for u in opens if u and regularize_scan(x, u) == u]
+            assert clopens(x) == [u for u in opens if x.full - u in x.opens]
             for s in subsets[1:]:
                 assert x.subspace(s).opens == frozenset(u & s for u in x.opens)
+    assert len(extremally_disconnected) == 389
+    assert sum(extremally_disconnected) == 1 + 4 + 26 + 255
+
+
+def test_down_topology_passes_the_checked_constructor():
+    """down_topology skips FinTop's check; on all 242 posets of at most 4
+    elements the check accepts its opens and the checked space has the
+    same interiors."""
+    posets = [p for n in range(1, 5) for p in all_posets("abcd"[:n])]
+    assert len(posets) == 242
+    for p in posets:
+        check_down_topology(p)
+    with pytest.raises(TopologyError, match="^a space needs at least one point$"):
+        down_topology(FinPoset((), frozenset()))
+
+
+def test_preorder_enumerator_matches_all_topologies():
+    """The 5-point sweep enumerates topologies as the down-set families of
+    preorders; at 1 to 4 points they are the families all_topologies finds
+    by filtering (1, 4, 29 and 355 of them)."""
+    for n, count in zip(range(1, 5), (1, 4, 29, 355)):
+        points = ("p", "q", "r", "s")[:n]
+        families = [x.opens for x in preorder_topologies(points)]
+        assert len(families) == len(set(families)) == count
+        assert set(families) == {x.opens for x in all_topologies(points)}
 
 
 def test_regularize_trivial_cases():
@@ -212,7 +245,7 @@ def test_ro_algebra_discrete_is_powerset():
 def test_ro_algebra_subset_dictionary_roundtrip():
     for x in all_topologies(("p", "q", "r")):
         ro = ro_algebra(x)
-        for u in x.regular_opens():
+        for u in regular_opens(x):
             assert ro.to_subset(ro.from_subset(u)) == u
         for e in ro.alg.elements():
             assert ro.from_subset(ro.to_subset(e)) == e
@@ -357,9 +390,10 @@ def test_continuity_validated():
 
 
 def test_density_predicates():
-    assert SIER.is_dense({"1"}) and not SIER.is_nowhere_dense({"1"})
-    assert SIER.is_dense(SIER.full) and not SIER.is_nowhere_dense(SIER.full)
-    assert not DISC2.is_dense({"x"}) and not DISC2.is_nowhere_dense({"x"})
+    assert SIER.is_dense({"1"}) and not is_nowhere_dense(SIER, {"1"})
+    assert SIER.is_dense(SIER.full) and not is_nowhere_dense(SIER, SIER.full)
+    assert not DISC2.is_dense({"x"}) and not is_nowhere_dense(DISC2, {"x"})
+    assert is_nowhere_dense(SIER, {"0"}) and is_nowhere_dense(SIER, frozenset())
     assert DISC2.is_dense_in({"x"}, {"x", "y"}) is False
     assert SIER.is_dense_in(frozenset(), {"1"}) is False
 
@@ -379,6 +413,34 @@ def test_poset_validation():
         FinPoset.from_pairs(("a", "b"), [("a", "b"), ("b", "a")])
     chain = FinPoset.from_pairs(("a", "b", "c"), [("a", "b"), ("b", "c")])
     assert chain.le("a", "c")  # transitive closure computed
+
+
+def test_from_pairs_matches_the_fixpoint():
+    """from_pairs closes on down masks (Warshall); the label-pair fixpoint
+    is the oracle on every generating relation on at most 3 elements, with
+    and without a label outside the carrier: the same leq, or a rejection
+    of the same kind.  A label outside is named at its first pair."""
+    def outcome(build):
+        try:
+            return build().leq
+        except TopologyError as err:
+            return str(err).split(" at ")[0].split(" (")[0]
+
+    kinds = set()
+    for n in range(4):
+        labels = tuple("abc"[:n])
+        pairs = [(a, b) for a in labels for b in labels]
+        for bits in range(1 << len(pairs)):
+            gen = [p for i, p in enumerate(pairs) if bits >> i & 1]
+            for extra in ([], [("z", labels[0])] if labels else []):
+                got = outcome(lambda: FinPoset.from_pairs(labels, gen + extra))
+                want = outcome(lambda: FinPoset(
+                    labels, from_pairs_fixpoint(labels, gen + extra)))
+                assert got == want
+                kinds.add(got if isinstance(got, str) else "order")
+    assert kinds == {"order", "not antisymmetric", "relation pair"}
+    with pytest.raises(TopologyError, match=r"^relation pair \(z,a\) outside the carrier$"):
+        FinPoset.from_pairs("ab", [("a", "b"), ("z", "a"), ("b", "y")])
 
 
 def test_poset_lookups_match_definitions_from_le():
@@ -501,7 +563,7 @@ def test_induced_hom_left_adjoint_is_reg_of_image():
                     continue
                 h = induced_ro_hom(f)
                 ro_src, ro_tgt = ro_algebra(f.source), ro_algebra(f.target)
-                for v in f.source.regular_opens():
+                for v in regular_opens(f.source):
                     pi_v = h.left_adjoint(ro_src.from_subset(v))
                     assert ro_tgt.to_subset(pi_v) == \
                         f.target.regularize(f.image(v))

@@ -20,9 +20,11 @@ from bvmsheaf.logic import (And, Const, Eq, Exists, Forall, Implies, Not, Or,
 from bvmsheaf.sheaf import (_MAX_FAILURES, EtaleSpace, Presheaf,
                             PresheafMorphism, SheafError, SheafReport,
                             _choices, _gamma_half, _lambda1, _section_id,
-                            alg_poset, elem_from_label, lift_i_star)
-from bvmsheaf.topo import (FinPoset, FinTop, opens_poset, ro_algebra,
-                           subset_label)
+                            alg_poset, check_presheaf_morphism,
+                            elem_from_label, lift_i_star)
+from bvmsheaf.topo import (FinPoset, FinTop, clop_algebra, down_topology,
+                           is_extremally_disconnected, opens_poset,
+                           ro_algebra, subset_label)
 
 
 def brute_force_filters(alg: BoolAlg):
@@ -96,6 +98,169 @@ def all_topologies(points) -> list:
             for m in fam)
         out.append(FinTop(points, opens))
     return out
+
+
+def _point_set(points, m: int) -> frozenset:
+    return frozenset(p for i, p in enumerate(points) if m >> i & 1)
+
+
+def preorder_topologies(points) -> list:
+    """Every topology on the labelled points, from its specialization
+    preorder q <= p iff q lies in U_p: each point's U_p holds the point, and
+    q in U_p implies U_q inside U_p (transitivity).  The opens are the
+    down-set family, the unions of the U_p.  Shares no code with
+    all_topologies' family filter; FinTop checks each family."""
+    points = tuple(points)
+    n = len(points)
+    out = []
+
+    def extend(nbhd: list) -> None:
+        k = len(nbhd)
+        if k == n:
+            unions = {0}
+            for u in nbhd:
+                unions |= {s | u for s in unions}
+            out.append(FinTop(points, frozenset(_point_set(points, m) for m in unions)))
+            return
+        for u in range(1 << n):
+            if u >> k & 1 and all((not u >> j & 1 or v & ~u == 0)
+                                  and (not v >> k & 1 or u & ~v == 0)
+                                  for j, v in enumerate(nbhd)):
+                extend(nbhd + [u])
+
+    extend([])
+    return out
+
+
+def interior_scan(x: FinTop, a) -> frozenset:
+    """The union of the opens inside a, by a scan of every open."""
+    return frozenset().union(*(u for u in x.opens if u <= frozenset(a)))
+
+
+def closure_scan(x: FinTop, a) -> frozenset:
+    return x.full - interior_scan(x, x.full - frozenset(a))
+
+
+def regularize_scan(x: FinTop, a) -> frozenset:
+    return interior_scan(x, closure_scan(x, a))
+
+
+def regular_opens(x: FinTop) -> list[frozenset]:
+    """The nonempty opens u with Reg(u) = u, in the order of nonempty_opens."""
+    return [u for u in x.nonempty_opens() if x.regularize(u) == u]
+
+
+def clopens(x: FinTop) -> list[frozenset]:
+    """The opens whose complement is open, by (size, points)."""
+    return [u for u in sorted(x.opens, key=lambda u: (len(u), sorted(u)))
+            if x.is_closed(u)]
+
+
+def is_nowhere_dense(x: FinTop, a) -> bool:
+    """a has a closure with empty interior: Reg(a) is empty."""
+    return not x.regularize(a)
+
+
+def _minimal_by_size(family: list) -> dict:
+    """label -> set of the minimal nonempty members, in (size, points) order."""
+    family = sorted((u for u in family if u), key=lambda u: (len(u), sorted(u)))
+    return {subset_label(u): u for u in family if not any(v < u for v in family)}
+
+
+def ro_atoms_scan(x: FinTop) -> dict:
+    """The atoms of RO(X): the minimal nonempty opens u with Reg(u) = u,
+    Reg taken by the scans."""
+    return _minimal_by_size([u for u in x.opens if regularize_scan(x, u) == u])
+
+
+def clop_atoms_scan(x: FinTop) -> dict:
+    """The atoms of CLOP(X): the minimal nonempty opens whose complement is
+    open."""
+    return _minimal_by_size([u for u in x.opens if x.full - u in x.opens])
+
+
+def check_space_against_scans(x: FinTop) -> bool:
+    """Asserts that interior, closure and Reg of every subset, the RO and
+    CLOP atoms with their order, and extremal disconnectedness agree with
+    the scans; returns whether x is extremally disconnected."""
+    for m in range(1 << len(x.points)):
+        a = _point_set(x.points, m)
+        assert x.interior(a) == interior_scan(x, a)
+        assert x.closure(a) == closure_scan(x, a)
+        assert x.regularize(a) == regularize_scan(x, a)
+    ro_atoms, clop_atoms = ro_atoms_scan(x), clop_atoms_scan(x)
+    assert list(ro_algebra(x).atom_subsets.items()) == list(ro_atoms.items())
+    assert list(clop_algebra(x).atom_subsets.items()) == list(clop_atoms.items())
+    ed = is_extremally_disconnected(x)
+    ros = {u for u in x.opens if regularize_scan(x, u) == u}
+    assert ed == (ros == {u for u in x.opens if x.full - u in x.opens})
+    return ed
+
+
+def check_down_topology(p: FinPoset) -> None:
+    """down_topology(p), built unchecked, is accepted by FinTop's check and
+    has the same interiors as the checked space on its opens."""
+    x = down_topology(p)
+    y = FinTop(p.elements, x.opens)
+    for m in range(1 << len(p.elements)):
+        a = _point_set(p.elements, m)
+        assert x.interior(a) == y.interior(a)
+
+
+def sweep_spaces(n: int) -> dict:
+    """check_space_against_scans on every topology on n points, and
+    check_down_topology on the specialization poset of each T0 one, which
+    must give the space back; returns the counts."""
+    counts = {"spaces": 0, "posets": 0, "extremally disconnected": 0}
+    for x in preorder_topologies("pqrstuvw"[:n]):
+        counts["spaces"] += 1
+        counts["extremally disconnected"] += check_space_against_scans(x)
+        # q <= p iff q lies in every open around p, iff p is in Cl {q}
+        leq = frozenset((q, p) for q in x.points for p in closure_scan(x, {q}))
+        if all(p == q or (p, q) not in leq for q, p in leq):
+            po = FinPoset(x.points, leq)
+            check_down_topology(po)
+            assert down_topology(po).opens == x.opens
+            counts["posets"] += 1
+    return counts
+
+
+def join_all(alg: BoolAlg, elems) -> Elem:
+    out = alg.bottom
+    for e in elems:
+        out = out | e
+    return out
+
+
+def filter_members(filt: Filter) -> list[Elem]:
+    return [e for e in filt.alg.elements() if filt.gen <= e]
+
+
+def presheaf_morphism(i: BAHom, theta: dict, source: Presheaf,
+                      target: Presheaf) -> PresheafMorphism:
+    """Build and validate a presheaf morphism; a failed naturality square is
+    rejected with the offending pair U <= V."""
+    mor = PresheafMorphism(i, theta, source, target)
+    square = check_presheaf_morphism(mor)
+    if square is not None:
+        raise SheafError(
+            f"naturality square fails at {square[0]} <= {square[1]}")
+    return mor
+
+
+def from_pairs_fixpoint(elements, pairs) -> frozenset:
+    """The reflexive-transitive closure of pairs on elements, by the
+    quadratic fixpoint over label pairs that FinPoset.from_pairs replaced."""
+    rel = {(a, a) for a in elements} | {tuple(p) for p in pairs}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in list(rel):
+            for c, d in list(rel):
+                if b == c and (a, d) not in rel:
+                    rel.add((a, d))
+                    changed = True
+    return frozenset(rel)
 
 
 def is_topology_pairwise(points, opens) -> bool:
@@ -199,7 +364,7 @@ def all_continuous_maps(x: FinTop, y: FinTop):
 
 def is_ro_base(x: FinTop) -> bool:
     """The regular opens form a base: every open is a union of them."""
-    ros = x.regular_opens()
+    ros = regular_opens(x)
     for u in x.nonempty_opens():
         cover = frozenset().union(*(r for r in ros if r <= u)) \
             if any(r <= u for r in ros) else frozenset()
@@ -369,19 +534,19 @@ def level_join_R(f):
     eq = {}
     for s in domain:
         for t in domain:
-            eq[s, t] = alg.join_all(
+            eq[s, t] = join_all(alg, (
                 b for label, b in levels
-                if f.res(label, top_label, s) == f.res(label, top_label, t))
+                if f.res(label, top_label, s) == f.res(label, top_label, t)))
     if isinstance(f, StructuredPresheaf) and f.sig is not None:
         sig, rels = f.sig, {}
         for sym, arity in sig.rel_arity.items():
             rels[sym] = {
-                tup: alg.join_all(
+                tup: join_all(alg, (
                     b for label, b in levels
                     if f.rel_top.get(
                         (label, sym,
                          tuple(f.res(label, top_label, t) for t in tup)),
-                        False))
+                        False)))
                 for tup in _product(domain, repeat=arity)}
         consts = dict(f.const_top)
     else:
@@ -783,7 +948,7 @@ def ro_joins_match(x: FinTop, ro) -> bool:
     the union of S.  The distinct (union, join) pairs are collected one
     member at a time, which covers every subfamily."""
     pairs = {(frozenset(), ro.alg.bottom)}
-    for u in x.regular_opens():
+    for u in regular_opens(x):
         e = ro.from_subset(u)
         pairs |= {(v | u, j | e) for v, j in pairs}
     return all(ro.to_subset(j) == x.regularize(v) for v, j in pairs)
