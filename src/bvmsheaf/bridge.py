@@ -16,7 +16,7 @@ from .logic import Eq, Formula, Rel, Signature, Var, free_vars
 from .record import Record, field
 from .sheaf import (NotSeparatedError, Presheaf, PresheafMorphism, SheafError,
                     _choices, _pullback, _restrictions, _section_id,
-                    alg_poset, elem_from_label, gamma0, is_separated,
+                    alg_poset, gamma0, is_separated,
                     is_stonean_sheaf, lambda0)
 from .topo import opens_poset, subset_label
 
@@ -42,30 +42,62 @@ def L(m: BVModel) -> StructuredPresheaf:
 
 
 def _L(m: BVModel) -> StructuredPresheaf:
-    """L(m), read off the bits.
+    """L(m), read off the evaluator's int tables.
 
     tau and sigma are one class of M/F_b iff b <= [tau=sigma], since F_b is
     the up-set of b; the representative is the least id of the class, from
     _class_reps as in every quotient.  A relation instance over
     representatives is top in M/F_b iff b <= its value, since the projection
-    c |-> c /\\ b sends the value to b exactly then.  m must be a valid
-    model: for q <= p, classes coarsen from p to q as equality is
-    transitive, so sending each representative at p to its representative
-    at q composes, unchecked."""
-    poset = alg_poset(m.alg)
+    c |-> c /\\ b sends the value to b exactly then; the instances of level
+    b are the tuples of its representatives.  m must be a valid model: for
+    q <= p, classes coarsen from p to q as equality is transitive, so
+    sending each representative at p to its representative at q composes,
+    unchecked."""
+    poset, ev = alg_poset(m.alg), m._evaluator
+    rels = [(sym, table, m.sig.rel_arity[sym]) for sym, table in ev.rels.items()]
     sections, rel_top, reps_at = {}, {}, {}
-    for label in poset.elements:
-        bb = elem_from_label(m.alg, label).bits
-        rep = reps_at[label] = _class_reps(m, bb)
-        sections[label] = tuple(r for r in m.domain if rep[r] == r)
-        for sym, table in m.rels.items():
-            for tup, val in table.items():
-                if all(rep[t] == t for t in tup):
-                    rel_top[label, sym, tup] = val.bits & bb == bb
-    restrict = _restrictions(poset, sections, lambda q, p, r: reps_at[q][r])
+    for b, label in enumerate(poset.elements, 1):  # element k of B+ is mask k+1
+        rep = reps_at[label] = _class_reps(m, b)
+        secs = sections[label] = tuple(r for r in m.domain if rep[r] == r)
+        for sym, table, arity in rels:
+            for tup in product(secs, repeat=arity):
+                rel_top[label, sym, tup] = table[tup] & b == b
+    restrict = _restrictions(poset, sections, lambda q, p: reps_at[q].__getitem__)
     const_top = {c: reps_at[m.alg.top.label][t] for c, t in m.consts.items()}
     return StructuredPresheaf(poset, sections, restrict, m.alg,
                               m.sig, rel_top, const_top)
+
+
+def _atom_tables(alg: BoolAlg, domain: tuple, arity: dict,
+                 atoms) -> tuple[dict, dict]:
+    """The equality and relation tables over domain, in product order, built
+    as bitmasks one atom bit at a time.  atoms yields (bit, cls, holds): cls
+    sends each element to its class at the atom, and holds(sym, key) says
+    whether sym holds there on the tuple of classes key.  The bit goes into
+    each tuple of a key that holds (for equality, sym None, the pairs inside
+    a class), and into every entry at once for an atom with one class.  The
+    tables share one Elem per distinct mask."""
+    arity = {None: 2, **arity}
+    tables = {sym: dict.fromkeys(product(domain, repeat=k), 0)
+              for sym, k in arity.items()}
+    every = dict.fromkeys(arity, 0)  # the bits of every entry of a table
+    for bit, cls, holds in atoms:
+        groups = {}
+        for s in domain:
+            groups.setdefault(cls[s], []).append(s)
+        for sym, values in tables.items():
+            for key in product(groups, repeat=arity[sym]):
+                if (key[0] == key[1]) if sym is None else holds(sym, key):
+                    if len(groups) == 1:
+                        every[sym] |= bit
+                        continue
+                    for tup in product(*map(groups.__getitem__, key)):
+                        values[tup] |= bit
+    elem = {v: Elem(alg, v) for v in set().union(*(
+        map(every[sym].__or__, values.values()) for sym, values in tables.items()))}
+    out = {sym: {tup: elem[v | every[sym]] for tup, v in values.items()}
+           for sym, values in tables.items()}
+    return out.pop(None), out
 
 
 def R(f: Presheaf) -> BVModel:
@@ -80,7 +112,8 @@ def R(f: Presheaf) -> BVModel:
     relation value is likewise the join of the atoms where rel_top holds,
     which assumes rel_top is atom-determined (top at b iff top at every atom
     below b).  L gives that (b <= val), and so does the Gamma1 presheaf of
-    the test suite's mixify oracle (a conjunction over the level's points)."""
+    the test suite's mixify oracle (a conjunction over the level's points).
+    Both are built by _atom_tables, grouping F(1) by the restriction s|a."""
     if f.alg is None:
         raise SheafError("R needs a presheaf on an algebra base")
     rep = is_separated(f)
@@ -90,26 +123,15 @@ def R(f: Presheaf) -> BVModel:
     alg = f.alg
     top_label = alg.top.label
     domain = f.sections[top_label]
-    atoms = [(a.label, a.bits) for a in alg.atom_elems()]
-    res = {(a, s): f.res(a, top_label, s) for a, _ in atoms for s in domain}
-
-    def join(holds) -> Elem:
-        return Elem(alg, sum(bit for a, bit in atoms if holds(a)))
-
-    eq = {(s, t): join(lambda a: res[a, s] == res[a, t])
-          for s in domain for t in domain}
     structured = isinstance(f, StructuredPresheaf) and f.sig is not None
-    if structured:
-        sig = f.sig
-        rels = {sym: {tup: join(lambda a: f.rel_top.get(
-                          (a, sym, tuple(res[a, t] for t in tup)), False))
-                      for tup in product(domain, repeat=arity)}
-                for sym, arity in sig.rel_arity.items()}
-        consts = dict(f.const_top)
-    else:
-        sig = Signature.make({}, ())
-        rels, consts = {}, {}
-    return BVModel(alg, sig, tuple(domain), eq, rels, consts)
+    sig = f.sig if structured else Signature.make({}, ())
+    rel_top = f.rel_top if structured else {}
+    atoms = ((1 << k, {s: f.res(a, top_label, s) for s in domain},
+              lambda sym, key, a=a: rel_top.get((a, sym, key), False))
+             for k, a in enumerate(alg.atoms))
+    eq, rels = _atom_tables(alg, domain, sig.rel_arity, atoms)
+    return BVModel(alg, sig, tuple(domain), eq, rels,
+                   dict(f.const_top) if structured else {})
 
 
 # -- adjunction ---------------------------------------------------------------
@@ -254,8 +276,9 @@ def mixify(m: BVModel) -> tuple[BVModel, BVMorphism]:
     the germ {a}:{a}:r of its least id r, and the global sections of Gamma1
     are the tuples of classes, one per atom, named by their _section_id.
     [s=t] is the join of the atoms where s and t agree, a relation value the
-    join of the atoms a where M's value at the tuple's a-components has a's
-    bit (the tuple holds in M/G_a), and sigma-dot is the tuple of sigma's
+    join of the atoms a where M's int value at the tuple's a-components has
+    a's bit (the tuple holds in M/G_a), both built by _atom_tables grouping
+    the domain by the ~_a class; sigma-dot is the tuple of sigma's
     classes.  The test suite builds the functor chain itself, as the oracle
     this is compared with."""
     n = m.alg.atom_count
@@ -270,18 +293,13 @@ def mixify(m: BVModel) -> tuple[BVModel, BVMorphism]:
     comps = {section_id(c): c
              for c in product(*(sorted(set(r.values())) for r in reps))}
     domain = tuple(sorted(comps))
-
-    def join(holds) -> Elem:
-        return Elem(alg, sum(1 << k for k in range(n) if holds(k)))
-
-    mx_eq = {(s, t): join(lambda k: comps[s][k] == comps[t][k])
-             for s in domain for t in domain}
-    rels = {sym: {tup: join(lambda k: m.rels[sym][tuple(
-                      comps[t][k] for t in tup)].bits >> order[k] & 1)
-                  for tup in product(domain, repeat=arity)}
-            for sym, arity in m.sig.rel_arity.items()}
+    tables = m._evaluator.rels
+    atoms = ((1 << k, {s: c[k] for s, c in comps.items()},
+              lambda sym, key, a=1 << order[k]: tables[sym][key] & a)
+             for k in range(n))
+    eq, rels = _atom_tables(alg, domain, m.sig.rel_arity, atoms)
     phi = {d: section_id(tuple(r[d] for r in reps)) for d in m.domain}
-    mx = BVModel(alg, m.sig, domain, mx_eq, rels,
+    mx = BVModel(alg, m.sig, domain, eq, rels,
                  {c: phi[t] for c, t in m.consts.items()})
     i = BAHom.from_dict(m.alg, alg, dict(zip(points, m.alg.atoms)))
     return mx, BVMorphism(m, mx, i, phi)
@@ -304,24 +322,6 @@ class PhiBundle(Record, frozen=False):
     @property
     def total(self) -> list:
         return [(pt, cls) for pt, stalk in self.stalks.items() for cls in stalk]
-
-    def basic_opens(self, m: BVModel) -> dict:
-        """The generating basis: for each witness tuple and each nonzero
-        c <= b_phi, the tuple's germs over the points of N_c where the
-        tuple's truth value lies in the ultrafilter."""
-        reps = [(i, pt, _class_reps(m, 1 << i))
-                for i, pt in enumerate(m.alg.atoms) if self.b_phi.bits >> i & 1]
-        out = {}
-        for tup in sorted(self.values):
-            v = self.values[tup].bits
-            for c in m.alg.elements():
-                if c.is_bottom or not c <= self.b_phi:
-                    continue
-                germs = frozenset((pt, tuple(rep[t] for t in tup))
-                                  for i, pt, rep in reps if (c.bits & v) >> i & 1)
-                if germs:
-                    out[tup, c.label] = germs
-        return out
 
     def clauses(self, with_product_clause: bool) -> "FullnessClauses":
         """The four (five under mixing) equivalent fullness clauses, read off

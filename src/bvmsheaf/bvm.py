@@ -749,6 +749,8 @@ class MorphismReport(Record):
 
 
 def check_morphism(mor: BVMorphism) -> MorphismReport:
+    """i(x) <= y on every table entry, on bits read once per source mask off
+    BAHom._bits; an entry of another algebra raises as i(x) <= y does."""
     m, n, i, phi = mor.source, mor.target, mor.i, mor.phi
     bad = []
     if i.source != m.alg or i.target != n.alg:
@@ -757,30 +759,40 @@ def check_morphism(mor: BVMorphism) -> MorphismReport:
     if set(phi) != set(m.domain) or not set(phi.values()) <= set(n.domain):
         bad.append("domain map is not total into the target domain")
         return MorphismReport(False, False, False, tuple(bad))
+    src, tgt, image = i.source, i.target, {}
+
+    def bits(x, y) -> tuple[int, int]:
+        if x.__class__ is Elem and x.alg is src:
+            lhs = image.get(x.bits)
+            if lhs is None:
+                lhs = image[x.bits] = sum(t for t, s in i._bits if x.bits & s)
+        else:
+            lhs = i(x).bits
+        if y.__class__ is not Elem or y.alg is not tgt:
+            Elem(tgt, lhs)._same_algebra(y)
+        return lhs, y.bits
+
     exact = True
     for c, t in m.consts.items():
         if n.consts.get(c) != phi[t]:
             bad.append(f"constant {c} not preserved")
-    for a in m.domain:
-        for b in m.domain:
-            lhs, rhs = i(m.eq[a, b]), n.eq[phi[a], phi[b]]
-            if not lhs <= rhs:
-                bad.append(f"equality inequality fails at ({a},{b})")
-            elif lhs != rhs:
-                exact = False
+    for a, b in product(m.domain, repeat=2):
+        lhs, rhs = bits(m.eq[a, b], n.eq[phi[a], phi[b]])
+        if lhs & ~rhs:
+            bad.append(f"equality inequality fails at ({a},{b})")
+        elif lhs != rhs:
+            exact = False
     for sym, table in m.rels.items():
         for tup, val in table.items():
-            lhs = i(val)
-            rhs = n.rels[sym][tuple(phi[t] for t in tup)]
-            if not lhs <= rhs:
+            lhs, rhs = bits(val, n.rels[sym][tuple(map(phi.__getitem__, tup))])
+            if lhs & ~rhs:
                 bad.append(f"relation inequality fails for {sym} at {tup}")
             elif lhs != rhs:
                 exact = False
     is_morphism = not bad
     is_embedding = is_morphism and exact
-    onto = all(
-        any(n.eq[phi[s], t].is_top for s in m.domain) for t in n.domain
-    )
+    images = dict.fromkeys(phi.values())
+    onto = all(any(n.eq[s, t].is_top for s in images) for t in n.domain)
     is_iso = is_embedding and mor.i.is_isomorphism and onto
     return MorphismReport(is_morphism, is_embedding, is_iso, tuple(bad))
 

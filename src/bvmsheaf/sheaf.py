@@ -29,16 +29,10 @@ class NotSeparatedError(SheafError):
 
 @lru_cache(maxsize=64)
 def alg_poset(alg: BoolAlg) -> FinPoset:
-    """B+ as a poset, elements labelled canonically (atom joins).  Built
+    """B+ as a poset, element k the mask k+1 with its canonical label.  Built
     once per algebra: both are frozen, so equal algebras share the poset."""
     return _inclusion_poset(
         {bits: Elem(alg, bits).label for bits in range(1, len(alg))})
-
-
-def elem_from_label(alg: BoolAlg, label: str) -> Elem:
-    if label == "0":
-        return alg.bottom
-    return alg.from_labels(label.split("∨"))
 
 
 class Presheaf(Record, frozen=False):
@@ -109,10 +103,10 @@ class Presheaf(Record, frozen=False):
 
 
 def _restrictions(base: FinPoset, sections: dict, res) -> dict:
-    """The table (q, p) -> {f: res(q, p, f) for f in F(p)} of every pair
-    q <= p of base, identities included.  The caller's rule must compose
-    and be the identity at q = p; nothing here checks it."""
-    return {(q, p): {f: res(q, p, f) for f in sections[p]}
+    """The table (q, p) -> {f: res(q, p)(f) for f in F(p)} of every pair
+    q <= p of base, identities included.  res(q, p) maps F(p) to F(q); the
+    rule must compose and be the identity at q = p, and nothing checks it."""
+    return {(q, p): dict(zip(sections[p], map(res(q, p), sections[p])))
             for p in base.elements for q in sorted(base.down(p))}
 
 
@@ -488,7 +482,7 @@ def _gamma_half(x: FinTop, stalks: dict) -> tuple[Presheaf, dict]:
     choices = {lev: {_section_id(s): s for s in _choices(stalks, u)}
                for lev, u in points.items()}
     sections = {lev: tuple(sorted(secs)) for lev, secs in choices.items()}
-    restrict = _restrictions(base, sections, lambda q, lev, sid: _section_id(
+    restrict = _restrictions(base, sections, lambda q, lev: lambda sid: _section_id(
         {pt: choices[lev][sid][pt] for pt in points[q]}))
     return Presheaf(base, sections, restrict), choices
 
@@ -538,12 +532,16 @@ def _pullback(ps: Presheaf, base: FinPoset, pi: dict,
 
 def _left_adjoint_levels(i: BAHom, ps: Presheaf) -> tuple[FinPoset, dict]:
     """target+ and its map U |-> pi_i(U) onto the levels of ps, which must
-    be a presheaf on source+."""
+    be a presheaf on source+.  pi_i(U) is the join of the source atoms that
+    U's atoms map to, read on masks: element k of B+ is mask k+1."""
     if ps.alg != i.source:
         raise SheafError("presheaf does not live on the source algebra")
-    base = alg_poset(i.target)
-    return base, {u: i.left_adjoint(elem_from_label(i.target, u)).label
-                  for u in base.elements}
+    base, labels = alg_poset(i.target), alg_poset(i.source).elements
+    pi = [0]
+    for v in range(1, len(base.elements) + 1):
+        low = v & -v
+        pi.append(pi[v ^ low] | i._bits[low.bit_length() - 1][1])
+    return base, {u: labels[pi[k] - 1] for k, u in enumerate(base.elements, 1)}
 
 
 def lift_i_star(i: BAHom, ps: Presheaf) -> Presheaf:
@@ -566,9 +564,12 @@ class PresheafMorphism(Record, frozen=False):
 def check_presheaf_morphism(mor: PresheafMorphism):
     """Validate all naturality squares; returns the offending (U, V) pair or
     None when every square commutes.  The squares are read off the source
-    along pi_i, with no i_*(F) built: U runs in element order and V over the
-    levels strictly above U in element order, so the pair is the first
-    failing one in that order."""
+    along pi_i, with no i_*(F) built.  They are decided on the covering
+    pairs (V minus one atom, V) of target+: every U < V is a chain of
+    covers, and squares paste along it, since both presheaves compose.
+    Only when a cover fails are all pairs walked, U in element order and V
+    over the levels strictly above U in element order, so the pair returned
+    is the first failing one in that order."""
     base, pi = _left_adjoint_levels(mor.i, mor.source)
     src, tgt, theta = mor.source, mor.target, mor.theta
     for u in base.elements:
@@ -577,14 +578,23 @@ def check_presheaf_morphism(mor: PresheafMorphism):
         for f in src.sections[pi[u]]:
             if theta[u].get(f) not in tgt.sections[u]:
                 raise SheafError(f"theta at {u} does not map into the target")
-    up = dict.fromkeys(base.elements, 0)  # bits of the levels above each
-    for k, v in enumerate(base.elements):
+
+    def commutes(u: str, v: str) -> bool:
+        pu, pv, down = pi[u], pi[v], tgt.restrict[u, v]
+        return all(theta[u][src.res(pu, pv, f)] == down[theta[v][f]]
+                   for f in src.sections[pv])
+
+    levels, n = base.elements, mor.i.target.atom_count
+    if all(commutes(levels[(v ^ 1 << k) - 1], levels[v - 1])
+           for v in range(1, len(levels) + 1) if v & (v - 1)
+           for k in range(n) if v >> k & 1):
+        return None
+    up = dict.fromkeys(levels, 0)  # bits of the levels above each
+    for k, v in enumerate(levels):
         for q in base.down(v):
             up[q] |= 1 << k
-    for u in base.elements:
+    for u in levels:
         for v in base._labels(up[u] & ~base._mask[u]):
-            pu, pv, down = pi[u], pi[v], tgt.restrict[u, v]
-            for f in src.sections[pv]:
-                if theta[u][src.res(pu, pv, f)] != down[theta[v][f]]:
-                    return (u, v)
+            if not commutes(u, v):
+                return (u, v)
     return None

@@ -17,8 +17,9 @@ from bvmsheaf.sheaf import (Bundle, NotSeparatedError, Presheaf, alg_poset,
                             sheafify)
 from bvmsheaf.topo import FinTop
 
-from util import (_gamma1_structured, _stone_etale, basic_opens_scan,
-                  bundle_clauses_scan, chain_mixify, find_model_isomorphism, level_join_R, quotient_L,
+from util import (_gamma1_structured, _stone_etale, basic_opens,
+                  basic_opens_scan, bundle_clauses_scan, chain_mixify,
+                  find_model_isomorphism, level_join_R, quotient_L,
                   random_model, random_separated_presheaf, random_subpresheaf,
                   section_sheaf, stalk_at_filter)
 
@@ -396,7 +397,7 @@ def test_ext_to_stone_levels():
 def test_phi_bundle_basic_opens_cover_total():
     m = m_r()
     pb = phi_bundle(m, parse(m.sig, "R(x)"))
-    basics = pb.basic_opens(m)
+    basics = basic_opens(pb, m)
     assert basics  # the generating basis is nonempty here
     covered = frozenset().union(*basics.values())
     assert covered == frozenset(pb.total)
@@ -418,7 +419,7 @@ def test_basic_opens_match_the_filter_scan():
         m = random_model(rng)
         for c in fullness_via_sections(m, 2).clauses:
             pb = phi_bundle(m, c.formula)
-            assert pb.basic_opens(m) == basic_opens_scan(pb, m)
+            assert basic_opens(pb, m) == basic_opens_scan(pb, m)
             bundles += 1
     assert bundles > 100
 
@@ -541,13 +542,16 @@ def test_internal_presheaves_pass_the_functoriality_check():
 def test_bridge_bases_are_built_once(monkeypatch):
     """One L per model, one St(B) per algebra and one poset per base across
     R o L, the adjunction witness, mixing <-> sheaf and mixify; a second
-    model on the same algebra builds no Stone space and no poset."""
+    model on the same algebra builds no Stone space and no poset.  Posets
+    are counted on both paths: the checked constructor and the unchecked
+    one of the inclusion posets."""
     from bvmsheaf import balg, bridge, sheaf, topo
     for cache in (balg.stone_space, topo.opens_poset, sheaf.alg_poset):
         cache.cache_clear()
     l_builds, stone_builds, poset_builds = [], [], []
     build_l, stone_init, poset_check = (bridge._L, balg.StoneSpace.__init__,
                                         topo.FinPoset.__post_init__)
+    poset_unchecked = topo.FinPoset._unchecked
 
     def counted_l(m):
         l_builds.append(m)
@@ -560,9 +564,14 @@ def test_bridge_bases_are_built_once(monkeypatch):
     def counted_poset(self):
         poset_builds.append(self.elements)
         poset_check(self)
+
+    def counted_unchecked(elements, down, mask):
+        poset_builds.append(elements)
+        return poset_unchecked(elements, down, mask)
     monkeypatch.setattr(bridge, "_L", counted_l)
     monkeypatch.setattr(balg.StoneSpace, "__init__", counted_stone)
     monkeypatch.setattr(topo.FinPoset, "__post_init__", counted_poset)
+    monkeypatch.setattr(topo.FinPoset, "_unchecked", staticmethod(counted_unchecked))
 
     def run(m):
         R(L(m))

@@ -20,9 +20,9 @@ from bvmsheaf.bvm import (_EVAL, _SAT, BVModel, BVMorphism, MixingReport,
 from bvmsheaf.logic import (And, Const, Eq, Exists, Forall, Implies, Not, Or,
                             Rel, Signature, Var, free_vars, parse, substitute)
 
-from util import (bundle_clauses_scan, closed_pool_dedupe, elem_validate,
-                  find_model_isomorphism, random_model, recursive_eval_bits,
-                  search_mixing)
+from util import (bundle_clauses_scan, closed_pool_dedupe,
+                  elem_check_morphism, elem_validate, find_model_isomorphism,
+                  random_model, recursive_eval_bits, search_mixing)
 
 B2 = mk_powerset(["a1"])
 B4 = mk_powerset(["a1", "a2"])
@@ -469,6 +469,102 @@ def test_collapse_morphism_is_not_embedding():
     mor = BVMorphism(m, one, BAHom.identity(B4), {"s": "e", "t": "e"})
     rep = check_morphism(mor)
     assert rep.is_morphism and not rep.is_embedding
+
+
+def test_check_morphism_matches_the_elem_reference():
+    """check_morphism, on bits, against the Elem-based body it replaced, on
+    morphisms failing each way: an equality inequality, a relation
+    inequality, an unpreserved constant, an embedding that is not exact and
+    a map that is not onto each give the same report, with the violations
+    in the same order; an entry of another algebra, in the source or the
+    target, raises the same AlgebraError."""
+    from bvmsheaf.balg import BAHom, BoolAlg, Elem
+    a1, a2, top = B4.atom("a1"), B4.atom("a2"), B4.top
+    rels = {"R": {("s",): a1, ("t",): a2}}
+
+    def model(eq=None, rel=None, consts=None, domain=("s", "t")):
+        return BVModel.make(B4, domain, eq or {}, rel or rels,
+                            consts or {"c": "s"},
+                            Signature.make({"R": 1}, ("c",)))
+
+    def report(source, target, phi=None):
+        mor = BVMorphism(source, target, BAHom.identity(B4),
+                         phi or {"s": "s", "t": "t"})
+        return check_morphism(mor), elem_check_morphism(mor)
+
+    cases = {
+        "equality": report(model({("s", "t"): a1}), model()),
+        "relation": report(model(), model(rel={"R": {("s",): B4.bottom,
+                                                     ("t",): top}})),
+        "constant": report(model(), model(consts={"c": "t"})),
+        "inexact": report(model(), model({("s", "t"): a1})),
+        "not onto": report(model(), model(domain=("s", "t", "u"))),
+        "iso": report(model(), model()),
+    }
+    for fast, reference in cases.values():
+        assert fast == reference
+    assert cases["equality"][0].violations == (
+        "equality inequality fails at (s,t)", "equality inequality fails at (t,s)")
+    assert cases["relation"][0].violations == (
+        "relation inequality fails for R at ('s',)",)
+    assert cases["constant"][0].violations == ("constant c not preserved",)
+    verdicts = {k: (r.is_morphism, r.is_embedding, r.is_isomorphism)
+                for k, (r, _) in cases.items()}
+    assert verdicts == {"equality": (False, False, False),
+                        "relation": (False, False, False),
+                        "constant": (False, False, False),
+                        "inexact": (True, False, False),
+                        "not onto": (True, True, False),
+                        "iso": (True, True, True)}
+    # homs that move bits: the swap of B4's atoms, and B4 into B8
+    swap = BAHom.from_dict(B4, B4, {"a1": "a2", "a2": "a1"})
+    b8 = mk_powerset(["a1", "a2", "a3"])
+    into = BAHom.from_dict(B4, b8, {"a1": "a1", "a2": "a2", "a3": "a2"})
+    source = model({("s", "t"): a1})
+
+    def image(i, m):
+        return BVModel(i.target, m.sig, m.domain,
+                       {k: i(v) for k, v in m.eq.items()},
+                       {sym: {t: i(v) for t, v in table.items()}
+                        for sym, table in m.rels.items()}, m.consts)
+
+    moved = [BVMorphism(source, target, i, {"s": "s", "t": "t"})
+             for i, target in ((swap, source), (swap, image(swap, source)),
+                               (into, image(into, source)))]
+    reports = [check_morphism(mor) for mor in moved]
+    assert reports == [elem_check_morphism(mor) for mor in moved]
+    assert [(r.is_morphism, r.is_embedding, r.is_isomorphism)
+            for r in reports] == [(False, False, False), (True, True, True),
+                                  (True, True, False)]
+    alien = BoolAlg(("z1", "z2"))
+    for side in ("source", "target"):
+        source, target = model(), model()
+        bad = source if side == "source" else target
+        bad.eq["t", "s"] = Elem(alien, 0)
+        mor = BVMorphism(source, target, BAHom.identity(B4),
+                         {"s": "s", "t": "t"})
+        messages = []
+        for check in (check_morphism, elem_check_morphism):
+            with pytest.raises(AlgebraError) as err:
+                check(mor)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+    # random models: the unit and the mixify embedding, and each with one
+    # target entry raised to top or lowered to bottom
+    rng = random.Random(23)
+    for _ in range(40):
+        m = random_model(rng, 3, 3)
+        _, emb = mixify(m)
+        for mor in (emb, BVMorphism(m, m, BAHom.identity(m.alg),
+                                    {d: d for d in m.domain})):
+            n = mor.target
+            for pair in list(n.eq)[:3]:
+                for bits in (0, n.alg._top):
+                    eq = {**n.eq, pair: Elem(n.alg, bits)}
+                    mut = BVMorphism(m, BVModel(n.alg, n.sig, n.domain, eq,
+                                                n.rels, n.consts), mor.i, mor.phi)
+                    assert check_morphism(mut) == elem_check_morphism(mut)
+            assert check_morphism(mor) == elem_check_morphism(mor)
 
 
 def test_substitution_law_on_samples():

@@ -8,8 +8,7 @@ import pytest
 from bvmsheaf.balg import BAHom, mk_powerset
 from bvmsheaf.sheaf import (_MAX_FAILURES, Bundle, EtaleSpace, Presheaf,
                             PresheafMorphism, SheafError, _section_id,
-                            alg_poset, check_presheaf_morphism,
-                            elem_from_label, gamma0,
+                            alg_poset, check_presheaf_morphism, gamma0,
                             gamma1, gamma_half, is_separated,
                             is_stonean_sheaf, is_topological_sheaf, lambda0,
                             lambda1, lift_i_star, sheafify)
@@ -19,13 +18,14 @@ from bvmsheaf.topo import (FinPoset, FinTop, opens_poset, ro_algebra,
 from util import (_collations, _compatible_families, _sheaf_scan,
                   _sup_coverings, all_posets, all_topologies,
                   check_base_property, check_etale, check_local_homeo,
-                  distributive_with_bottom, failing_squares,
+                  distributive_with_bottom, elem_from_label,
+                  failing_squares,
                   find_presheaf_isomorphism, is_predense_below, is_ro_base,
                   mutated_morphisms, naturality_outcomes,
                   naturality_scan, pairwise_lambda0,
                   pairwise_lambda1, poset_sup,
                   random_functorial_presheaf, random_model, random_subpresheaf,
-                  regular_opens, ro_scan_basics, section_sheaf)
+                  regular_opens, ro_scan_basics, section_sheaf, subspace)
 
 SIER = FinTop(("0", "1"),
               frozenset({frozenset(), frozenset({"1"}), frozenset({"0", "1"})}))
@@ -245,7 +245,7 @@ def _literal_base_property(e: EtaleSpace) -> bool:
 
 def _literal_gamma0(e: EtaleSpace, u: frozenset) -> list:
     points = sorted(u)
-    sub = e.base.subspace(u)
+    sub = subspace(e.base, u)
     out = []
     for combo in product(*(e.stalks[p] for p in points)):
         s = dict(zip(points, combo))
@@ -1109,7 +1109,6 @@ def test_alg_poset_order_matches_pairwise_elem_comparison():
 def _choice_sheaf(alg, sizes: dict) -> Presheaf:
     """The presheaf on B+ of all stalk choices over the atoms below each
     level: a stonean sheaf."""
-    from bvmsheaf.sheaf import elem_from_label
     po = alg_poset(alg)
     atoms_of = {lev: elem_from_label(alg, lev).atom_labels()
                 for lev in po.elements}

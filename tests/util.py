@@ -13,18 +13,27 @@ from bvmsheaf.balg import (AlgebraError, BAHom, BoolAlg, Elem, Filter,
 from bvmsheaf.bridge import (FullnessClauses, L, R, StructuredPresheaf,
                              ext_to_stone)
 from bvmsheaf.bvm import (BVModel, BVMorphism, MixingReport, ModelError,
-                          _atomic, _smallest_cover, _spread, check_morphism,
+                          MorphismReport, _atomic, _class_reps,
+                          _smallest_cover, _spread, check_morphism,
                           generalize, open_pool, tarski_quotient)
 from bvmsheaf.logic import (And, Const, Eq, Exists, Forall, Implies, Not, Or,
                             Rel, Signature, Var)
-from bvmsheaf.sheaf import (_MAX_FAILURES, EtaleSpace, Presheaf,
-                            PresheafMorphism, SheafError, SheafReport,
-                            _choices, _gamma_half, _lambda1, _section_id,
-                            alg_poset, check_presheaf_morphism,
-                            elem_from_label, lift_i_star)
-from bvmsheaf.topo import (FinPoset, FinTop, clop_algebra, down_topology,
-                           is_extremally_disconnected, opens_poset,
-                           ro_algebra, subset_label)
+from bvmsheaf.sheaf import (_MAX_FAILURES, EtaleSpace, NotSeparatedError,
+                            Presheaf, PresheafMorphism, SheafError,
+                            SheafReport, _choices, _gamma_half, _lambda1,
+                            _restrictions, _section_id, alg_poset,
+                            check_presheaf_morphism, is_separated,
+                            lift_i_star)
+from bvmsheaf.topo import (FinPoset, FinTop, TopologyError, clop_algebra,
+                           down_topology, is_extremally_disconnected,
+                           opens_poset, ro_algebra, subset_label)
+
+
+def elem_from_label(alg: BoolAlg, label: str) -> Elem:
+    """The element of alg named by its label: '0' or a join of atoms."""
+    if label == "0":
+        return alg.bottom
+    return alg.from_labels(label.split("∨"))
 
 
 def brute_force_filters(alg: BoolAlg):
@@ -159,6 +168,49 @@ def clopens(x: FinTop) -> list[frozenset]:
 def is_nowhere_dense(x: FinTop, a) -> bool:
     """a has a closure with empty interior: Reg(a) is empty."""
     return not x.regularize(a)
+
+
+def is_dense_in(x: FinTop, a, u) -> bool:
+    """a is dense in the open set u: every nonempty open subset of u meets
+    a, that is, no nonempty open lies inside u - a."""
+    a, u = x._check_subset(a), x._check_subset(u)
+    return not x._int(u & ~a)
+
+
+def subspace(x: FinTop, s) -> FinTop:
+    s = frozenset(s)
+    if not x._check_subset(s):
+        raise TopologyError("a subspace needs at least one point")
+    return FinTop(tuple(p for p in x.points if p in s),
+                  frozenset(u & s for u in x.opens))
+
+
+def ro_to_subset(ro, e: Elem) -> frozenset:
+    """The regular open realized by e: Reg of the union of its atoms."""
+    if e.alg != ro.alg:
+        raise AlgebraError("element of a different algebra")
+    union = 0
+    for i, a in enumerate(ro._atoms):
+        if e.bits >> i & 1:
+            union |= a
+    return ro.space._set(ro.space._reg(union))
+
+
+def ro_from_subset(ro, u) -> Elem:
+    u = frozenset(u)
+    if not ro.space.is_regular_open(u) and u:
+        raise TopologyError(f"{subset_label(u)} is not regular open")
+    return Elem(ro.alg, ro._elem_bits(ro.space._check_subset(u)))
+
+
+def clop_to_subset(clop, e: Elem) -> frozenset:
+    return frozenset().union(*(clop.atom_subsets[a] for a in e.atom_labels()))
+
+
+def clop_from_subset(clop, u) -> Elem:
+    u = frozenset(u)
+    return clop.alg.from_labels(
+        a for a, sub in clop.atom_subsets.items() if sub <= u)
 
 
 def _minimal_by_size(family: list) -> dict:
@@ -526,7 +578,6 @@ def level_join_R(f):
     from itertools import product as _product
     from bvmsheaf.bridge import StructuredPresheaf
     from bvmsheaf.bvm import BVModel
-    from bvmsheaf.sheaf import elem_from_label
     alg = f.alg
     top_label = alg.top.label
     domain = f.sections[top_label]
@@ -631,6 +682,103 @@ def chain_mixify(m: BVModel):
     return mx, BVMorphism(m, mx, i, phi)
 
 
+# -- the label- and Elem-based L, R and check_morphism, kept as references ----
+
+def label_L(m: BVModel) -> StructuredPresheaf:
+    """L(m) level by level from each label: the level's mask parsed from
+    its label, the relation instances found by filtering every table tuple
+    for representatives, and the Elem values compared.  The construction
+    bridge._L replaced by the int tables; the same fields in the same dict
+    orders, for models whose tables are in product order."""
+    poset = alg_poset(m.alg)
+    sections, rel_top, reps_at = {}, {}, {}
+    for label in poset.elements:
+        bb = elem_from_label(m.alg, label).bits
+        rep = reps_at[label] = _class_reps(m, bb)
+        sections[label] = tuple(r for r in m.domain if rep[r] == r)
+        for sym, table in m.rels.items():
+            for tup, val in table.items():
+                if all(rep[t] == t for t in tup):
+                    rel_top[label, sym, tup] = val.bits & bb == bb
+    restrict = _restrictions(poset, sections, lambda q, p: reps_at[q].__getitem__)
+    const_top = {c: reps_at[m.alg.top.label][t] for c, t in m.consts.items()}
+    return StructuredPresheaf(poset, sections, restrict, m.alg,
+                              m.sig, rel_top, const_top)
+
+
+def atom_join_R(f) -> BVModel:
+    """R(F) with every value one join over the atoms per table entry, as an
+    Elem: the construction bridge.R replaced by grouping F(1) per atom."""
+    if f.alg is None:
+        raise SheafError("R needs a presheaf on an algebra base")
+    rep = is_separated(f)
+    if not rep.passed:
+        raise NotSeparatedError(
+            f"presheaf is not separated: {rep.failures[:1]}")
+    alg = f.alg
+    top_label = alg.top.label
+    domain = f.sections[top_label]
+    atoms = [(a.label, a.bits) for a in alg.atom_elems()]
+    res = {(a, s): f.res(a, top_label, s) for a, _ in atoms for s in domain}
+
+    def join(holds) -> Elem:
+        return Elem(alg, sum(bit for a, bit in atoms if holds(a)))
+
+    eq = {(s, t): join(lambda a: res[a, s] == res[a, t])
+          for s in domain for t in domain}
+    if isinstance(f, StructuredPresheaf) and f.sig is not None:
+        sig = f.sig
+        rels = {sym: {tup: join(lambda a: f.rel_top.get(
+                          (a, sym, tuple(res[a, t] for t in tup)), False))
+                      for tup in product(domain, repeat=arity)}
+                for sym, arity in sig.rel_arity.items()}
+        consts = dict(f.const_top)
+    else:
+        sig = Signature.make({}, ())
+        rels, consts = {}, {}
+    return BVModel(alg, sig, tuple(domain), eq, rels, consts)
+
+
+def elem_check_morphism(mor: BVMorphism) -> MorphismReport:
+    """check_morphism with i applied and compared on Elems, entry by entry,
+    and onto-ness tested against every source element: the body the bit
+    comparison replaced, with the same checks, violations and errors."""
+    m, n, i, phi = mor.source, mor.target, mor.i, mor.phi
+    bad = []
+    if i.source != m.alg or i.target != n.alg:
+        bad.append("algebra map does not connect the model algebras")
+        return MorphismReport(False, False, False, tuple(bad))
+    if set(phi) != set(m.domain) or not set(phi.values()) <= set(n.domain):
+        bad.append("domain map is not total into the target domain")
+        return MorphismReport(False, False, False, tuple(bad))
+    exact = True
+    for c, t in m.consts.items():
+        if n.consts.get(c) != phi[t]:
+            bad.append(f"constant {c} not preserved")
+    for a in m.domain:
+        for b in m.domain:
+            lhs, rhs = i(m.eq[a, b]), n.eq[phi[a], phi[b]]
+            if not lhs <= rhs:
+                bad.append(f"equality inequality fails at ({a},{b})")
+            elif lhs != rhs:
+                exact = False
+    for sym, table in m.rels.items():
+        for tup, val in table.items():
+            lhs = i(val)
+            rhs = n.rels[sym][tuple(phi[t] for t in tup)]
+            if not lhs <= rhs:
+                bad.append(f"relation inequality fails for {sym} at {tup}")
+            elif lhs != rhs:
+                exact = False
+    is_morphism = not bad
+    is_embedding = is_morphism and exact
+    onto = all(
+        any(n.eq[phi[s], t].is_top for s in m.domain) for t in n.domain
+    )
+    is_iso = is_embedding and mor.i.is_isomorphism and onto
+    return MorphismReport(is_morphism, is_embedding, is_iso, tuple(bad))
+
+
 def random_functorial_presheaf(rng, x: FinTop) -> Presheaf:
     """A random presheaf on O(X)+ for any finite space: a restriction-closed
     random family of choice functions into stalks of 1 or 2 values, divided
@@ -691,7 +839,7 @@ def bundle_clauses_scan(pb, with_product_clause: bool) -> FullnessClauses:
         pb.b_phi.bits) is not None
     a_phi = frozenset(pt for pt, stalk in pb.stalks.items() if stalk)
     a_phi_full = a_phi == pb.n_b_phi
-    space = (stone_space(pb.b_phi.alg).space.subspace(pb.n_b_phi)
+    space = (subspace(stone_space(pb.b_phi.alg).space, pb.n_b_phi)
              if pb.n_b_phi else None)
     a_phi_closed = space is None or space.is_closed(a_phi)
     product_section = ((not pb.n_b_phi) or any(
@@ -702,8 +850,27 @@ def bundle_clauses_scan(pb, with_product_clause: bool) -> FullnessClauses:
                            a_phi_closed, has_section, product_section)
 
 
+def basic_opens(pb, m: BVModel) -> dict:
+    """E^phi's generating basis: for each witness tuple and each nonzero
+    c <= b_phi, the tuple's germs over the points of N_c where the tuple's
+    truth value lies in the ultrafilter."""
+    reps = [(i, pt, _class_reps(m, 1 << i))
+            for i, pt in enumerate(m.alg.atoms) if pb.b_phi.bits >> i & 1]
+    out = {}
+    for tup in sorted(pb.values):
+        v = pb.values[tup].bits
+        for c in m.alg.elements():
+            if c.is_bottom or not c <= pb.b_phi:
+                continue
+            germs = frozenset((pt, tuple(rep[t] for t in tup))
+                              for i, pt, rep in reps if (c.bits & v) >> i & 1)
+            if germs:
+                out[tup, c.label] = germs
+    return out
+
+
 def basic_opens_scan(pb, m: BVModel) -> dict:
-    """PhiBundle.basic_opens with an ultrafilter and its classes built for
+    """basic_opens with an ultrafilter and its classes built for
     every (tuple, c, point): membership of the tuple's value in G_pt on the
     Elem, classes by filter_reps."""
     out = {}
@@ -911,7 +1078,7 @@ def pairwise_lambda1(ps: Presheaf, x: FinTop) -> EtaleSpace:
                 v for v in levels if v <= meet
                 and ps.res(levels[v], levels[uf], f)
                 == ps.res(levels[v], levels[uh], h)))
-            return any(u <= meet and x.is_dense_in(agree, u) for u in in_filter)
+            return any(u <= meet and is_dense_in(x, agree, u) for u in in_filter)
 
         classes = pairwise_classes(
             [(u, f) for u in in_filter for f in ps.sections[levels[u]]], related)
@@ -949,9 +1116,9 @@ def ro_joins_match(x: FinTop, ro) -> bool:
     member at a time, which covers every subfamily."""
     pairs = {(frozenset(), ro.alg.bottom)}
     for u in regular_opens(x):
-        e = ro.from_subset(u)
+        e = ro_from_subset(ro, u)
         pairs |= {(v | u, j | e) for v, j in pairs}
-    return all(ro.to_subset(j) == x.regularize(v) for v, j in pairs)
+    return all(ro_to_subset(ro, j) == x.regularize(v) for v, j in pairs)
 
 
 def regularize_pointwise(x: FinTop, a) -> frozenset:
