@@ -104,7 +104,17 @@ def R(f: Presheaf) -> BVModel:
     """The boolean valued model on F(1) with [f=g] the join of the levels
     where the restrictions agree.  Requires a separated presheaf on B+;
     relation tables are rebuilt when the presheaf carries model structure,
-    otherwise the result interprets equality only.
+    otherwise the result interprets equality only.  Built once per presheaf
+    and kept on it, as L(M) is on M, so F's tables may be changed only
+    before the first call; a call that raises keeps nothing."""
+    rf = f.__dict__.get("_r")
+    if rf is None:
+        rf = f._r = _R(f)
+    return rf
+
+
+def _R(f: Presheaf) -> BVModel:
+    """R(f), read off F(1) one atom at a time.
 
     The joins run over the atoms: for separated F, s|b = t|b iff s|a = t|a
     for every atom a <= b (F(b) -> prod F(a) over the atoms below b is

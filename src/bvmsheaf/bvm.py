@@ -174,11 +174,11 @@ def eval_formula(m: BVModel, f: Formula, env: dict | None = None) -> Elem:
 
 class _Evaluator:
     """[f] as a bitmask, on the model's tables read into ints and its
-    constants resolved once.  It keeps no reference to the model, so no
-    cycle delays freeing the model."""
+    constants resolved once; reps holds _class_reps' dict per mask.  It
+    keeps no reference to the model, so no cycle delays freeing the model."""
 
     def __init__(self, m: BVModel):
-        self.domain, self.top = m.domain, m.alg.top.bits
+        self.domain, self.top, self.reps = m.domain, m.alg.top.bits, {}
         self.eq = {pair: v.bits for pair, v in m.eq.items()}
         self.rels = {sym: {tup: v.bits for tup, v in table.items()}
                      for sym, table in m.rels.items()}
@@ -305,8 +305,16 @@ def quotient_model(m: BVModel, f: Filter) -> BVModel:
 def _class_reps(m: BVModel, g: int) -> dict:
     """The least id of each element's class in M/F, for F the filter above
     the mask g: a and b are one class iff g <= [a=b].  Every quotient reads
-    its classes here, off the evaluator's int equality table."""
-    eq, dom = m._evaluator.eq, m.domain
+    its classes here.  Each mask is scanned once per model and its dict kept
+    on the evaluator, so the dict is shared: callers must not change it."""
+    ev = m._evaluator
+    if g not in ev.reps:
+        ev.reps[g] = _scan_reps(ev, g)
+    return ev.reps[g]
+
+
+def _scan_reps(ev: _Evaluator, g: int) -> dict:
+    eq, dom = ev.eq, ev.domain
     return {a: min(b for b in dom if eq[b, a] & g == g) for a in dom}
 
 

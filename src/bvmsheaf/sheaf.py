@@ -356,13 +356,17 @@ def gamma0(e: EtaleSpace, u) -> list[dict]:
     """All continuous right inverses of the projection over the open set u.
 
     A choice is continuous iff the preimage of every basic is open in the
-    subspace u, that is, equal to v & u for an open v of the base."""
+    subspace u, that is, equal to v & u for an open v of the base.  When
+    every subset of u is open (2^|u| subspace opens, as over St(B)), every
+    choice is, and the sections are the stalk product in product order."""
     u = frozenset(u)
     if not u or u not in e.base.opens:
         raise SheafError(f"{subset_label(u)} is not a nonempty open of the base")
     points = sorted(u)
     um = e.base._check_subset(u)
     sub_opens = {v & um for v in e.base._masks}
+    if len(sub_opens) == 1 << len(points):
+        return _choices(e.stalks, points)
     point_bits = [e.base._bit[p] for p in points]
     bit = e._bit
     out = []

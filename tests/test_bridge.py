@@ -540,22 +540,38 @@ def test_internal_presheaves_pass_the_functoriality_check():
 
 
 def test_bridge_bases_are_built_once(monkeypatch):
-    """One L per model, one St(B) per algebra and one poset per base across
-    R o L, the adjunction witness, mixing <-> sheaf and mixify; a second
-    model on the same algebra builds no Stone space and no poset.  Posets
-    are counted on both paths: the checked constructor and the unchecked
-    one of the inclusion posets."""
-    from bvmsheaf import balg, bridge, sheaf, topo
+    """One L and one R per model or presheaf (so one is_separated per
+    presheaf R reads), one class-representative scan per model and mask,
+    one St(B) per algebra and one poset per base across R o L, the
+    adjunction witness, mixing <-> sheaf and mixify; a second model on the
+    same algebra builds no Stone space and no poset.  Posets are counted on
+    both paths: the checked constructor and the unchecked one of the
+    inclusion posets."""
+    from bvmsheaf import balg, bridge, bvm, sheaf, topo
     for cache in (balg.stone_space, topo.opens_poset, sheaf.alg_poset):
         cache.cache_clear()
     l_builds, stone_builds, poset_builds = [], [], []
+    r_builds, rep_scans, separated = [], [], []
     build_l, stone_init, poset_check = (bridge._L, balg.StoneSpace.__init__,
                                         topo.FinPoset.__post_init__)
     poset_unchecked = topo.FinPoset._unchecked
+    build_r, scan_reps, is_sep = bridge._R, bvm._scan_reps, bridge.is_separated
 
     def counted_l(m):
         l_builds.append(m)
         return build_l(m)
+
+    def counted_r(f):
+        r_builds.append(f)
+        return build_r(f)
+
+    def counted_scan(ev, g):
+        rep_scans.append((ev, g))
+        return scan_reps(ev, g)
+
+    def counted_separated(f):
+        separated.append(f)
+        return is_sep(f)
 
     def counted_stone(self, alg):
         stone_builds.append(alg)
@@ -569,6 +585,9 @@ def test_bridge_bases_are_built_once(monkeypatch):
         poset_builds.append(elements)
         return poset_unchecked(elements, down, mask)
     monkeypatch.setattr(bridge, "_L", counted_l)
+    monkeypatch.setattr(bridge, "_R", counted_r)
+    monkeypatch.setattr(bvm, "_scan_reps", counted_scan)
+    monkeypatch.setattr(bridge, "is_separated", counted_separated)
     monkeypatch.setattr(balg.StoneSpace, "__init__", counted_stone)
     monkeypatch.setattr(topo.FinPoset, "__post_init__", counted_poset)
     monkeypatch.setattr(topo.FinPoset, "_unchecked", staticmethod(counted_unchecked))
@@ -588,9 +607,18 @@ def test_bridge_bases_are_built_once(monkeypatch):
     assert stone_builds == [m.alg]
     assert len(poset_builds) == len(set(poset_builds))
     assert L(m) is L(m)
+    assert R(L(m)) is R(L(m))
+    assert len(r_builds) == 1 and r_builds[0] is L(m)
+    assert len(separated) == 1 and separated[0] is L(m)
+    scans = [(id(ev), g) for ev, g in rep_scans]
+    assert len(scans) == len(set(scans))
+    assert {(id(m._evaluator), g) for g in range(1, 8)} <= set(scans)
     _assert_same_presheaf(L(m), quotient_L(m))
     stone_base = topo.opens_poset(balg.stone_space(m.alg).space).elements
     assert stone_base in poset_builds
     del stone_builds[:], poset_builds[:]
     run(m2)
     assert stone_builds == [] and poset_builds == []
+    assert len(r_builds) == 2 and r_builds[1] is L(m2)
+    scans = [(id(ev), g) for ev, g in rep_scans]
+    assert len(scans) == len(set(scans))

@@ -5,14 +5,19 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from bvmsheaf.balg import ultrafilters  # noqa: E402
 from bvmsheaf.bridge import (L, R, StructuredPresheaf,  # noqa: E402
-                             _counit, mixify)
+                             _counit, adjunction_witness, mixify,
+                             mixing_iff_sheaf, phi_bundle)
+from bvmsheaf.bvm import (_class_reps, check_morphism, has_mixing,  # noqa: E402
+                          quotient_model, tarski_quotient)
+from bvmsheaf.logic import parse  # noqa: E402
 from bvmsheaf.sheaf import (PresheafMorphism,  # noqa: E402
                             check_presheaf_morphism)
 
-from util import (atom_join_R, chain_mixify, label_L,  # noqa: E402
-                  naturality_scan, one_square_morphism, one_square_pairs,
-                  random_model)
+from util import (atom_join_R, chain_mixify, class_reps_scan,  # noqa: E402
+                  label_L, naturality_scan, one_square_morphism,
+                  one_square_pairs, random_model)
 
 DRAWS = settings(max_examples=100, deadline=None, database=None,
                  derandomize=True)
@@ -79,3 +84,36 @@ def test_naturality_on_covers_matches_the_all_pairs_scan(rng):
         u, v = rng.choice(pairs)
         lone = one_square_morphism(counit.i, lm, u, v)
         assert check_presheaf_morphism(lone) == naturality_scan(lone) == (u, v)
+
+
+def _assert_reps_match_the_scan(m) -> None:
+    """Every mask's memoized representatives, and every dict the memo
+    holds, equal a fresh scan, with the same order."""
+    for g in range(1, 1 << m.alg.atom_count):
+        assert list(_class_reps(m, g).items()) == list(class_reps_scan(m, g).items())
+    for g, rep in m._evaluator.reps.items():
+        assert list(rep.items()) == list(class_reps_scan(m, g).items())
+
+
+@DRAWS
+@given(st.randoms(use_true_random=False))
+def test_class_reps_memo_matches_the_scan_before_and_after_the_bridge(rng):
+    """The per-mask dicts are shared by every caller, so one that changed a
+    dict would leave the memo off the scan after a full bridge run: R o L,
+    the adjunction witness, mixing <-> sheaf, mixify and its embedding
+    check, has_mixing, the quotients at each ultrafilter and phi_bundle."""
+    m = random_model(rng, max_atoms=4, max_domain=4)
+    _assert_reps_match_the_scan(m)
+    rlm = R(L(m))
+    adjunction_witness(m)
+    mixing_iff_sheaf(m)
+    mx, emb = mixify(m)
+    check_morphism(emb)
+    has_mixing(m)
+    for g in ultrafilters(m.alg):
+        tarski_quotient(m, g)
+        quotient_model(m, g)
+    sym = next(iter(m.sig.rel_arity))
+    phi_bundle(m, parse(m.sig, f"{sym}({', '.join('x' * m.sig.rel_arity[sym])})"))
+    for model in (m, rlm, mx):
+        _assert_reps_match_the_scan(model)

@@ -257,10 +257,21 @@ def _literal_gamma0(e: EtaleSpace, u: frozenset) -> list:
 
 def test_etale_mask_kernel_matches_literal_definitions():
     """check_base_property, is_open, interior, closure and gamma0 agree with
-    the frozenset scans they replaced, on bases and on non-bases."""
-    rng = random.Random(89)
-    verdicts = set()
-    for e in _etale_samples():
+    the frozenset scans they replaced, on bases and on non-bases, and on
+    lambda0 of ext(L(M)) over St(B) at 1 to 4 atoms.  gamma0's samples
+    reach both of its branches: opens whose subspace is discrete (the stalk
+    product) and opens where it scans the basics."""
+    from bvmsheaf.balg import stone_space
+    from bvmsheaf.bridge import L, ext_to_stone
+    rng, model_rng = random.Random(89), random.Random(90)
+    stone_samples = []
+    for n in (1, 1, 2, 2, 3, 3, 4, 4):
+        m = random_model(model_rng, n, 4)
+        while m.alg.atom_count != n:
+            m = random_model(model_rng, n, 4)
+        stone_samples.append(lambda0(ext_to_stone(L(m)), stone_space(m.alg).space))
+    verdicts, discrete = set(), set()
+    for e in _etale_samples() + stone_samples:
         literal = _literal_base_property(e)
         verdicts.add(literal)
         try:
@@ -280,7 +291,9 @@ def test_etale_mask_kernel_matches_literal_definitions():
                 *(b for b in e.basics.values() if b <= total - s))
         for u in e.base.nonempty_opens():
             assert gamma0(e, u) == _literal_gamma0(e, u)
+            discrete.add(len(subspace(e.base, u).opens) == 2 ** len(u))
     assert verdicts == {True, False}
+    assert discrete == {True, False}
 
 
 def test_check_base_property_rejects_a_non_base():

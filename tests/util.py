@@ -543,6 +543,14 @@ def filter_reps(m: BVModel, filt: Filter) -> dict:
             for a in m.domain}
 
 
+def class_reps_scan(m: BVModel, g: int) -> dict:
+    """The least id of each element's class at the mask g, by a fresh scan
+    of the evaluator's int equality table: the body of _class_reps before
+    its per-mask memo, kept as the memo's oracle."""
+    eq, dom = m._evaluator.eq, m.domain
+    return {a: min(b for b in dom if eq[b, a] & g == g) for a in dom}
+
+
 def quotient_L(m):
     """L(M) built level by level by Filter membership on the Elem tables:
     the classes of M/F_b by filter_reps, and a relation instance over
