@@ -168,17 +168,41 @@ def _in_alg(m: BVModel, v) -> bool:
 def eval_formula(m: BVModel, f: Formula, env: dict | None = None) -> Elem:
     """The boolean truth value of a formula under env (variable -> id):
     meet, join and complement, the quantifiers finite joins and meets over
-    the domain, computed on bitmasks by the model's evaluator."""
-    return Elem(m.alg, m._evaluator.bits(f, env or {}))
+    the domain, computed on bitmasks by the model's evaluator.  With no env
+    the value of the closed node f is kept in the evaluator's memo under
+    id(f): an equal formula that is another object is evaluated again."""
+    ev = m._evaluator
+    if env:
+        return Elem(m.alg, ev.bits(f, env))
+    hit = ev.closed.get(id(f))
+    if hit is None:
+        hit = ev.closed[id(f)] = (*_closed_value(ev, f), f)
+    return Elem(m.alg, hit[0])
+
+
+def _closed_value(ev: "_Evaluator", f: Formula) -> tuple:
+    """([f], body) for a closed f: for an E-rooted f, body maps each domain
+    element d to the value of f's body at d, whose join is [f]; otherwise
+    body is None."""
+    if not isinstance(f, Exists):
+        return _EVAL[type(f)](ev, {}, f), None
+    env, run, body = {}, _EVAL[type(f.body)], {}
+    for d in ev.domain:
+        env[f.var] = d
+        body[d] = run(ev, env, f.body)
+    return reduce(or_, body.values(), 0), body
 
 
 class _Evaluator:
     """[f] as a bitmask, on the model's tables read into ints and its
-    constants resolved once; reps holds _class_reps' dict per mask.  It
+    constants resolved once; reps holds _class_reps' dict per mask, and
+    closed maps id(f) to (bits, body, f) per closed formula eval_formula
+    was given (f kept, so its id is not reused); is_full only reads it.  It
     keeps no reference to the model, so no cycle delays freeing the model."""
 
     def __init__(self, m: BVModel):
         self.domain, self.top, self.reps = m.domain, m.alg.top.bits, {}
+        self.closed = {}
         self.eq = {pair: v.bits for pair, v in m.eq.items()}
         self.rels = {sym: {tup: v.bits for tup, v in table.items()}
                      for sym, table in m.rels.items()}
@@ -608,24 +632,22 @@ def is_full(m: BVModel, depth: int = 2, formulas=None) -> FullnessReport:
     the instance.  An E-rooted formula's body is evaluated once at each d:
     the join is its value, and the cover is read off the same values.  Every
     existential is a finite join, so (b) always finds a cover and
-    procedures_agree reduces to full; (a) tests the evaluator.  Both loops
-    run the walkers' runner tables directly, each body under one env that
-    rebinds the quantified variable; with an empty env, satisfies would add
-    nothing to its runner.
+    procedures_agree reduces to full; (a) tests the evaluator.  A formula
+    eval_formula has already evaluated on m (the same object) has its value
+    and body values read from the evaluator's memo; any other is evaluated
+    here, and is_full stores nothing.  Both loops run the walkers' runner
+    tables directly, each body under one env that rebinds the quantified
+    variable; with an empty env, satisfies would add nothing to its runner.
+    formulas may be any iterable; formulas_checked counts what it yielded.
     """
     pool = formulas if formulas is not None else closed_pool(
         m.sig, m.domain, depth)
     ev, values, covers = m._evaluator, [], []
     for f in pool:
-        if isinstance(f, Exists):
-            env, run, body = {}, _EVAL[type(f.body)], {}
-            for d in m.domain:
-                env[f.var] = d
-                body[d] = run(ev, env, f.body)
-            value = reduce(or_, body.values(), 0)
+        hit = ev.closed.get(id(f))
+        value, body = hit[:2] if hit else _closed_value(ev, f)
+        if body is not None:
             covers.append((f, _smallest_cover(body, value)))
-        else:
-            value = _EVAL[type(f)](ev, {}, f)
         values.append((f, value))
     mismatches = []
     for g_atom in m.alg.atom_elems():
@@ -637,7 +659,7 @@ def is_full(m: BVModel, depth: int = 2, formulas=None) -> FullnessReport:
     covers_ok = all(cover is not None for _, cover in covers)
     full = not mismatches
     return FullnessReport(full, tuple(mismatches), tuple(covers),
-                          full == covers_ok, len(pool))
+                          full == covers_ok, len(values))
 
 
 def _smallest_cover(vals: dict, total: int):

@@ -1,7 +1,10 @@
 """Boolean valued models: axioms, semantics, quotients, Los, mixing,
 products, morphisms."""
 
+import gc
 import random
+import weakref
+from collections import Counter
 from functools import reduce
 from itertools import product
 from operator import and_, or_
@@ -365,6 +368,87 @@ def test_is_full_one_element_model_over_b2():
     m = BVModel.make(B2, ["e"], rels={"R": {("e",): B2.top}})
     rep = is_full(m, 2)
     assert rep.full and rep.procedures_agree
+
+
+def test_is_full_accepts_any_iterable_of_formulas():
+    """A generator or an iterator over the pool gives the list's report,
+    formulas_checked counting the formulas it yielded."""
+    m = m_r()
+    pool = closed_pool(m.sig, m.domain, 2)
+    rep = is_full(m, formulas=pool)
+    assert rep.formulas_checked == len(pool)
+    assert is_full(m, formulas=(f for f in pool)) == rep
+    assert is_full(m, formulas=iter(pool)) == rep
+    assert is_full(m, formulas=iter(())).formulas_checked == 0
+
+
+def _count_runner_calls(monkeypatch) -> Counter:
+    """Wrap every runner of the evaluator's table with a count of its calls
+    per node class."""
+    calls = Counter()
+    for kind, run in list(_EVAL.items()):
+        def counted(ev, env, f, run=run, kind=kind):
+            calls[kind] += 1
+            return run(ev, env, f)
+        monkeypatch.setitem(_EVAL, kind, counted)
+    return calls
+
+
+def test_is_full_reads_the_values_eval_formula_kept(monkeypatch):
+    """After eval_formula over the closed pool, is_full(m, 2) runs no
+    evaluator runner: every value and body value comes from the memo."""
+    m = m_r()
+    values = [eval_formula(m, f) for f in closed_pool(m.sig, m.domain, 2)]
+    calls = _count_runner_calls(monkeypatch)
+    assert is_full(m, 2).full and not calls
+    assert [eval_formula(m, f) for f in closed_pool(m.sig, m.domain, 2)] \
+        == values and not calls
+
+
+def test_is_full_keeps_nothing(monkeypatch):
+    """On a fresh model two is_full calls run the same number of runners,
+    more than none: is_full leaves no value behind for the next call."""
+    m = m_r()
+    calls = _count_runner_calls(monkeypatch)
+    first = is_full(m, 2)
+    counted = sum(calls.values())
+    calls.clear()
+    assert is_full(m, 2) == first
+    assert sum(calls.values()) == counted > 0
+    assert not m._evaluator.closed
+
+
+def test_the_closed_memo_is_keyed_by_node_identity(monkeypatch):
+    """A formula equal to a memoized one but another object is evaluated
+    again, and so is an equal formula handed to is_full."""
+    m = m_r()
+    f, g = (Exists("x", Rel("R", (Var("x"),))) for _ in range(2))
+    assert f == g and f is not g
+    value = eval_formula(m, f)
+    calls = _count_runner_calls(monkeypatch)
+    assert eval_formula(m, f) == value and not calls
+    assert eval_formula(m, g) == value and calls[Rel] == len(m.domain)
+    calls.clear()
+    assert is_full(m, formulas=[Exists("x", Rel("R", (Var("x"),)))]).full
+    assert calls[Rel] == len(m.domain)
+
+
+def test_the_memos_hold_no_reference_to_the_model():
+    """With the collector off only reference counts free the model, so it
+    is gone right after del once eval_formula and is_full have filled and
+    read the evaluator's memos: nothing there refers back to it."""
+    m = m_r()
+    for f in closed_pool(m.sig, m.domain, 2):
+        eval_formula(m, f)
+    assert is_full(m, 2).full and m._evaluator.closed
+    ref, enabled = weakref.ref(m), gc.isenabled()
+    gc.disable()
+    try:
+        del m
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_has_mixing_mnm_fails_with_smallest_witness():

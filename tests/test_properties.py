@@ -9,15 +9,16 @@ from bvmsheaf.balg import ultrafilters  # noqa: E402
 from bvmsheaf.bridge import (L, R, StructuredPresheaf,  # noqa: E402
                              _counit, adjunction_witness, mixify,
                              mixing_iff_sheaf, phi_bundle)
-from bvmsheaf.bvm import (_class_reps, check_morphism, has_mixing,  # noqa: E402
-                          quotient_model, tarski_quotient)
-from bvmsheaf.logic import parse  # noqa: E402
+from bvmsheaf.bvm import (_class_reps, check_morphism, closed_pool,  # noqa: E402
+                          eval_formula, has_mixing, is_full, quotient_model,
+                          tarski_quotient)
+from bvmsheaf.logic import Exists, parse  # noqa: E402
 from bvmsheaf.sheaf import (PresheafMorphism,  # noqa: E402
                             check_presheaf_morphism)
 
 from util import (atom_join_R, chain_mixify, class_reps_scan,  # noqa: E402
                   label_L, naturality_scan, one_square_morphism,
-                  one_square_pairs, random_model)
+                  one_square_pairs, random_model, recursive_eval_bits)
 
 DRAWS = settings(max_examples=100, deadline=None, database=None,
                  derandomize=True)
@@ -117,3 +118,28 @@ def test_class_reps_memo_matches_the_scan_before_and_after_the_bridge(rng):
     phi_bundle(m, parse(m.sig, f"{sym}({', '.join('x' * m.sig.rel_arity[sym])})"))
     for model in (m, rlm, mx):
         _assert_reps_match_the_scan(model)
+
+
+@DRAWS
+@given(st.randoms(use_true_random=False))
+def test_is_full_reads_the_closed_memo_as_it_would_evaluate(rng):
+    """is_full(m, 2) gives an equal report, witness covers and Los
+    mismatches in the same order, before and after eval_formula has kept
+    the value of every pool formula; each kept value and body value is the
+    recursive oracle's."""
+    m = random_model(rng, max_atoms=4, max_domain=4)
+    fresh = is_full(m, 2)
+    pool = closed_pool(m.sig, m.domain, 2)
+    for f in pool:
+        eval_formula(m, f)
+    assert is_full(m, 2) == fresh
+    top, memo = m.alg.top.bits, m._evaluator.closed
+    assert len(memo) == len(pool)
+    for f in pool:
+        value, body, kept = memo[id(f)]
+        assert kept is f and value == recursive_eval_bits(m, f, {}, top)
+        if isinstance(f, Exists):
+            assert body == {d: recursive_eval_bits(m, f.body, {f.var: d}, top)
+                            for d in m.domain}
+        else:
+            assert body is None
