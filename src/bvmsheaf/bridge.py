@@ -15,9 +15,8 @@ from .bvm import (_EVAL, BVModel, BVMorphism, ModelError, _class_reps,
 from .logic import Eq, Formula, Rel, Signature, Var, free_vars
 from .record import Record, field
 from .sheaf import (NotSeparatedError, Presheaf, PresheafMorphism, SheafError,
-                    _choices, _pullback, _restrictions, _section_id,
-                    alg_poset, gamma0, is_separated,
-                    is_stonean_sheaf, lambda0)
+                    _along, _choices, _section_id, alg_poset, gamma0,
+                    is_separated, is_stonean_sheaf, lambda0)
 from .topo import opens_poset, subset_label
 
 
@@ -50,9 +49,10 @@ def _L(m: BVModel) -> StructuredPresheaf:
     representatives is top in M/F_b iff b <= its value, since the projection
     c |-> c /\\ b sends the value to b exactly then; the instances of level
     b are the tuples of its representatives.  m must be a valid model: for
-    q <= p, classes coarsen from p to q as equality is transitive, so
-    sending each representative at p to its representative at q composes,
-    unchecked."""
+    q <= p, classes coarsen from p to q as equality is transitive, so the
+    rule sending each representative at p to its representative at q
+    composes, unchecked.  It is separated by construction (two
+    representatives at p differ at some atom below p), so R skips that check."""
     poset, ev = alg_poset(m.alg), m._evaluator
     rels = [(sym, table, m.sig.rel_arity[sym]) for sym, table in ev.rels.items()]
     sections, rel_top, reps_at = {}, {}, {}
@@ -62,10 +62,10 @@ def _L(m: BVModel) -> StructuredPresheaf:
         for sym, table, arity in rels:
             for tup in product(secs, repeat=arity):
                 rel_top[label, sym, tup] = table[tup] & b == b
-    restrict = _restrictions(poset, sections, lambda q, p: reps_at[q].__getitem__)
     const_top = {c: reps_at[m.alg.top.label][t] for c, t in m.consts.items()}
-    return StructuredPresheaf(poset, sections, restrict, m.alg,
-                              m.sig, rel_top, const_top)
+    return StructuredPresheaf.by_rule(
+        lambda q, p, f: reps_at[q][f], poset, sections, m.alg, sig=m.sig,
+        rel_top=rel_top, const_top=const_top, _separated=True)
 
 
 def _atom_tables(alg: BoolAlg, domain: tuple, arity: dict,
@@ -102,11 +102,12 @@ def _atom_tables(alg: BoolAlg, domain: tuple, arity: dict,
 
 def R(f: Presheaf) -> BVModel:
     """The boolean valued model on F(1) with [f=g] the join of the levels
-    where the restrictions agree.  Requires a separated presheaf on B+;
-    relation tables are rebuilt when the presheaf carries model structure,
-    otherwise the result interprets equality only.  Built once per presheaf
-    and kept on it, as L(M) is on M, so F's tables may be changed only
-    before the first call; a call that raises keeps nothing."""
+    where the restrictions agree.  Requires a separated presheaf on B+,
+    checked unless separated by construction as L(M) is; relation tables
+    are rebuilt when F carries model structure, otherwise the result
+    interprets equality only.  Built once per presheaf and kept on it, so
+    F's tables may be changed only before the first call; a call that
+    raises keeps nothing."""
     rf = f.__dict__.get("_r")
     if rf is None:
         rf = f._r = _R(f)
@@ -126,12 +127,9 @@ def _R(f: Presheaf) -> BVModel:
     Both are built by _atom_tables, grouping F(1) by the restriction s|a."""
     if f.alg is None:
         raise SheafError("R needs a presheaf on an algebra base")
-    rep = is_separated(f)
-    if not rep.passed:
-        raise NotSeparatedError(
-            f"presheaf is not separated: {rep.failures[:1]}")
-    alg = f.alg
-    top_label = alg.top.label
+    if not f._separated and not (rep := is_separated(f)).passed:
+        raise NotSeparatedError(f"presheaf is not separated: {rep.failures[:1]}")
+    alg, top_label = f.alg, f.alg.top.label
     domain = f.sections[top_label]
     structured = isinstance(f, StructuredPresheaf) and f.sig is not None
     sig = f.sig if structured else Signature.make({}, ())
@@ -186,34 +184,25 @@ def adjunction_witness(m: BVModel, f: Presheaf | None = None) -> AdjunctionWitne
     else:
         rf = R(f)
         counit = _counit(f, rf)
-    bad_square = check_presheaf_morphism(counit)
-    if bad_square is not None:
+    if (bad_square := check_presheaf_morphism(counit)) is not None:
         raise SheafError(f"counit naturality fails at {bad_square}")
 
     # Id_L at M: eps_{L(M)} o L(eta_M) is the identity on each level of L(M).
     lrlm = eps_lm.source  # L(R(L(M)))
     rep1 = unit.phi       # eta: tau -> its class rep at F_1
     top_label = m.alg.top.label
-    triangle_l_ok = True
-    for label in lm.base.elements:
-        for sec in lm.sections[label]:
-            # L(eta)_b sends [tau]_b to the class of eta(tau) at level b.
-            image = lrlm.res(label, top_label, rep1[sec])
-            if eps_lm.theta[label][image] != sec:
-                triangle_l_ok = False
+    # L(eta)_b sends [tau]_b to the class of eta(tau) at level b.
+    triangle_l_ok = all(
+        eps_lm.theta[label][lrlm.res(label, top_label, rep1[sec])] == sec
+        for label in lm.base.elements for sec in lm.sections[label])
 
     # Id_R at F: R(eps_F) o eta_{R(F)} is the identity on R(F).
-    rep1_rf = _class_reps(rf, rf.alg.top.bits)
-    f_top = f.alg.top.label
-    triangle_r_ok = all(
-        counit.theta[f_top][rep1_rf[tau]] == tau for tau in rf.domain
-    )
+    rep1_rf, f_top = _class_reps(rf, rf.alg.top.bits), f.alg.top.label
+    triangle_r_ok = all(counit.theta[f_top][rep1_rf[tau]] == tau for tau in rf.domain)
 
     unit_is_iso = check_morphism(unit).is_isomorphism
-    counit_is_iso = all(
-        len(set(counit.theta[label].values())) == len(f.sections[label])
-        for label in f.base.elements
-    )
+    counit_is_iso = all(len(set(counit.theta[label].values())) == len(f.sections[label])
+                        for label in f.base.elements)
     return AdjunctionWitness(unit, counit, triangle_r_ok, triangle_l_ok,
                              unit_is_iso, counit_is_iso)
 
@@ -223,15 +212,13 @@ def adjunction_witness(m: BVModel, f: Presheaf | None = None) -> AdjunctionWitne
 def ext_to_stone(f: Presheaf) -> Presheaf:
     """ext: transport a presheaf on B+ to O(St(B))+ along N_b; on the
     discrete finite Stone space Reg is the identity, so the level at a
-    nonempty point set W is F at the join of W's atoms.  W |-> that join
-    (at) is monotone, so F's own restriction tables relabelled along it
-    compose: the table at (W, V) is F's table at (at W, at V) itself."""
+    nonempty point set W is F at the join of W's atoms.  The points are the
+    atoms in algebra order, so W's point mask is that join's bits: O(St(B))+
+    is B+ relabelled, and F's rule is read along the relabelling."""
     if f.alg is None:
         raise SheafError("ext needs a presheaf on an algebra base")
-    x = stone_space(f.alg).space
-    at = {subset_label(w): f.alg.from_labels(w).label
-          for w in x.nonempty_opens()}
-    return _pullback(f, opens_poset(x), at)
+    base, labels = opens_poset(stone_space(f.alg).space), alg_poset(f.alg).elements
+    return _along(f, base, {w: labels[m - 1] for w, m in base._bits.items()})
 
 
 class MixSheafReport(Record):
@@ -251,25 +238,16 @@ def mixing_iff_sheaf(m: BVModel) -> MixSheafReport:
     the etale space being exactly the induced ones.  The sheaf leg is the
     dense (minimal level) test: on B+ a family below p is predense below p
     iff its join is p, so the dense and the sup coverings are the same sets."""
-    mix = has_mixing(m)
-    lm = L(m)
-    sheaf_rep = is_stonean_sheaf(lm)
-    stone = stone_space(m.alg)
-    ext = ext_to_stone(lm)
-    e0 = lambda0(ext, stone.space)
-    full = frozenset(stone.space.points)
-    sections = gamma0(e0, full)
+    lm, stone = L(m), stone_space(m.alg).space
+    e0 = lambda0(ext_to_stone(lm), stone)
+    full = frozenset(stone.points)
     top_stone = subset_label(full)
-    induced = [
-        {pt: e0.germ_of[top_stone, sigma, pt] for pt in full}
-        for sigma in lm.sections[m.alg.top.label]
-    ]
-    all_induced = all(s in induced for s in sections)
-    witness = None
-    if not all_induced:
-        witness = tuple(sorted(
-            _section_id(s) for s in sections if s not in induced))[:1]
-    return MixSheafReport(mix.passed, sheaf_rep.passed, all_induced, witness)
+    induced = [{pt: e0.germ_of[top_stone, sigma, pt] for pt in full}
+               for sigma in lm.sections[m.alg.top.label]]
+    witness = tuple(sorted(_section_id(s) for s in gamma0(e0, full)
+                           if s not in induced))[:1] or None
+    return MixSheafReport(has_mixing(m).passed, is_stonean_sheaf(lm).passed,
+                          witness is None, witness)
 
 
 # -- mixification --------------------------------------------------------------

@@ -13,11 +13,14 @@ A subclass of Record gets, when the class is created:
 A subclass inherits its base's frozen flag.  Any of __init__, __eq__,
 __hash__ or __repr__ that the class body defines itself is kept.  __init__
 sets each field with object.__setattr__, so a frozen class may set derived
-state the same way in __post_init__.
+state the same way in __post_init__.  A field whose class attribute is a
+cached_property is still required by __init__; on an instance built
+without __init__ it is computed when first read.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from operator import attrgetter
 
 _set = object.__setattr__
@@ -107,7 +110,7 @@ class Record:
         for key in own.get("__annotations__", {}):
             if key not in names:
                 names.append(key)
-            if key in own:
+            if key in own and not isinstance(own[key], cached_property):
                 defaults[key] = own[key]
                 if isinstance(own[key], _Factory):
                     delattr(cls, key)

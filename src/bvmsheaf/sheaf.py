@@ -38,16 +38,25 @@ def alg_poset(alg: BoolAlg) -> FinPoset:
 class Presheaf(Record, frozen=False):
     """Contravariant set assignment on a finite poset.
 
-    sections maps each base element to a tuple of section ids; restrict maps
-    each pair (q, p) with q <= p to a dict F(p) -> F(q).  make(), the entry
-    point for input, rejects duplicate section ids, keys that are not such a
-    pair and table entries off F(p), and validates functoriality exhaustively;
-    the constructors of this package use _restrictions or _pullback unchecked."""
+    sections maps each base element to a tuple of section ids; res(q, p, f)
+    restricts f in F(p) to q <= p, and restrict maps each such pair to the
+    dict F(p) -> F(q).  make(), the entry point for input, reads res off
+    the tables; it rejects levels off the base, duplicate section ids, keys
+    that are not such a pair and entries off F(p), and checks functoriality
+    exhaustively.  This package's constructors give a rule (by_rule),
+    unchecked, and restrict is built from it when first read."""
 
     base: FinPoset
     sections: dict
     restrict: dict
     alg: BoolAlg | None = None  # set when the base is B+ for an algebra
+    _separated = False  # set on a presheaf that is separated by construction
+
+    @cached_property
+    def restrict(self) -> dict:  # of a presheaf by rule
+        base = self.base
+        return {(q, p): self._table(q, p)
+                for p in base.elements for q in sorted(base.down(p))}
 
     @staticmethod
     def make(base: FinPoset, sections: dict, restrict: dict,
@@ -55,6 +64,8 @@ class Presheaf(Record, frozen=False):
         sections = {p: tuple(fs) for p, fs in sections.items()}
         restrict = {pair: dict(r) for pair, r in restrict.items()}
         for p, fs in sections.items():
+            if p not in base._bits:
+                raise SheafError(f"section set at {p}, not a level of the base")
             if len(set(fs)) != len(fs):
                 raise SheafError(f"duplicate section ids at level {p}")
         for q, p in restrict:
@@ -68,6 +79,18 @@ class Presheaf(Record, frozen=False):
         ps = Presheaf(base, sections, restrict, alg)
         ps._check_functorial()
         return ps
+
+    @classmethod
+    def by_rule(cls, res, base: FinPoset, sections: dict,
+                alg: BoolAlg | None = None, **fields) -> "Presheaf":
+        """The presheaf restricting by res(q, p, f), a rule that must compose
+        and be the identity at q = p; nothing checks it."""
+        ps = object.__new__(cls)
+        vars(ps).update(base=base, sections=sections, alg=alg, res=res, **fields)
+        return ps
+
+    def _table(self, q: str, p: str) -> dict:
+        return {f: self.res(q, p, f) for f in self.sections[p]}
 
     def res(self, q: str, p: str, f: str) -> str:
         if q == p:
@@ -102,14 +125,6 @@ class Presheaf(Record, frozen=False):
                                 f"composition fails on {r} <= {q} <= {p} at {f}")
 
 
-def _restrictions(base: FinPoset, sections: dict, res) -> dict:
-    """The table (q, p) -> {f: res(q, p)(f) for f in F(p)} of every pair
-    q <= p of base, identities included.  res(q, p) maps F(p) to F(q); the
-    rule must compose and be the identity at q = p, and nothing checks it."""
-    return {(q, p): dict(zip(sections[p], map(res(q, p), sections[p])))
-            for p in base.elements for q in sorted(base.down(p))}
-
-
 class SheafReport(Record):
     """passed: no failure anywhere.  separated: no failure with reason
     "multiple collations" anywhere; all three predicates check every level
@@ -128,8 +143,15 @@ class SheafReport(Record):
 _MAX_FAILURES = 3  # failures a report lists
 
 
-def _minimal_below(base: FinPoset, p: str) -> tuple:
-    return tuple(m for m in sorted(base.down(p)) if len(base.down(m)) == 1)
+def _minimal_below(ps: Presheaf):
+    """p -> the minimal elements below p, sorted by label: on B+ the atoms
+    of p's mask."""
+    if ps.alg is None:
+        down = ps.base.down
+        return lambda p: tuple(m for m in sorted(down(p)) if len(down(m)) == 1)
+    bits, atoms = alg_poset(ps.alg)._bits, sorted(
+        (a, 1 << i) for i, a in enumerate(ps.alg.atoms))
+    return lambda p: tuple(a for a, b in atoms if bits[p] & b)
 
 
 def _join_irreducibles(base: FinPoset) -> dict:
@@ -156,7 +178,8 @@ def _restriction_test(ps: Presheaf, gens, onto: bool) -> SheafReport:
     is one of them: two sections with the same restrictions are a "multiple
     collations" failure, and with onto set, a compatible family over gens(p)
     (agreeing on each common refinement) that no section restricts to is a
-    "no collation" failure.  Only the failure list is capped."""
+    "no collation" failure.  Only the failure list is capped, so no family
+    is sought once it is full: every failure after the cap is cut."""
     base = ps.base
     failures = []
     separated = True
@@ -173,7 +196,8 @@ def _restriction_test(ps: Presheaf, gens, onto: bool) -> SheafReport:
                 separated = False
                 failures.append(
                     (p, ms, dict(zip(ms, key)), "multiple collations"))
-        if onto and len(groups) < prod(len(ps.sections[m]) for m in ms):
+        if (onto and len(failures) < _MAX_FAILURES
+                and len(groups) < prod(len(ps.sections[m]) for m in ms)):
             meets = [(i, k, base.refinements(a, b))
                      for (i, a), (k, b) in combinations(enumerate(ms), 2)
                      if base.compatible(a, b)]
@@ -198,7 +222,7 @@ def is_separated(ps: Presheaf) -> SheafReport:
     Conversely two sections of F(p) that agree on those m both collate the
     family they induce on the dense covering of the minimal elements, which
     is compatible because minimal elements have no common refinement."""
-    return _restriction_test(ps, lambda p: _minimal_below(ps.base, p), onto=False)
+    return _restriction_test(ps, _minimal_below(ps), onto=False)
 
 
 def is_stonean_sheaf(ps: Presheaf) -> SheafReport:
@@ -211,7 +235,7 @@ def is_stonean_sheaf(ps: Presheaf) -> SheafReport:
     tuple on the minimal m <= p (compatibility makes it well defined), its
     preimage f restricts to each s in S with the same minimal restrictions
     as the family's member at s, and injectivity at s makes them equal."""
-    return _restriction_test(ps, lambda p: _minimal_below(ps.base, p), onto=True)
+    return _restriction_test(ps, _minimal_below(ps), onto=True)
 
 
 def is_topological_sheaf(ps: Presheaf) -> SheafReport:
@@ -303,15 +327,15 @@ def _levels_of_opens(ps: Presheaf, x: FinTop) -> dict:
 
 def _stalk(ps: Presheaf, point: str, levels, key, germ_of: dict) -> tuple:
     """The germs at point of the sections over levels, two sections sharing
-    a germ iff key gives them the same value.  Each germ is named after the
-    first (level, section) with its key; germ_of is filled in and the stalk
-    returned in the order of those names."""
+    a germ iff key gives them the same value; each germ is one string, named
+    after the first (level, section) with its key, in whose order the stalk
+    is returned.  germ_of is filled in."""
     reps = {}
     for lev in levels:
         for f in ps.sections[lev]:
-            lev0, f0 = reps.setdefault(key(lev, f), (lev, f))
-            germ_of[lev, f, point] = f"{point}:{lev0}:{f0}"
-    return tuple(f"{point}:{lev}:{f}" for lev, f in sorted(reps.values()))
+            rep = reps.setdefault(key(lev, f), (lev, f, f"{point}:{lev}:{f}"))
+            germ_of[lev, f, point] = rep[2]
+    return tuple(germ for _, _, germ in sorted(reps.values()))
 
 
 def _etale(base: FinTop, stalks: dict, basics: dict, germ_of: dict) -> EtaleSpace:
@@ -344,11 +368,8 @@ def lambda0(ps: Presheaf, x: FinTop) -> EtaleSpace:
         u_x = levels[min(around, key=len)]
         stalks[point] = _stalk(ps, point, [levels[u] for u in around],
                                lambda lev, f: ps.res(u_x, lev, f), germ_of)
-    basics = {}
-    for u, lev in levels.items():
-        for f in ps.sections[lev]:
-            key = f"{lev}:{f}"
-            basics[key] = frozenset(germ_of[lev, f, pt] for pt in u)
+    basics = {f"{lev}:{f}": frozenset(germ_of[lev, f, pt] for pt in u)
+              for u, lev in levels.items() for f in ps.sections[lev]}
     return _etale(x, stalks, basics, germ_of)
 
 
@@ -481,14 +502,12 @@ def _gamma_half(x: FinTop, stalks: dict) -> tuple[Presheaf, dict]:
     """gamma_half of the bundle over the discrete base x with these stalks,
     with each level's sections as choice functions by id.  Restricting a
     choice function to the points of q composes."""
-    base = opens_poset(x)
     points = {subset_label(u): u for u in x.nonempty_opens()}
     choices = {lev: {_section_id(s): s for s in _choices(stalks, u)}
                for lev, u in points.items()}
     sections = {lev: tuple(sorted(secs)) for lev, secs in choices.items()}
-    restrict = _restrictions(base, sections, lambda q, lev: lambda sid: _section_id(
-        {pt: choices[lev][sid][pt] for pt in points[q]}))
-    return Presheaf(base, sections, restrict), choices
+    return Presheaf.by_rule(lambda q, lev, sid: _section_id(
+        {pt: choices[lev][sid][pt] for pt in points[q]}), opens_poset(x), sections), choices
 
 
 class SheafifyUnit(Record, frozen=False):
@@ -523,15 +542,15 @@ def sheafify(ps: Presheaf, x: FinTop):
 # -- morphisms of presheaves on algebra bases ---------------------------------
 
 
-def _pullback(ps: Presheaf, base: FinPoset, pi: dict,
-              alg: BoolAlg | None = None) -> Presheaf:
+def _along(ps: Presheaf, base: FinPoset, pi: dict,
+           alg: BoolAlg | None = None) -> Presheaf:
     """F pulled back along the monotone map pi from base to F's base: level
-    u gets F(pi u), and the table at (q, p) is F's own table at (pi q, pi p),
-    shared, not copied.  pi is monotone, so these tables compose."""
-    sections = {u: ps.sections[pi[u]] for u in base.elements}
-    restrict = {(q, p): ps.restrict[pi[q], pi[p]]
-                for p in base.elements for q in sorted(base.down(p))}
-    return Presheaf(base, sections, restrict, alg)
+    u is F(pi u), restricted by F's rule at (pi q, pi p), which composes;
+    the table at (q, p), when read, is F's at (pi q, pi p), shared."""
+    res = ps.res
+    return Presheaf.by_rule(lambda q, p, f: res(pi[q], pi[p], f), base,
+                            {u: ps.sections[pi[u]] for u in base.elements}, alg,
+                            _table=lambda q, p: ps.restrict[pi[q], pi[p]])
 
 
 def _left_adjoint_levels(i: BAHom, ps: Presheaf) -> tuple[FinPoset, dict]:
@@ -551,7 +570,7 @@ def _left_adjoint_levels(i: BAHom, ps: Presheaf) -> tuple[FinPoset, dict]:
 def lift_i_star(i: BAHom, ps: Presheaf) -> Presheaf:
     """i_*(F) on target+ via the left adjoint: level U |-> F(pi_i(U)).
     pi_i is monotone, so F's own restrictions relabelled along it compose."""
-    return _pullback(ps, *_left_adjoint_levels(i, ps), i.target)
+    return _along(ps, *_left_adjoint_levels(i, ps), i.target)
 
 
 class PresheafMorphism(Record, frozen=False):
@@ -584,8 +603,8 @@ def check_presheaf_morphism(mor: PresheafMorphism):
                 raise SheafError(f"theta at {u} does not map into the target")
 
     def commutes(u: str, v: str) -> bool:
-        pu, pv, down = pi[u], pi[v], tgt.restrict[u, v]
-        return all(theta[u][src.res(pu, pv, f)] == down[theta[v][f]]
+        pu, pv = pi[u], pi[v]
+        return all(theta[u][src.res(pu, pv, f)] == tgt.res(u, v, theta[v][f])
                    for f in src.sections[pv])
 
     levels, n = base.elements, mor.i.target.atom_count
@@ -593,12 +612,9 @@ def check_presheaf_morphism(mor: PresheafMorphism):
            for v in range(1, len(levels) + 1) if v & (v - 1)
            for k in range(n) if v >> k & 1):
         return None
-    up = dict.fromkeys(levels, 0)  # bits of the levels above each
-    for k, v in enumerate(levels):
-        for q in base.down(v):
-            up[q] |= 1 << k
-    for u in levels:
-        for v in base._labels(up[u] & ~base._mask[u]):
-            if not commutes(u, v):
+    for k, u in enumerate(levels, 1):  # level u has mask k
+        others, s = len(levels) & ~k, 0  # len(levels) is the top mask
+        while s := (s - others) & others:  # the next submask up
+            if not commutes(u, v := levels[(k | s) - 1]):
                 return (u, v)
     return None

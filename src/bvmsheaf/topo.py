@@ -4,7 +4,7 @@ boolean completions, and the homomorphisms induced by open continuous maps.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import and_
 
 from .balg import BAHom, BoolAlg, Elem
@@ -151,20 +151,28 @@ class FinTop(Record):
 
 
 class FinPoset(Record):
-    """A finite partial order; leq is the full relation, checked in full.
+    """A finite partial order as one mask per element (_bits, inverse _index):
+    a <= b iff a's mask lies inside b's; they are compatible iff they meet.
 
-    Each element's down set is kept as a bitmask over the element order, and
-    the order axioms are checked on the masks in O(|leq|) mask operations:
-    a's own bit is in down[a] (reflexive); no pair a != b has both a <= b
-    and b <= a (antisymmetric); down[a] lies inside down[b] for every pair
-    a <= b (transitive: c <= a <= b gives c <= b).  compatible and
-    refinements read the AND of two masks on demand.  The masks and the
-    down sets are set with object.__setattr__, not as fields, so equality,
-    hashing and repr still see only elements and leq.
-    """
+    From input (elements and leq) the masks are the down sets over the
+    element order, bit i for elements[i], checked in O(|leq|) mask steps:
+    a's bit is in down[a] (reflexive), no a != b has a <= b <= a
+    (antisymmetric), down[a] lies inside down[b] for a <= b (transitive).
+    An inclusion poset (_unchecked) keeps its members' masks: the algebra
+    bits of B+, the point masks of O(X)+.  Down sets, and for the latter
+    leq and the element-order masks _mask, are built when first read."""
 
     elements: tuple[str, ...]
     leq: frozenset  # of (str, str) pairs
+
+    @cached_property
+    def leq(self) -> frozenset:  # of an inclusion poset
+        return frozenset((a, b) for b in self.elements for a in self.down(b))
+
+    @cached_property
+    def _mask(self) -> dict:  # of an inclusion poset
+        return {b: sum(1 << i for s, i in self._index.items() if s & ~m == 0)
+                for b, m in self._bits.items()}
 
     def __post_init__(self):
         if len(set(self.elements)) != len(self.elements):
@@ -184,16 +192,15 @@ class FinPoset(Record):
             if mask[a] & ~mask[b]:
                 c = self._labels(mask[a] & ~mask[b])[0]
                 raise TopologyError(f"not transitive at {c},{a},{b}")
-        object.__setattr__(self, "_mask", mask)
-        object.__setattr__(self, "_down", {
-            a: frozenset(self._labels(m)) for a, m in mask.items()})
+        vars(self).update(_bits=mask, _mask=mask, _down={},
+                          _index={m: i for i, m in enumerate(mask.values())})
 
     @staticmethod
-    def _unchecked(elements: tuple, down: dict, mask: dict) -> "FinPoset":
-        """The poset of these down sets and masks, with no axiom check."""
+    def _unchecked(elements: tuple, bits: dict, index: dict) -> "FinPoset":
+        """The inclusion poset of distinct nonzero masks closed under nonempty
+        meets, unchecked: element -> mask (bits) and mask -> place (index)."""
         p = object.__new__(FinPoset)
-        vars(p).update(elements=elements, _down=down, _mask=mask, leq=frozenset(
-            (a, b) for b, d in down.items() for a in d))
+        vars(p).update(elements=elements, _bits=bits, _index=index, _down={})
         return p
 
     def _labels(self, m: int) -> list[str]:
@@ -204,6 +211,10 @@ class FinPoset(Record):
             out.append(self.elements[low.bit_length() - 1])
             m ^= low
         return out
+
+    def _below(self, m: int) -> list[str]:
+        """The elements whose masks lie inside m, in element order."""
+        return [self.elements[i] for s, i in self._index.items() if s & ~m == 0]
 
     @staticmethod
     def from_pairs(elements, pairs) -> "FinPoset":
@@ -222,44 +233,34 @@ class FinPoset(Record):
             (a, b) for b, d in zip(elements, down)
             for i, a in enumerate(elements) if d >> i & 1))
 
-    def le(self, a: str, b: str) -> bool:
-        return (a, b) in self.leq
+    def le(self, a: str, b: str) -> bool:  # False off the elements
+        bits = self._bits
+        return a in bits and b in bits and bits[a] & ~bits[b] == 0
 
     def down(self, a: str) -> frozenset:
-        return self._down.get(a, frozenset())
+        out = self._down.get(a)
+        if out is None:  # off the elements, mask 0, which holds no member
+            out = self._down[a] = frozenset(self._below(self._bits.get(a, 0)))
+        return out
 
     def compatible(self, a: str, b: str) -> bool:
         """True when a and b have a common refinement."""
-        return bool(self._mask.get(a, 0) & self._mask.get(b, 0))
+        return bool(self._bits.get(a, 0) & self._bits.get(b, 0))
 
     def refinements(self, a: str, b: str) -> list[str]:
-        return self._labels(self._mask.get(a, 0) & self._mask.get(b, 0))
+        return self._below(self._bits.get(a, 0) & self._bits.get(b, 0))
 
     def __repr__(self):
         return f"FinPoset({list(self.elements)})"
 
 
 def _inclusion_poset(label: dict) -> FinPoset:
-    """A family of nonzero int masks under inclusion: label maps each member
-    to its name, and the elements follow label's order.  Each member m walks
-    its 2^|m| submasks or scans the family, whichever is shorter: at most
-    3^n steps over n bits, and never more than the pairwise scan.
-    Inclusion is an order by construction, so FinPoset's axiom check is not
-    run; the test suite asserts the axioms on B+ and on O(X)+."""
-    bit = {m: 1 << i for i, m in enumerate(label)}
-    down, mask = {}, {}
-    for m, name in label.items():
-        if 1 << m.bit_count() <= len(label):
-            below, s = [], m
-            while s:
-                if s in bit:
-                    below.append(s)
-                s = (s - 1) & m
-        else:
-            below = [s for s in label if s & ~m == 0]
-        down[name] = frozenset(map(label.__getitem__, below))
-        mask[name] = sum(map(bit.__getitem__, below))
-    return FinPoset._unchecked(tuple(label.values()), down, mask)
+    """The masks of label (member -> name, in element order) under inclusion,
+    an order by construction, so unchecked; the test suite checks B+ and
+    O(X)+.  The family must be closed under nonempty meets, as they are."""
+    return FinPoset._unchecked(tuple(label.values()),
+                               {name: m for m, name in label.items()},
+                               {m: i for i, m in enumerate(label)})
 
 
 @lru_cache(maxsize=64)

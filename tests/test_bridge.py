@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from bvmsheaf.balg import BAHom, BoolAlg, Elem, Filter, mk_powerset
+from bvmsheaf.balg import BAHom, BoolAlg, Elem, Filter, mk_powerset, stone_space
 from bvmsheaf.bridge import (L, R, adjunction_witness,
                              ext_to_stone, fullness_via_sections,
                              global_sections_of_bundle,
@@ -12,14 +12,15 @@ from bvmsheaf.bridge import (L, R, adjunction_witness,
 from bvmsheaf.bvm import (BVModel, check_morphism, has_mixing, is_elementary,
                           quotient_model, tarski_quotient, validate)
 from bvmsheaf.logic import Signature, parse
-from bvmsheaf.sheaf import (Bundle, NotSeparatedError, Presheaf, alg_poset,
-                            gamma_half, is_separated, lambda1, lift_i_star,
-                            sheafify)
-from bvmsheaf.topo import FinTop
+from bvmsheaf.sheaf import (Bundle, NotSeparatedError, Presheaf, _gamma_half,
+                            _lambda1, _section_id, alg_poset, gamma_half,
+                            is_separated, lambda1, lift_i_star, sheafify)
+from bvmsheaf.topo import FinTop, opens_poset, ro_algebra, subset_label
 
 from util import (_gamma1_structured, _stone_etale, basic_opens,
                   basic_opens_scan, bundle_clauses_scan, chain_mixify,
-                  find_model_isomorphism, level_join_R, quotient_L,
+                  eager_pullback, eager_restrictions, elem_from_label,
+                  find_model_isomorphism, label_L, level_join_R, quotient_L,
                   random_model, random_separated_presheaf, random_subpresheaf,
                   section_sheaf, stalk_at_filter)
 
@@ -539,10 +540,65 @@ def test_internal_presheaves_pass_the_functoriality_check():
             sheafify(ps, x)[0]._check_functorial()
 
 
+def test_l_is_separated_on_seeded_models():
+    """The check R skips on L(m) passes on the first 20 models of the
+    three-atom stream the twelve-atom CI step draws from."""
+    rng = random.Random(1)
+    for _ in range(20):
+        assert is_separated(L(random_model(rng, 3, 3))).passed
+
+
+def _assert_tables_match(ps, want: dict) -> None:
+    """ps's on-demand tables equal the eager reference, key order included,
+    and the input entry point accepts them."""
+    assert list(ps.restrict.items()) == list(want.items())
+    Presheaf.make(ps.base, ps.sections, ps.restrict, alg=ps.alg)
+
+
+def test_on_demand_tables_match_the_eager_reference():
+    """L, ext_to_stone, sheafify's gamma_half and lift_i_star keep a rule
+    and build restrict when it is read; on every algebra of at most 3 atoms
+    each table equals the one built up front as before, from L's
+    representatives, the pullback along W |-> the join of W's atoms, the
+    restriction of choice functions and the pullback along pi_i."""
+    rng = random.Random(2026)
+    for n in (1, 2, 3):
+        alg = mk_powerset([f"a{i + 1}" for i in range(n)])
+        models = []
+        while len(models) < 4:
+            m = random_model(rng, n, 3)
+            if m.alg == alg:
+                models.append(m)
+        stone = stone_space(alg).space
+        ro = ro_algebra(stone)
+        at = {subset_label(w): alg.from_labels(w).label
+              for w in stone.nonempty_opens()}
+        wider = mk_powerset(alg.atoms + ("z",))
+        homs = [BAHom.identity(alg), BAHom.from_dict(
+            alg, wider, {**{a: a for a in alg.atoms}, "z": alg.atoms[-1]})]
+        for m in models:
+            lm = L(m)
+            _assert_tables_match(lm, label_L(m).restrict)
+            ext = ext_to_stone(lm)
+            _assert_tables_match(ext, eager_pullback(lm, opens_poset(stone), at))
+            base, stalks, _ = _lambda1(ext, stone, ro)
+            sh, choices = sheafify(ext, stone)[0], _gamma_half(base, stalks)[1]
+            points = {subset_label(u): u for u in base.nonempty_opens()}
+            _assert_tables_match(sh, eager_restrictions(
+                opens_poset(base), sh.sections,
+                lambda q, lev: lambda sid: _section_id(
+                    {pt: choices[lev][sid][pt] for pt in points[q]})))
+            for i in homs:
+                pi = {u: i.left_adjoint(elem_from_label(i.target, u)).label
+                      for u in alg_poset(i.target).elements}
+                _assert_tables_match(lift_i_star(i, lm),
+                                     eager_pullback(lm, alg_poset(i.target), pi))
+
+
 def test_bridge_bases_are_built_once(monkeypatch):
-    """One L and one R per model or presheaf (so one is_separated per
-    presheaf R reads), one class-representative scan per model and mask,
-    one St(B) per algebra and one poset per base across R o L, the
+    """One L and one R per model or presheaf, and no is_separated on L(m),
+    which is separated by construction; one class-representative scan per
+    model and mask, one St(B) per algebra and one poset per base across R o L, the
     adjunction witness, mixing <-> sheaf and mixify; a second model on the
     same algebra builds no Stone space and no poset.  Posets are counted on
     both paths: the checked constructor and the unchecked one of the
@@ -609,7 +665,7 @@ def test_bridge_bases_are_built_once(monkeypatch):
     assert L(m) is L(m)
     assert R(L(m)) is R(L(m))
     assert len(r_builds) == 1 and r_builds[0] is L(m)
-    assert len(separated) == 1 and separated[0] is L(m)
+    assert not any(f is L(m) for f in separated)
     scans = [(id(ev), g) for ev, g in rep_scans]
     assert len(scans) == len(set(scans))
     assert {(id(m._evaluator), g) for g in range(1, 8)} <= set(scans)

@@ -14,7 +14,7 @@ from bvmsheaf.bvm import (_class_reps, check_morphism, closed_pool,  # noqa: E40
                           tarski_quotient)
 from bvmsheaf.logic import Exists, parse  # noqa: E402
 from bvmsheaf.sheaf import (PresheafMorphism,  # noqa: E402
-                            check_presheaf_morphism)
+                            check_presheaf_morphism, is_separated)
 
 from util import (atom_join_R, chain_mixify, class_reps_scan,  # noqa: E402
                   label_L, naturality_scan, one_square_morphism,
@@ -62,6 +62,16 @@ def test_l_and_r_match_the_label_and_elem_references(rng):
         {k: v for k, v in lm.rel_top.items() if rng.random() < 0.5},
         lm.const_top)
     assert _fields(R(thin)) == _fields(atom_join_R(thin))
+
+
+@DRAWS
+@given(st.randoms(use_true_random=False))
+def test_l_is_separated_by_construction(rng):
+    """R skips is_separated on L(m), whose representatives at a level are
+    apart at some atom below it: the check it skips passes on every drawn
+    model."""
+    m = random_model(rng, max_atoms=4, max_domain=4)
+    assert is_separated(L(m)).passed
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)

@@ -18,6 +18,7 @@ from bvmsheaf.topo import (FinPoset, FinTop, opens_poset, ro_algebra,
 from util import (_collations, _compatible_families, _sheaf_scan,
                   _sup_coverings, all_posets, all_topologies,
                   check_base_property, check_etale, check_local_homeo,
+                  dense_report_by_down_sets,
                   distributive_with_bottom, elem_from_label,
                   failing_squares,
                   find_presheaf_isomorphism, is_predense_below, is_ro_base,
@@ -64,6 +65,20 @@ def test_functoriality_validated():
             {("a", "b"): {"x": "x", "y": "y"},
              ("b", "c"): {"x": "x", "y": "y"},
              ("a", "c"): {"x": "y", "y": "x"}})
+
+
+def test_make_rejects_a_level_off_the_base():
+    """A section set at a label the base does not hold is input error, as a
+    restriction key off the base is; the same presheaf without it passes."""
+    b4 = mk_powerset(["a1", "a2"])
+    po = alg_poset(b4)
+    sections = {p: ("c",) for p in po.elements}
+    restrict = {(q, p): {"c": "c"} for p in po.elements for q in po.down(p)}
+    Presheaf.make(po, sections, restrict, alg=b4)
+    with pytest.raises(SheafError, match="section set at bogus, not a level"):
+        Presheaf.make(po, {**sections, "bogus": ("z",)}, restrict, alg=b4)
+    with pytest.raises(SheafError, match="bogus <= a1 is not a pair"):
+        Presheaf.make(po, sections, {**restrict, ("bogus", "a1"): {}}, alg=b4)
 
 
 def test_sierpinski_presheaf_predicates():
@@ -814,6 +829,31 @@ def test_dense_predicates_match_unpruned_oracle_on_all_small_posets():
                 for failure in sep.failures + sheaf.failures:
                     _assert_real_witness(ps, failure)
     assert checked >= 1000
+
+
+def test_dense_reports_match_the_down_set_body():
+    """is_separated and is_stonean_sheaf list the same failures, in the same
+    order, as their former body (tests/util.py), which finds the minimal
+    elements in sorted down sets and collects every level's failures before
+    cutting the list.  On B+ the atoms are read off the masks and sorted by
+    label, here labels out of bit order; failures past the cap are not
+    sought, so none can reach the list."""
+    rng = random.Random(2610)
+    bases = [(None, po) for n in range(1, 5)
+             for po in all_posets([f"e{i}" for i in range(n)])]
+    for atoms in (("c",), ("b", "a"), ("c", "b", "a"), ("a2", "a10", "a1")):
+        alg = mk_powerset(atoms)
+        bases += [(alg, alg_poset(alg))] * 12
+    listed = 0
+    for alg, po in bases:
+        ps = _random_functorial_presheaf(rng, po)
+        if ps is None:
+            continue
+        ps = Presheaf.make(po, ps.sections, ps.restrict, alg=alg)
+        for onto, test in ((False, is_separated), (True, is_stonean_sheaf)):
+            assert test(ps) == dense_report_by_down_sets(ps, onto)
+            listed += len(test(ps).failures) > 1
+    assert listed > 20
 
 
 def test_separated_flag_survives_the_failure_cap():

@@ -542,6 +542,32 @@ def test_inclusion_posets_satisfy_the_order_axioms():
             {a: po.down(a) for a in po.elements}
 
 
+def test_mask_posets_answer_as_their_checked_twins():
+    """alg_poset and opens_poset keep one mask per element, and le, down,
+    compatible and refinements read the masks; leq is built when read.  The
+    checked constructor, given their elements and leq, accepts them, equals
+    them and answers every query alike, also on a label that is no element
+    (False, or empty), on B+ at 1 to 4 atoms and on O(X)+ for every
+    topology of at most 3 points."""
+    from bvmsheaf.balg import mk_powerset
+    from bvmsheaf.sheaf import alg_poset
+    posets = [alg_poset(mk_powerset([f"a{i + 1}" for i in range(n)]))
+              for n in range(1, 5)]
+    posets += [opens_poset(x) for n in range(1, 4)
+               for x in all_topologies(("p", "q", "r")[:n])]
+    for po in posets:
+        twin = FinPoset(po.elements, po.leq)
+        assert po == twin
+        labels = po.elements + ("bogus",)
+        for a in labels:
+            assert po.down(a) == twin.down(a)
+            for b in labels:
+                assert po.le(a, b) == twin.le(a, b)
+                assert po.compatible(a, b) == twin.compatible(a, b)
+                assert po.refinements(a, b) == twin.refinements(a, b)
+    assert not po.le("bogus", "bogus") and po.down("bogus") == frozenset()
+
+
 def test_opens_poset_of_a_long_chain_matches_the_pairwise_scan():
     """A chain topology on 27 points has 28 opens; opens_poset scans its
     family for each open rather than walking its 2^27 submasks, so it

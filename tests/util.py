@@ -5,7 +5,8 @@ shortcuts: filters are found by scanning all subsets, adjoints by scanning
 all elements, spaces and posets by filtering all candidate families.
 """
 
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
+from math import prod
 from random import Random
 
 from bvmsheaf.balg import (AlgebraError, BAHom, BoolAlg, Elem, Filter,
@@ -21,7 +22,7 @@ from bvmsheaf.logic import (And, Const, Eq, Exists, Forall, Implies, Not, Or,
 from bvmsheaf.sheaf import (_MAX_FAILURES, EtaleSpace, NotSeparatedError,
                             Presheaf, PresheafMorphism, SheafError,
                             SheafReport, _choices, _gamma_half, _lambda1,
-                            _restrictions, _section_id, alg_poset,
+                            _section_id, alg_poset,
                             check_presheaf_morphism, is_separated,
                             lift_i_star)
 from bvmsheaf.topo import (FinPoset, FinTop, TopologyError, clop_algebra,
@@ -708,10 +709,54 @@ def label_L(m: BVModel) -> StructuredPresheaf:
             for tup, val in table.items():
                 if all(rep[t] == t for t in tup):
                     rel_top[label, sym, tup] = val.bits & bb == bb
-    restrict = _restrictions(poset, sections, lambda q, p: reps_at[q].__getitem__)
+    restrict = eager_restrictions(poset, sections,
+                                  lambda q, p: reps_at[q].__getitem__)
     const_top = {c: reps_at[m.alg.top.label][t] for c, t in m.consts.items()}
     return StructuredPresheaf(poset, sections, restrict, m.alg,
                               m.sig, rel_top, const_top)
+
+
+def dense_report_by_down_sets(ps: Presheaf, onto: bool) -> SheafReport:
+    """is_separated (onto False) or is_stonean_sheaf (onto True) as its body
+    was before it read B+'s atoms off the masks and stopped seeking missing
+    families at the failure cap: the minimal elements below each level
+    found in its sorted down set, and every level's failures collected
+    before the list is cut."""
+    base, failures, separated = ps.base, [], True
+    for p in base.elements:
+        ms = tuple(m for m in sorted(base.down(p)) if len(base.down(m)) == 1)
+        if p in ms:
+            continue
+        groups = {}
+        for f in ps.sections[p]:
+            groups.setdefault(tuple(ps.res(m, p, f) for m in ms), []).append(f)
+        for key, fs in groups.items():
+            if len(fs) > 1:
+                separated = False
+                failures.append((p, ms, dict(zip(ms, key)), "multiple collations"))
+        if onto and len(groups) < prod(len(ps.sections[m]) for m in ms):
+            missing = (key for key in product(*(ps.sections[m] for m in ms))
+                       if key not in groups)  # minimal elements are incompatible
+            failures.extend((p, ms, dict(zip(ms, key)), "no collation")
+                            for key in islice(missing, _MAX_FAILURES))
+    return SheafReport(not failures, separated, tuple(failures[:_MAX_FAILURES]))
+
+
+def eager_restrictions(base: FinPoset, sections: dict, res) -> dict:
+    """The table (q, p) -> {f: res(q, p)(f) for f in F(p)} of every pair
+    q <= p of base, identities included, built up front: how the library
+    built the tables of L and gamma_half before it kept the rule, kept as
+    the reference of the tables it builds on demand."""
+    return {(q, p): dict(zip(sections[p], map(res(q, p), sections[p])))
+            for p in base.elements for q in sorted(base.down(p))}
+
+
+def eager_pullback(ps: Presheaf, base: FinPoset, pi: dict) -> dict:
+    """The tables of F pulled back along the monotone map pi from base to
+    F's base, built up front: (q, p) -> F's own table at (pi q, pi p), as
+    ext_to_stone and lift_i_star built them before they kept the rule."""
+    return {(q, p): ps.restrict[pi[q], pi[p]]
+            for p in base.elements for q in sorted(base.down(p))}
 
 
 def atom_join_R(f) -> BVModel:
