@@ -11,12 +11,12 @@ from operator import or_
 
 from .balg import BAHom, BoolAlg, Elem, stone_space
 from .bvm import (_EVAL, BVModel, BVMorphism, ModelError, _class_reps,
-                  closed_pool, generalize, has_mixing, open_pool)
+                  _column, closed_pool, generalize, has_mixing, open_pool)
 from .logic import Eq, Formula, Rel, Signature, Var, free_vars
 from .record import Record, field
 from .sheaf import (NotSeparatedError, Presheaf, PresheafMorphism, SheafError,
-                    _along, _choices, _section_id, alg_poset, gamma0,
-                    is_separated, is_stonean_sheaf, lambda0)
+                    _along, _choices, _lambda0_germs, _section_id,
+                    alg_poset, is_separated, is_stonean_sheaf)
 from .topo import opens_poset, subset_label
 
 
@@ -237,14 +237,14 @@ def mixing_iff_sheaf(m: BVModel) -> MixSheafReport:
     equality bits), the sheaf predicate on L(M), and the global sections of
     the etale space being exactly the induced ones.  The sheaf leg is the
     dense (minimal level) test: on B+ a family below p is predense below p
-    iff its join is p, so the dense and the sup coverings are the same sets."""
+    iff its join is p, so the dense and the sup coverings are the same sets.
+    Lambda0's basics are not built: Gamma0 over discrete St(B) is a product."""
     lm, stone = L(m), stone_space(m.alg).space
-    e0 = lambda0(ext_to_stone(lm), stone)
-    full = frozenset(stone.points)
-    top_stone = subset_label(full)
-    induced = [{pt: e0.germ_of[top_stone, sigma, pt] for pt in full}
+    _, stalks, germ_of = _lambda0_germs(ext_to_stone(lm), stone)
+    top_stone = subset_label(stone.points)
+    induced = [{pt: germ_of[top_stone, sigma, pt] for pt in stone.points}
                for sigma in lm.sections[m.alg.top.label]]
-    witness = tuple(sorted(_section_id(s) for s in gamma0(e0, full)
+    witness = tuple(sorted(_section_id(s) for s in _choices(stalks, stone.points)
                            if s not in induced))[:1] or None
     return MixSheafReport(has_mixing(m).passed, is_stonean_sheaf(lm).passed,
                           witness is None, witness)
@@ -313,9 +313,9 @@ class PhiBundle(Record, frozen=False):
 
     def clauses(self, with_product_clause: bool) -> "FullnessClauses":
         """The four (five under mixing) equivalent fullness clauses, read off
-        the tuple values by _clause_row."""
+        the tuple values' bits by _clause_row."""
         return _clause_row(self.formula,
-                           {t: v.bits for t, v in self.values.items()},
+                           [v.bits for v in self.values.values()],
                            with_product_clause)
 
 
@@ -328,7 +328,7 @@ def phi_bundle(m: BVModel, f: Formula) -> PhiBundle:
     free = tuple(sorted(free_vars(f)))
     if not free:
         raise ModelError("phi_bundle needs a formula with free variables")
-    bits = _tuple_values(m, f, free)
+    bits = dict(zip(product(m.domain, repeat=len(free)), _tuple_values(m, f, free, {})))
     b_phi = Elem(m.alg, reduce(or_, bits.values(), 0))
     n_b = frozenset(b_phi.atom_labels())
     stalks = {}
@@ -342,21 +342,22 @@ def phi_bundle(m: BVModel, f: Formula) -> PhiBundle:
     return PhiBundle(f, free, b_phi, a_phi, n_b, stalks, values)
 
 
-def _tuple_values(m: BVModel, f: Formula, free: tuple) -> dict:
-    """phi's value (a bitmask) at each tuple of ids for its sorted free
-    variables, in product order: phi is evaluated once per tuple, under one
-    env that each tuple rebinds."""
-    ev, run, env, values = m._evaluator, _EVAL[type(f)], {}, {}
+def _tuple_values(m: BVModel, f: Formula, free: tuple, cols: dict) -> list:
+    """phi's values at the tuples of ids for its sorted free variables, in
+    product order: its column, kept in cols, or a run per tuple in one env."""
+    if len(free) == 1:
+        return _column(m._evaluator, free[0], f, cols)
+    ev, run, env, values = m._evaluator, _EVAL[type(f)], {}, []
     for tup in product(m.domain, repeat=len(free)):
         env.update(zip(free, tup))
-        values[tup] = run(ev, env, f)
+        values.append(run(ev, env, f))
     return values
 
 
-def _clause_row(f: Formula, values: dict,
+def _clause_row(f: Formula, values: list,
                 with_product_clause: bool) -> "FullnessClauses":
-    """phi's fullness clauses, read off its tuple values (tuple -> bitmask).
-    Four hold by construction at finite scale:
+    """phi's fullness clauses, read off its tuple values, a list of
+    bitmasks in any order.  Four hold by construction at finite scale:
     (1) b_phi is by definition the join of finitely many tuple values, so
         those values cover it;
     (2) the stalk over a point of N_{b_phi} is nonempty iff some value has
@@ -367,9 +368,8 @@ def _clause_row(f: Formula, values: dict,
     Only the product clause is computed: some single value equals b_phi.
     The test suite compares each row with the clauses computed on the
     bundle."""
-    b = reduce(or_, values.values(), 0)
-    product_section = (any(v == b for v in values.values())
-                       if with_product_clause else None)
+    b = reduce(or_, values, 0)
+    product_section = b in values if with_product_clause else None
     return FullnessClauses(f, True, True, True, True, product_section)
 
 
@@ -397,11 +397,7 @@ class FullnessClauses(Record):
     def agree(self) -> bool:
         base = {self.finite_cover, self.a_phi_full, self.a_phi_closed,
                 self.has_global_section}
-        if len(base) != 1:
-            return False
-        if self.product_section is not None:
-            return self.product_section in base
-        return True
+        return len(base) == 1 and self.product_section in (None, *base)
 
 
 class FullnessSectionsReport(Record):
@@ -414,22 +410,19 @@ def fullness_via_sections(m: BVModel, depth: int = 2) -> FullnessSectionsReport:
     """Run the clause comparison over the canonical open-formula pool:
     quantifier-free one-variable formulas, and from depth 2 on also
     two-free-variable atoms and quantified one-variable formulas obtained by
-    re-generalizing a strided sample of the closed pool.  Each row is read
-    off the formula's tuple values by _clause_row, with no bundle built.
-    The pool is built with each formula's free variables: x, or x and y."""
-    mixing = has_mixing(m).passed
-    x, xy = ("x",), ("x", "y")
-    pool = [(f, x) for f in open_pool(m.sig, m.domain, "x")]
+    re-generalizing a strided sample of the closed pool, each with its free
+    variables, x or x and y.  Each row is read off the formula's tuple
+    values by _clause_row, with no bundle built; a one-variable formula's
+    are its column, the columns kept for this call only."""
+    mixing, cols = has_mixing(m).passed, {}
+    x, y = Var("x"), Var("y")
+    pool = [(f, ("x",)) for f in open_pool(m.sig, m.domain, "x")]
     if depth >= 2:
-        pool.append((Eq(Var("x"), Var("y")), xy))
-        for sym, arity in m.sig.rel_arity.items():
-            if arity == 2:
-                pool.append((Rel(sym, (Var("x"), Var("y"))), xy))
-        deep = []
-        for f in closed_pool(m.sig, m.domain, depth - 1)[::29]:
-            g = generalize(f, f"c_{m.domain[0]}", "x")
-            if "x" in free_vars(g):
-                deep.append((g, x))
-        pool.extend(deep[:10])
-    rows = tuple(_clause_row(f, _tuple_values(m, f, free), mixing) for f, free in pool)
+        pool += [(f, ("x", "y")) for f in (Eq(x, y), *(
+            Rel(sym, (x, y)) for sym, k in m.sig.rel_arity.items() if k == 2))]
+        deep = (generalize(f, f"c_{m.domain[0]}", "x")
+                for f in closed_pool(m.sig, m.domain, depth - 1)[::29])
+        pool += [(g, ("x",)) for g in deep if "x" in free_vars(g)][:10]
+    rows = tuple(_clause_row(f, _tuple_values(m, f, free, cols), mixing)
+                 for f, free in pool)
     return FullnessSectionsReport(rows, all(c.agree for c in rows), mixing)

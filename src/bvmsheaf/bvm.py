@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations, product
 from math import comb, factorial, prod
-from operator import or_
+from operator import and_, or_
 
 from .balg import AlgebraError, BAHom, BoolAlg, Elem, Filter, quotient
 from .logic import (And, Const, Eq, Exists, Forall, Formula, Implies, Not,
@@ -174,35 +174,51 @@ def eval_formula(m: BVModel, f: Formula, env: dict | None = None) -> Elem:
     ev = m._evaluator
     if env:
         return Elem(m.alg, ev.bits(f, env))
-    hit = ev.closed.get(id(f))
-    if hit is None:
-        hit = ev.closed[id(f)] = (*_closed_value(ev, f), f)
+    if (hit := ev.closed.get(id(f))) is None:
+        hit = ev.closed[id(f)] = (*_closed_value(ev, f, ev.cols), f)
     return Elem(m.alg, hit[0])
 
 
-def _closed_value(ev: "_Evaluator", f: Formula) -> tuple:
+def _closed_value(ev: "_Evaluator", f: Formula, cols: dict) -> tuple:
     """([f], body) for a closed f: for an E-rooted f, body maps each domain
-    element d to the value of f's body at d, whose join is [f]; otherwise
-    body is None."""
+    element to the body's value there, read off its column; otherwise None."""
     if not isinstance(f, Exists):
         return _EVAL[type(f)](ev, {}, f), None
-    env, run, body = {}, _EVAL[type(f.body)], {}
-    for d in ev.domain:
-        env[f.var] = d
-        body[d] = run(ev, env, f.body)
-    return reduce(or_, body.values(), 0), body
+    col = _column(ev, f.var, f.body, cols)
+    return reduce(or_, col, 0), dict(zip(ev.domain, col))
+
+
+def _column(ev: "_Evaluator", var: str, f, cols: dict) -> list:
+    """f's values with var bound to each domain element in turn, and nothing
+    else bound.  A _COLUMN node combines its children's columns elementwise;
+    others run their _EVAL runner per element under one env rebinding var.
+    Kept in cols under (id(f), var), with f, so the id is not reused."""
+    if (hit := cols.get(key := (id(f), var))) is not None:
+        return hit[0]
+    if (combine := _COLUMN.get(type(f))) is None:
+        run, env, col = _EVAL[type(f)], {}, []
+        for d in ev.domain:
+            env[var] = d
+            col.append(run(ev, env, f))
+    elif type(f) is Not:
+        col = combine(ev.top, _column(ev, var, f.body, cols))
+    else:
+        col = combine(ev.top, _column(ev, var, f.lhs, cols),
+                      _column(ev, var, f.rhs, cols))
+    cols[key] = col, f
+    return col
 
 
 class _Evaluator:
     """[f] as a bitmask, on the model's tables read into ints and its
-    constants resolved once; reps holds _class_reps' dict per mask, and
-    closed maps id(f) to (bits, body, f) per closed formula eval_formula
-    was given (f kept, so its id is not reused); is_full only reads it.  It
+    constants resolved once; reps holds _class_reps' dict per mask, closed
+    maps id(f) to (bits, body, f) per closed formula eval_formula was given
+    (f kept, so its id is not reused), cols the columns read for them.  It
     keeps no reference to the model, so no cycle delays freeing the model."""
 
     def __init__(self, m: BVModel):
         self.domain, self.top, self.reps = m.domain, m.alg.top.bits, {}
-        self.closed = {}
+        self.closed, self.cols = {}, {}
         self.eq = {pair: v.bits for pair, v in m.eq.items()}
         self.rels = {sym: {tup: v.bits for tup, v in table.items()}
                      for sym, table in m.rels.items()}
@@ -307,6 +323,12 @@ _EVAL = _EvalRunners({
     Implies: lambda ev, env, f: (ev.top & ~_EVAL[type(f.lhs)](ev, env, f.lhs)
                                  | _EVAL[type(f.rhs)](ev, env, f.rhs)),
 })
+
+# _column's combinators; both sides are built, so a bad term always raises.
+_COLUMN = {Not: lambda top, a: [top & ~x for x in a],
+           And: lambda top, a, b: list(map(and_, a, b)),
+           Or: lambda top, a, b: list(map(or_, a, b)),
+           Implies: lambda top, a, b: [top & ~x | y for x, y in zip(a, b)]}
 
 
 def quotient_model(m: BVModel, f: Filter) -> BVModel:
@@ -629,23 +651,23 @@ def is_full(m: BVModel, depth: int = 2, formulas=None) -> FullnessReport:
         witnesses.
 
     The equivalence of (a) and (b) is a theorem; the report asserts it on
-    the instance.  An E-rooted formula's body is evaluated once at each d:
+    the instance.  An E-rooted formula's body is evaluated as its column:
     the join is its value, and the cover is read off the same values.  Every
     existential is a finite join, so (b) always finds a cover and
-    procedures_agree reduces to full; (a) tests the evaluator.  A formula
-    eval_formula has already evaluated on m (the same object) has its value
-    and body values read from the evaluator's memo; any other is evaluated
-    here, and is_full stores nothing.  Both loops run the walkers' runner
-    tables directly, each body under one env that rebinds the quantified
-    variable; with an empty env, satisfies would add nothing to its runner.
-    formulas may be any iterable; formulas_checked counts what it yielded.
+    procedures_agree reduces to full; (a) tests the evaluator, its column
+    combinators too.  A formula eval_formula has already evaluated on m (the
+    same object) has its value and body values read from the evaluator's
+    memo; any other is evaluated here, its columns kept in a dict of this
+    call only, so is_full stores nothing.  The Los loop runs satisfies'
+    runner table directly, with an empty env.  formulas may be any
+    iterable; formulas_checked counts what it yielded.
     """
     pool = formulas if formulas is not None else closed_pool(
         m.sig, m.domain, depth)
-    ev, values, covers = m._evaluator, [], []
+    ev, values, covers, cols = m._evaluator, [], [], {}
     for f in pool:
         hit = ev.closed.get(id(f))
-        value, body = hit[:2] if hit else _closed_value(ev, f)
+        value, body = hit[:2] if hit else _closed_value(ev, f, cols)
         if body is not None:
             covers.append((f, _smallest_cover(body, value)))
         values.append((f, value))
@@ -656,10 +678,9 @@ def is_full(m: BVModel, depth: int = 2, formulas=None) -> FullnessReport:
         for f, value in values:
             if _SAT[type(f)](t, {}, f) != bool(value & bit):
                 mismatches.append((g.label, f))
-    covers_ok = all(cover is not None for _, cover in covers)
     full = not mismatches
-    return FullnessReport(full, tuple(mismatches), tuple(covers),
-                          full == covers_ok, len(values))
+    return FullnessReport(full, tuple(mismatches), tuple(covers), full == all(
+        cover is not None for _, cover in covers), len(values))
 
 
 def _smallest_cover(vals: dict, total: int):

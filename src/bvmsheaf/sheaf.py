@@ -361,6 +361,14 @@ def lambda0(ps: Presheaf, x: FinTop) -> EtaleSpace:
     that section over U_x lies in both: U_x is inside u and v, and f|U_x has
     f's germ at each y in U_x, since U_y is inside U_x and F composes.  So
     the meet of two basics is the union of such basics, one per point."""
+    levels, stalks, germ_of = _lambda0_germs(ps, x)
+    basics = {f"{lev}:{f}": frozenset(germ_of[lev, f, pt] for pt in u)
+              for u, lev in levels.items() for f in ps.sections[lev]}
+    return _etale(x, stalks, basics, germ_of)
+
+
+def _lambda0_germs(ps: Presheaf, x: FinTop) -> tuple[dict, dict, dict]:
+    """Lambda0's levels of opens, stalks and germ_of, with no basic built."""
     levels = _levels_of_opens(ps, x)
     stalks, germ_of = {}, {}
     for point in x.points:
@@ -368,9 +376,7 @@ def lambda0(ps: Presheaf, x: FinTop) -> EtaleSpace:
         u_x = levels[min(around, key=len)]
         stalks[point] = _stalk(ps, point, [levels[u] for u in around],
                                lambda lev, f: ps.res(u_x, lev, f), germ_of)
-    basics = {f"{lev}:{f}": frozenset(germ_of[lev, f, pt] for pt in u)
-              for u, lev in levels.items() for f in ps.sections[lev]}
-    return _etale(x, stalks, basics, germ_of)
+    return levels, stalks, germ_of
 
 
 def gamma0(e: EtaleSpace, u) -> list[dict]:

@@ -12,9 +12,11 @@ from operator import and_, or_
 import pytest
 
 from bvmsheaf.balg import AlgebraError, Filter, mk_powerset
-from bvmsheaf.bridge import fullness_via_sections, mixify, phi_bundle
-from bvmsheaf.bvm import (_EVAL, _SAT, BVModel, BVMorphism, MixingReport,
-                          ModelError, TarskiModel, UnknownConstantError,
+from bvmsheaf.bridge import (_tuple_values, fullness_via_sections, mixify,
+                             phi_bundle)
+from bvmsheaf.bvm import (_COLUMN, _EVAL, _SAT, BVModel, BVMorphism,
+                          MixingReport, ModelError, TarskiModel,
+                          UnknownConstantError, _closed_value, _column,
                           _smallest_cover, check_morphism, closed_pool,
                           eval_formula, generalize, has_mixing, is_elementary,
                           is_full, open_pool, product_model, quotient_model,
@@ -24,8 +26,9 @@ from bvmsheaf.logic import (And, Const, Eq, Exists, Forall, Implies, Not, Or,
                             Rel, Signature, Var, free_vars, parse, substitute)
 
 from util import (bundle_clauses_scan, closed_pool_dedupe,
-                  elem_check_morphism, elem_validate, find_model_isomorphism,
-                  random_model, recursive_eval_bits, search_mixing)
+                  closed_value_per_element, elem_check_morphism,
+                  elem_validate, find_model_isomorphism, random_model,
+                  recursive_eval_bits, search_mixing, tuple_values_per_tuple)
 
 B2 = mk_powerset(["a1"])
 B4 = mk_powerset(["a1", "a2"])
@@ -183,8 +186,9 @@ def test_satisfies_raises_the_evaluators_errors():
 def test_los_check_catches_a_fault_in_either_walker(monkeypatch):
     """The evaluator and satisfies dispatch through separate runner tables,
     so breaking one runner of either side alone makes is_full report
-    mismatches on a model that passes: the connective Not, and each
-    quantifier skipping the last domain element.  The closed pool holds no
+    mismatches on a model that passes: the connective Not, in the
+    evaluator's runner table and in its column table, and each quantifier
+    skipping the last domain element.  The closed pool holds no
     universal with a body that can fail, so the formulas checked add the
     universal closures of the open pool."""
     m = m_r()
@@ -194,6 +198,9 @@ def test_los_check_catches_a_fault_in_either_walker(monkeypatch):
 
     def eval_not_drops_a1(ev, env, f):
         return ev.top & ~ev.bits(f.body, env) & ~1
+
+    def column_not_drops_a1(top, col):
+        return [top & ~v & ~1 for v in col]
 
     def sat_not_ignored(t, env, f):
         return _SAT[type(f.body)](t, env, f.body)
@@ -216,6 +223,7 @@ def test_los_check_catches_a_fault_in_either_walker(monkeypatch):
     # Exists runner is caught on the nested existentials of depth 2
     for table, kind, runner, caught in (
             (_EVAL, Not, eval_not_drops_a1, "~R(c_t)"),
+            (_COLUMN, Not, column_not_drops_a1, "E x1. ~R(x1)"),
             (_SAT, Not, sat_not_ignored, "~R(c_t)"),
             (_SAT, Exists, sat_skips_last(any), "E x1. c_t = x1"),
             (_EVAL, Exists, eval_skips_last(or_, False),
@@ -436,11 +444,12 @@ def test_the_closed_memo_is_keyed_by_node_identity(monkeypatch):
 def test_the_memos_hold_no_reference_to_the_model():
     """With the collector off only reference counts free the model, so it
     is gone right after del once eval_formula and is_full have filled and
-    read the evaluator's memos: nothing there refers back to it."""
+    read the evaluator's memos, the columns among them: nothing there refers
+    back to it."""
     m = m_r()
     for f in closed_pool(m.sig, m.domain, 2):
         eval_formula(m, f)
-    assert is_full(m, 2).full and m._evaluator.closed
+    assert is_full(m, 2).full and m._evaluator.closed and m._evaluator.cols
     ref, enabled = weakref.ref(m), gc.isenabled()
     gc.disable()
     try:
@@ -449,6 +458,106 @@ def test_the_memos_hold_no_reference_to_the_model():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_is_full_and_the_clause_rows_leave_the_columns_alone():
+    """is_full and fullness_via_sections keep their columns in a dict of
+    their own call: the evaluator's column memo holds the same entries
+    before and after each, empty on a fresh model and filled by
+    eval_formula."""
+    m = m_r()
+    assert is_full(m, 2).full and fullness_via_sections(m, 2).all_agree
+    assert not m._evaluator.cols and not m._evaluator.closed
+    for f in closed_pool(m.sig, m.domain, 1):
+        eval_formula(m, f)
+    before = dict(m._evaluator.cols)
+    assert before
+    assert is_full(m, 2).full and fullness_via_sections(m, 2).all_agree
+    assert m._evaluator.cols == before
+
+
+def _column_pools(m):
+    """The closed formulas (closed_pool(m, 2), the validity list, and the
+    E-closures of Or and Implies bodies, which the pools lack), the
+    one-variable formulas (the open pool, those bodies, and the bodies of
+    the validity list's quantifiers) and the two-variable ones."""
+    x, y = Var("x"), Var("y")
+    opened = open_pool(m.sig, m.domain, "x")
+    atoms = [f for f in opened if isinstance(f, (Eq, Rel))][:6]
+    mixed = [Or(a, Not(b)) for a in atoms for b in atoms[:2]]
+    mixed += [Implies(a, b) for a in atoms[:3] for b in atoms]
+    closed = closed_pool(m.sig, m.domain, 2) + standard_validities(m)
+    closed += [Exists("x", f) for f in mixed]
+    one = opened + mixed + [f.body for f in closed
+                            if isinstance(f, (Exists, Forall))
+                            and free_vars(f.body) == {"x"}]
+    two = [Eq(x, y), And(Eq(x, y), Not(atoms[0])),
+           Or(Implies(Eq(y, x), atoms[1]), Exists("x", Eq(x, y)))]
+    two += [Rel(sym, (x, y)) for sym, a in m.sig.rel_arity.items() if a == 2]
+    return closed, one, two
+
+
+def test_columns_match_the_per_element_loops():
+    """On seeded random models of 1-4 atoms and 2-4 elements, every closed
+    formula's value and E-rooted body dict, read off columns shared across
+    the pool (eval_formula's memo, and a dict per pass), equal the
+    per-element loop's; so do _tuple_values for one and two free
+    variables, in the same order."""
+    rng = random.Random(27)
+    kinds = set()
+    for _ in range(40):
+        m = random_model(rng, 4, 4)
+        closed, one, two = _column_pools(m)
+        cols = {}
+        for f in closed:
+            want = closed_value_per_element(m, f)
+            assert _closed_value(m._evaluator, f, cols) == want
+            assert eval_formula(m, f).bits == want[0]
+            assert m._evaluator.closed[id(f)][:2] == want
+        for free, pool in ((("x",), one), (("x", "y"), two)):
+            for f in pool:
+                want = tuple_values_per_tuple(m, f, free)
+                assert list(want) == list(product(m.domain, repeat=len(free)))
+                assert _tuple_values(m, f, free, cols) == list(want.values())
+        kinds.update(type(f) for _, f in cols.values())
+    assert {Not, And, Or, Implies, Eq, Rel, Exists} <= kinds
+
+
+def test_a_column_is_kept_per_variable():
+    """The column memo is keyed by the node and the bound variable: R(x)'s
+    column under x is no answer for R(x) under y, which has x free."""
+    m = m_r()
+    ev, cols, f = m._evaluator, {}, parse(m.sig, "R(x)")
+    assert _column(ev, "x", f, cols) == [1, 2]
+    with pytest.raises(ModelError, match="free variable 'x'"):
+        _column(ev, "y", f, cols)
+    assert [key[1] for key in cols] == ["x"]
+
+
+def _outcome(run, *args):
+    """What run(*args) returned, or the type and message of what it raised."""
+    try:
+        return "returned", run(*args)
+    except (ModelError, TypeError) as err:
+        return type(err), str(err)
+
+
+def test_columns_raise_as_the_per_element_loops():
+    """Each eval error row, as a closed formula and as a formula of x or of
+    x and y: _closed_value and _tuple_values raise the per-element loop's
+    exception, type and message, or return its values."""
+    m = m_r()
+    raised = 0
+    for f, _, _, _, _ in _error_rows(m.sig):
+        want = _outcome(closed_value_per_element, m, f)
+        assert _outcome(_closed_value, m._evaluator, f, {}) == want
+        raised += want[0] != "returned"
+        for free in (("x",), ("x", "y")):
+            want = _outcome(lambda: list(tuple_values_per_tuple(
+                m, f, free).values()))
+            assert _outcome(_tuple_values, m, f, free, {}) == want
+            raised += want[0] != "returned"
+    assert raised > 20
 
 
 def test_has_mixing_mnm_fails_with_smallest_witness():

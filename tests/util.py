@@ -5,16 +5,18 @@ shortcuts: filters are found by scanning all subsets, adjoints by scanning
 all elements, spaces and posets by filtering all candidate families.
 """
 
+from functools import reduce
 from itertools import combinations, islice, permutations, product
 from math import prod
+from operator import or_
 from random import Random
 
 from bvmsheaf.balg import (AlgebraError, BAHom, BoolAlg, Elem, Filter,
                            stone_space)
 from bvmsheaf.bridge import (FullnessClauses, L, R, StructuredPresheaf,
                              ext_to_stone)
-from bvmsheaf.bvm import (BVModel, BVMorphism, MixingReport, ModelError,
-                          MorphismReport, _atomic, _class_reps,
+from bvmsheaf.bvm import (_EVAL, BVModel, BVMorphism, MixingReport,
+                          ModelError, MorphismReport, _atomic, _class_reps,
                           _smallest_cover, _spread, check_morphism,
                           generalize, open_pool, tarski_quotient)
 from bvmsheaf.logic import (And, Const, Eq, Exists, Forall, Implies, Not, Or,
@@ -1414,6 +1416,33 @@ def recursive_eval_bits(m: BVModel, f, env: dict, top: int) -> int:
             out &= recursive_eval_bits(m, f.body, {**env, f.var: d}, top)
         return out
     raise TypeError(f"not a formula: {f!r}")
+
+
+def closed_value_per_element(m: BVModel, f) -> tuple:
+    """([f], body) for a closed f, an E-rooted f's body run through the
+    evaluator's runner table at each domain element under one env that
+    rebinds its variable: the loop _closed_value ran before it read the
+    body's column, kept as the columns' reference."""
+    ev = m._evaluator
+    if not isinstance(f, Exists):
+        return _EVAL[type(f)](ev, {}, f), None
+    env, run, body = {}, _EVAL[type(f.body)], {}
+    for d in ev.domain:
+        env[f.var] = d
+        body[d] = run(ev, env, f.body)
+    return reduce(or_, body.values(), 0), body
+
+
+def tuple_values_per_tuple(m: BVModel, f, free: tuple) -> dict:
+    """f's value at each tuple of ids for the variables free, in product
+    order, f run through the evaluator's runner table under one env that
+    each tuple rebinds: the loop _tuple_values keeps for two variables and
+    ran for one before it read f's column, kept as the columns' reference."""
+    ev, run, env, values = m._evaluator, _EVAL[type(f)], {}, {}
+    for tup in product(m.domain, repeat=len(free)):
+        env.update(zip(free, tup))
+        values[tup] = run(ev, env, f)
+    return values
 
 
 # -- isomorphism searches -------------------------------------------------------
