@@ -11,7 +11,7 @@ from operator import or_
 
 from .balg import BAHom, BoolAlg, Elem, stone_space
 from .bvm import (_EVAL, BVModel, BVMorphism, ModelError, _class_reps,
-                  _column, closed_pool, generalize, has_mixing, open_pool)
+                  _column, _deep_sample, has_mixing, open_pool)
 from .logic import Eq, Formula, Rel, Signature, Var, free_vars
 from .record import Record, field
 from .sheaf import (NotSeparatedError, Presheaf, PresheafMorphism, SheafError,
@@ -407,22 +407,18 @@ class FullnessSectionsReport(Record):
 
 
 def fullness_via_sections(m: BVModel, depth: int = 2) -> FullnessSectionsReport:
-    """Run the clause comparison over the canonical open-formula pool:
-    quantifier-free one-variable formulas, and from depth 2 on also
-    two-free-variable atoms and quantified one-variable formulas obtained by
-    re-generalizing a strided sample of the closed pool, each with its free
-    variables, x or x and y.  Each row is read off the formula's tuple
-    values by _clause_row, with no bundle built; a one-variable formula's
-    are its column, the columns kept for this call only."""
+    """Run the clause comparison over the canonical open-formula pool: the
+    quantifier-free one-variable formulas, and from depth 2 on the x, y
+    atoms and _deep_sample's formulas.  Each row is read off the formula's
+    tuple values by _clause_row, with no bundle built; a one-variable
+    formula's are its column, the columns kept for this call only."""
     mixing, cols = has_mixing(m).passed, {}
     x, y = Var("x"), Var("y")
     pool = [(f, ("x",)) for f in open_pool(m.sig, m.domain, "x")]
     if depth >= 2:
         pool += [(f, ("x", "y")) for f in (Eq(x, y), *(
             Rel(sym, (x, y)) for sym, k in m.sig.rel_arity.items() if k == 2))]
-        deep = (generalize(f, f"c_{m.domain[0]}", "x")
-                for f in closed_pool(m.sig, m.domain, depth - 1)[::29])
-        pool += [(g, ("x",)) for g in deep if "x" in free_vars(g)][:10]
+        pool += [(g, ("x",)) for g in _deep_sample(m.sig, m.domain, depth)]
     rows = tuple(_clause_row(f, _tuple_values(m, f, free, cols), mixing)
                  for f, free in pool)
     return FullnessSectionsReport(rows, all(c.agree for c in rows), mixing)

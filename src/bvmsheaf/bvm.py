@@ -180,12 +180,12 @@ def eval_formula(m: BVModel, f: Formula, env: dict | None = None) -> Elem:
 
 
 def _closed_value(ev: "_Evaluator", f: Formula, cols: dict) -> tuple:
-    """([f], body) for a closed f: for an E-rooted f, body maps each domain
-    element to the body's value there, read off its column; otherwise None."""
+    """([f], column) for a closed f: for an E-rooted f, the body's column as
+    _column keeps it in cols, shared, so never mutated; otherwise None."""
     if not isinstance(f, Exists):
         return _EVAL[type(f)](ev, {}, f), None
     col = _column(ev, f.var, f.body, cols)
-    return reduce(or_, col, 0), dict(zip(ev.domain, col))
+    return reduce(or_, col, 0), col
 
 
 def _column(ev: "_Evaluator", var: str, f, cols: dict) -> list:
@@ -210,11 +210,11 @@ def _column(ev: "_Evaluator", var: str, f, cols: dict) -> list:
 
 
 class _Evaluator:
-    """[f] as a bitmask, on the model's tables read into ints and its
-    constants resolved once; reps holds _class_reps' dict per mask, closed
-    maps id(f) to (bits, body, f) per closed formula eval_formula was given
-    (f kept, so its id is not reused), cols the columns read for them.  It
-    keeps no reference to the model, so no cycle delays freeing the model."""
+    """[f] as a bitmask, on the model's tables read into ints and its constants
+    resolved once; reps holds _class_reps' dict per mask, closed maps id(f) to
+    _closed_value's (bits, column) and f per closed formula eval_formula was
+    given (f kept, so its id is not reused), cols the columns read for them.
+    It holds no reference to the model, so no cycle delays freeing it."""
 
     def __init__(self, m: BVModel):
         self.domain, self.top, self.reps = m.domain, m.alg.top.bits, {}
@@ -627,6 +627,15 @@ def _closed_pool(sig: Signature, elements: tuple, depth: int,
     return tuple(pool)
 
 
+@lru_cache(maxsize=64)
+def _deep_sample(sig: Signature, elements: tuple, depth: int) -> tuple:
+    """fullness_via_sections' rows from every 29th depth - 1 closed formula,
+    c_<first element> made x: the first 10 with x free.  Built once per key."""
+    deep = (generalize(f, f"c_{elements[0]}", "x")
+            for f in closed_pool(sig, elements, depth - 1)[::29])
+    return tuple([g for g in deep if "x" in free_vars(g)][:10])
+
+
 # -- fullness (Los) and mixing ----------------------------------------------
 
 class FullnessReport(Record):
@@ -650,31 +659,29 @@ def is_full(m: BVModel, depth: int = 2, formulas=None) -> FullnessReport:
         existential is attained by a finite (recorded, minimal) set of
         witnesses.
 
-    The equivalence of (a) and (b) is a theorem; the report asserts it on
-    the instance.  An E-rooted formula's body is evaluated as its column:
-    the join is its value, and the cover is read off the same values.  Every
-    existential is a finite join, so (b) always finds a cover and
-    procedures_agree reduces to full; (a) tests the evaluator, its column
-    combinators too.  A formula eval_formula has already evaluated on m (the
-    same object) has its value and body values read from the evaluator's
-    memo; any other is evaluated here, its columns kept in a dict of this
-    call only, so is_full stores nothing.  The Los loop runs satisfies'
-    runner table directly, with an empty env.  formulas may be any
-    iterable; formulas_checked counts what it yielded.
+    The equivalence of (a) and (b) is a theorem, asserted on the instance.
+    Every existential is a finite join, so (b) always finds a cover and
+    procedures_agree reduces to full; (a) tests the evaluator.  An E-rooted
+    body is evaluated as its column, whose join is the value, so a cover is
+    found once per distinct column in a dict of this call (covers name m's
+    elements).  eval_formula's kept values and columns are read from its
+    memo; the rest are evaluated into columns of this call only, so is_full
+    stores nothing.  formulas may be any iterable, counted as it is read.
     """
     pool = formulas if formulas is not None else closed_pool(
         m.sig, m.domain, depth)
-    ev, values, covers, cols = m._evaluator, [], [], {}
+    ev, values, covers, cols, cover_of = m._evaluator, [], [], {}, {}
     for f in pool:
-        hit = ev.closed.get(id(f))
-        value, body = hit[:2] if hit else _closed_value(ev, f, cols)
-        if body is not None:
-            covers.append((f, _smallest_cover(body, value)))
+        value, col = (ev.closed.get(id(f)) or _closed_value(ev, f, cols))[:2]
+        if col is not None:
+            if (cover := cover_of.get(key := tuple(col))) is None:
+                cover = cover_of[key] = _smallest_cover(
+                    dict(zip(m.domain, col)), value)
+            covers.append((f, cover))
         values.append((f, value))
     mismatches = []
     for g_atom in m.alg.atom_elems():
-        g, bit = Filter(m.alg, g_atom), g_atom.bits
-        t = tarski_quotient(m, g)
+        t, bit = tarski_quotient(m, g := Filter(m.alg, g_atom)), g_atom.bits
         for f, value in values:
             if _SAT[type(f)](t, {}, f) != bool(value & bit):
                 mismatches.append((g.label, f))
@@ -688,10 +695,7 @@ def _smallest_cover(vals: dict, total: int):
     bitmasks join to total; None if there is none."""
     for size in range(len(vals) + 1):
         for combo in combinations(vals, size):
-            joined = 0
-            for k in combo:
-                joined |= vals[k]
-            if joined == total:
+            if reduce(or_, map(vals.get, combo), 0) == total:
                 return combo
     return None
 

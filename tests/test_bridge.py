@@ -1,6 +1,7 @@
 """The L -| R adjunction, mixing <-> sheaf, mixification, E^phi bundles."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,8 +10,9 @@ from bvmsheaf.bridge import (L, R, adjunction_witness,
                              ext_to_stone, fullness_via_sections,
                              global_sections_of_bundle,
                              mixify, mixing_iff_sheaf, phi_bundle)
-from bvmsheaf.bvm import (BVModel, check_morphism, has_mixing, is_elementary,
-                          quotient_model, tarski_quotient, validate)
+from bvmsheaf.bvm import (BVModel, _closed_pool, _deep_sample, check_morphism,
+                          has_mixing, is_elementary, quotient_model,
+                          tarski_quotient, validate)
 from bvmsheaf.logic import Signature, parse
 from bvmsheaf.sheaf import (Bundle, NotSeparatedError, Presheaf, _gamma_half,
                             _lambda1, _section_id, alg_poset, gamma_half,
@@ -19,10 +21,11 @@ from bvmsheaf.topo import FinTop, opens_poset, ro_algebra, subset_label
 
 from util import (_gamma1_structured, _stone_etale, basic_opens,
                   basic_opens_scan, bundle_clauses_scan, chain_mixify,
-                  eager_pullback, eager_restrictions, elem_from_label,
-                  find_model_isomorphism, label_L, level_join_R, quotient_L,
-                  random_model, random_separated_presheaf, random_subpresheaf,
-                  section_sheaf, stalk_at_filter)
+                  deep_sample_inline, eager_pullback, eager_restrictions,
+                  elem_from_label, find_model_isomorphism,
+                  fullness_via_sections_inline, label_L, level_join_R,
+                  quotient_L, random_model, random_separated_presheaf,
+                  random_subpresheaf, section_sheaf, stalk_at_filter)
 
 B2 = mk_powerset(["a1"])
 B4 = mk_powerset(["a1", "a2"])
@@ -338,6 +341,37 @@ def test_phi_bundle_requires_free_variable():
     from bvmsheaf.bvm import ModelError
     with pytest.raises(ModelError):
         phi_bundle(m, parse(m.sig, "E x. R(x)"))
+
+
+def test_deep_sample_is_the_inline_sample():
+    """_deep_sample holds the formulas fullness_via_sections built inline on
+    every call, in the same order, at depth 2 and 3 on unary, binary and
+    mixed signatures, and the reports equal the inline reference's; it is
+    built once per key, so a repeated fullness_via_sections reads no closed
+    pool.  At depth 4 on five elements with a binary symbol, 14 formulas
+    have x free, and the sample keeps the first 10."""
+    rng, kinds = random.Random(29), Counter()
+    while len(kinds) < 3 or min(kinds.values()) < 3:
+        m = random_model(rng, 3, 4)
+        arities = set(m.sig.rel_arity.values())
+        kind = {frozenset({1}): "unary", frozenset({2}): "binary"}.get(
+            frozenset(arities), "mixed")
+        if kinds[kind] == 3:
+            continue
+        kinds[kind] += 1
+        for depth in (2, 3):
+            sample = _deep_sample(m.sig, m.domain, depth)
+            assert list(sample) == deep_sample_inline(m, depth)
+            assert fullness_via_sections(m, depth) == \
+                fullness_via_sections_inline(m, depth)
+            before = _closed_pool.cache_info()
+            assert fullness_via_sections(m, depth).all_agree
+            assert _closed_pool.cache_info() == before
+            assert _deep_sample(m.sig, m.domain, depth) is sample
+    m = BVModel.make(B2, [f"d{i}" for i in range(5)],
+                     rels={"R": {("d0", "d1"): B2.top}})
+    sample = _deep_sample(m.sig, m.domain, 4)
+    assert len(sample) == 10 and list(sample) == deep_sample_inline(m, 4)
 
 
 def test_fullness_clauses_all_true_on_samples():

@@ -28,7 +28,8 @@ from bvmsheaf.logic import (And, Const, Eq, Exists, Forall, Implies, Not, Or,
 from util import (bundle_clauses_scan, closed_pool_dedupe,
                   closed_value_per_element, elem_check_morphism,
                   elem_validate, find_model_isomorphism, random_model,
-                  recursive_eval_bits, search_mixing, tuple_values_per_tuple)
+                  recursive_eval_bits, search_mixing, tuple_values_per_tuple,
+                  witness_covers_per_formula)
 
 B2 = mk_powerset(["a1"])
 B4 = mk_powerset(["a1", "a2"])
@@ -476,6 +477,59 @@ def test_is_full_and_the_clause_rows_leave_the_columns_alone():
     assert m._evaluator.cols == before
 
 
+def _renamed(m, prefix: str) -> BVModel:
+    """m with each domain id d renamed prefix + d, its tables and constants
+    carried along: the same columns, whose covers name other elements."""
+    r = {d: prefix + d for d in m.domain}
+    return BVModel(m.alg, m.sig, tuple(r.values()),
+                   {(r[a], r[b]): v for (a, b), v in m.eq.items()},
+                   {sym: {tuple(map(r.get, tup)): v for tup, v in t.items()}
+                    for sym, t in m.rels.items()},
+                   {c: r[d] for c, d in m.consts.items()})
+
+
+def _repeating_columns(pool):
+    """Each formula of pool and, after each E-rooted one, the same object
+    again and E x. (body | body), another object with the same column."""
+    for f in pool:
+        yield f
+        if isinstance(f, Exists):
+            yield f
+            yield Exists(f.var, Or(f.body, f.body))
+
+
+def test_witness_covers_match_the_per_formula_covers():
+    """is_full's witness covers, found once per distinct column, equal
+    _smallest_cover on each formula's per-element body dict, entry by entry:
+    on the depth-2 and depth-3 closed pools of seeded random models, fresh
+    and after eval_formula kept the pools' values, on a formulas iterable
+    that repeats columns, and on a renamed copy of each model, whose
+    columns are the model's but whose covers name other elements."""
+    rng, shared = random.Random(28), 0
+    for _ in range(40):
+        m = random_model(rng, 4, 4)
+        pools = {d: closed_pool(m.sig, m.domain, d) for d in (2, 3)}
+        want = {d: witness_covers_per_formula(m, pool)
+                for d, pool in pools.items()}
+        repeated = list(_repeating_columns(pools[2]))
+        want_repeated = witness_covers_per_formula(m, repeated)
+        for kept in (False, True):
+            if kept:
+                for f in (*pools[2], *pools[3]):
+                    eval_formula(m, f)
+            for d in pools:
+                assert is_full(m, d).witness_covers == want[d]
+            rep = is_full(m, formulas=_repeating_columns(pools[2]))
+            assert rep.witness_covers == want_repeated
+            assert rep.formulas_checked == len(repeated)
+        shared += len(want[3]) - len({tuple(m._evaluator.closed[id(f)][1])
+                                      for f, _ in want[3]})
+        u = _renamed(m, "u")
+        assert is_full(u, 2).witness_covers == witness_covers_per_formula(
+            u, closed_pool(u.sig, u.domain, 2))
+    assert shared > 10000
+
+
 def _column_pools(m):
     """The closed formulas (closed_pool(m, 2), the validity list, and the
     E-closures of Or and Implies bodies, which the pools lack), the
@@ -497,12 +551,18 @@ def _column_pools(m):
     return closed, one, two
 
 
+def _as_body_dict(m, hit: tuple) -> tuple:
+    """(value, column) as the per-element loop's (value, body dict)."""
+    value, col = hit
+    return value, None if col is None else dict(zip(m.domain, col))
+
+
 def test_columns_match_the_per_element_loops():
     """On seeded random models of 1-4 atoms and 2-4 elements, every closed
-    formula's value and E-rooted body dict, read off columns shared across
+    formula's value and E-rooted body column, read off columns shared across
     the pool (eval_formula's memo, and a dict per pass), equal the
-    per-element loop's; so do _tuple_values for one and two free
-    variables, in the same order."""
+    per-element loop's value and body dict, the column in domain order; so
+    do _tuple_values for one and two free variables, in the same order."""
     rng = random.Random(27)
     kinds = set()
     for _ in range(40):
@@ -511,9 +571,10 @@ def test_columns_match_the_per_element_loops():
         cols = {}
         for f in closed:
             want = closed_value_per_element(m, f)
-            assert _closed_value(m._evaluator, f, cols) == want
+            got = _closed_value(m._evaluator, f, cols)
+            assert _as_body_dict(m, got) == want
             assert eval_formula(m, f).bits == want[0]
-            assert m._evaluator.closed[id(f)][:2] == want
+            assert _as_body_dict(m, m._evaluator.closed[id(f)][:2]) == want
         for free, pool in ((("x",), one), (("x", "y"), two)):
             for f in pool:
                 want = tuple_values_per_tuple(m, f, free)

@@ -135,8 +135,8 @@ def test_class_reps_memo_matches_the_scan_before_and_after_the_bridge(rng):
 def test_is_full_reads_the_closed_memo_as_it_would_evaluate(rng):
     """is_full(m, 2) gives an equal report, witness covers and Los
     mismatches in the same order, before and after eval_formula has kept
-    the value of every pool formula; each kept value and body value is the
-    recursive oracle's."""
+    the value of every pool formula; each kept value, and each body value
+    of the kept column in domain order, is the recursive oracle's."""
     m = random_model(rng, max_atoms=4, max_domain=4)
     fresh = is_full(m, 2)
     pool = closed_pool(m.sig, m.domain, 2)
@@ -149,7 +149,8 @@ def test_is_full_reads_the_closed_memo_as_it_would_evaluate(rng):
         value, body, kept = memo[id(f)]
         assert kept is f and value == recursive_eval_bits(m, f, {}, top)
         if isinstance(f, Exists):
-            assert body == {d: recursive_eval_bits(m, f.body, {f.var: d}, top)
-                            for d in m.domain}
+            assert dict(zip(m.domain, body)) == {
+                d: recursive_eval_bits(m, f.body, {f.var: d}, top)
+                for d in m.domain}
         else:
             assert body is None

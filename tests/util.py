@@ -13,14 +13,16 @@ from random import Random
 
 from bvmsheaf.balg import (AlgebraError, BAHom, BoolAlg, Elem, Filter,
                            stone_space)
-from bvmsheaf.bridge import (FullnessClauses, L, R, StructuredPresheaf,
+from bvmsheaf.bridge import (FullnessClauses, FullnessSectionsReport, L, R,
+                             StructuredPresheaf, _clause_row, _tuple_values,
                              ext_to_stone)
 from bvmsheaf.bvm import (_EVAL, BVModel, BVMorphism, MixingReport,
                           ModelError, MorphismReport, _atomic, _class_reps,
                           _smallest_cover, _spread, check_morphism,
-                          generalize, open_pool, tarski_quotient)
+                          closed_pool, generalize, has_mixing, open_pool,
+                          tarski_quotient)
 from bvmsheaf.logic import (And, Const, Eq, Exists, Forall, Implies, Not, Or,
-                            Rel, Signature, Var)
+                            Rel, Signature, Var, free_vars)
 from bvmsheaf.sheaf import (_MAX_FAILURES, EtaleSpace, NotSeparatedError,
                             Presheaf, PresheafMorphism, SheafError,
                             SheafReport, _choices, _gamma_half, _lambda1,
@@ -1422,7 +1424,7 @@ def closed_value_per_element(m: BVModel, f) -> tuple:
     """([f], body) for a closed f, an E-rooted f's body run through the
     evaluator's runner table at each domain element under one env that
     rebinds its variable: the loop _closed_value ran before it read the
-    body's column, kept as the columns' reference."""
+    body's column, kept as the columns' and the witness covers' reference."""
     ev = m._evaluator
     if not isinstance(f, Exists):
         return _EVAL[type(f)](ev, {}, f), None
@@ -1431,6 +1433,43 @@ def closed_value_per_element(m: BVModel, f) -> tuple:
         env[f.var] = d
         body[d] = run(ev, env, f.body)
     return reduce(or_, body.values(), 0), body
+
+
+def witness_covers_per_formula(m: BVModel, formulas) -> tuple:
+    """is_full's witness covers with no memo: for each E-rooted formula, in
+    order, _smallest_cover on its per-element body dict and value, the
+    cover is_full found per formula before it kept one per distinct
+    column."""
+    covers = []
+    for f in formulas:
+        value, body = closed_value_per_element(m, f)
+        if body is not None:
+            covers.append((f, _smallest_cover(body, value)))
+    return tuple(covers)
+
+
+def deep_sample_inline(m: BVModel, depth: int) -> list:
+    """The quantified rows fullness_via_sections built on every call before
+    _deep_sample kept them per pool key: every 29th formula of the depth - 1
+    closed pool with c_<first element> made x, the first 10 with x free."""
+    deep = (generalize(f, f"c_{m.domain[0]}", "x")
+            for f in closed_pool(m.sig, m.domain, depth - 1)[::29])
+    return [g for g in deep if "x" in free_vars(g)][:10]
+
+
+def fullness_via_sections_inline(m: BVModel, depth: int = 2):
+    """fullness_via_sections with its deep sample built inline per call, as
+    before _deep_sample: the reference of its reports."""
+    mixing, cols = has_mixing(m).passed, {}
+    x, y = Var("x"), Var("y")
+    pool = [(f, ("x",)) for f in open_pool(m.sig, m.domain, "x")]
+    if depth >= 2:
+        pool += [(f, ("x", "y")) for f in (Eq(x, y), *(
+            Rel(sym, (x, y)) for sym, k in m.sig.rel_arity.items() if k == 2))]
+        pool += [(g, ("x",)) for g in deep_sample_inline(m, depth)]
+    rows = tuple(_clause_row(f, _tuple_values(m, f, free, cols), mixing)
+                 for f, free in pool)
+    return FullnessSectionsReport(rows, all(c.agree for c in rows), mixing)
 
 
 def tuple_values_per_tuple(m: BVModel, f, free: tuple) -> dict:
