@@ -242,11 +242,12 @@ class BAHom(Record):
         return self.source.from_labels({mapping[a] for a in c.atom_labels()})
 
     def dual(self, g: Filter) -> Filter:
-        """The Stone dual St(target) -> St(source), G |-> i^{-1}[G]."""
+        """The Stone dual St(target) -> St(source), G |-> i^{-1}[G], read
+        off the left adjoint: i(b) >= c iff b >= pi_i(c), so i^{-1}[up c]
+        is up pi_i(c)."""
         if g.alg != self.target:
             raise AlgebraError("filter lives on a different algebra")
-        preimage = [b for b in self.source.elements() if self(b) in g]
-        return Filter(self.source, self.source.meet_all(preimage))
+        return Filter(self.source, self.left_adjoint(g.gen))
 
     @property
     def is_injective(self) -> bool:

@@ -15,8 +15,8 @@ from .bvm import (_EVAL, BVModel, BVMorphism, ModelError, _class_reps,
 from .logic import Eq, Formula, Rel, Signature, Var, free_vars
 from .record import Record, field
 from .sheaf import (NotSeparatedError, Presheaf, PresheafMorphism, SheafError,
-                    _along, _choices, _lambda0_germs, _section_id,
-                    alg_poset, is_separated, is_stonean_sheaf)
+                    _along, _choices, alg_poset, is_separated,
+                    is_stonean_sheaf)
 from .topo import opens_poset, subset_label
 
 
@@ -235,17 +235,21 @@ class MixSheafReport(Record):
 def mixing_iff_sheaf(m: BVModel) -> MixSheafReport:
     """Three computations compared: has_mixing (the stalk product on the
     equality bits), the sheaf predicate on L(M), and the global sections of
-    the etale space being exactly the induced ones.  The sheaf leg is the
-    dense (minimal level) test: on B+ a family below p is predense below p
-    iff its join is p, so the dense and the sup coverings are the same sets.
-    Lambda0's basics are not built: Gamma0 over discrete St(B) is a product."""
-    lm, stone = L(m), stone_space(m.alg).space
-    _, stalks, germ_of = _lambda0_germs(ext_to_stone(lm), stone)
-    top_stone = subset_label(stone.points)
-    induced = [{pt: germ_of[top_stone, sigma, pt] for pt in stone.points}
-               for sigma in lm.sections[m.alg.top.label]]
-    witness = tuple(sorted(_section_id(s) for s in _choices(stalks, stone.points)
-                           if s not in induced))[:1] or None
+    Lambda0 of ext(L(M)) over St(B) being exactly the induced ones.  The
+    sheaf leg is the dense (minimal level) test: on B+ a family below p is
+    predense below p iff its join is p, so the dense and the sup coverings
+    are the same sets.  The sections leg is read off L(M): St(B) is
+    discrete, so the stalk at the atom a is L(M)'s sections at a, each r the
+    germ a:{a}:r, a top section s induces a |-> s|a, and Gamma0 over all of
+    St(B) is the stalk product.  The test suite builds Lambda0 and Gamma0,
+    as the oracle this is compared with."""
+    lm, top = L(m), m.alg.top.label
+    atoms = sorted(m.alg.atoms)
+    induced = {tuple(lm.res(a, top, s) for a in atoms) for s in lm.sections[top]}
+    missing = min((";".join(f"{a}={a}:{{{a}}}:{r}" for a, r in zip(atoms, c))
+                   for c in product(*(sorted(lm.sections[a]) for a in atoms))
+                   if c not in induced), default=None)
+    witness = None if missing is None else (missing,)
     return MixSheafReport(has_mixing(m).passed, is_stonean_sheaf(lm).passed,
                           witness is None, witness)
 

@@ -564,21 +564,24 @@ def generalize(f: Formula, const: str, var: str) -> Formula:
     return map_terms(f, term)
 
 
-def open_pool(sig: Signature, elements, var: str, max_conj_atoms: int = 20):
+_MAX_CONJ_ATOMS = 20  # atoms an open pool conjoins pairwise, evenly strided
+_MAX_NESTED = 48  # quantified formulas a closed pool level re-generalizes
+
+
+def open_pool(sig: Signature, elements, var: str):
     """Canonical one-free-variable formulas: the atoms mentioning the
-    variable, their negations, and their pairwise conjunctions.  Built once
-    per key (sig, tuple(elements), var, max_conj_atoms); each call returns a
-    fresh list."""
-    return list(_open_pool(sig, tuple(elements), var, max_conj_atoms))
+    variable, their negations, and the pairwise conjunctions of at most
+    _MAX_CONJ_ATOMS of them.  Built once per key (sig, tuple(elements),
+    var); each call returns a fresh list."""
+    return list(_open_pool(sig, tuple(elements), var))
 
 
 @lru_cache(maxsize=64)
-def _open_pool(sig: Signature, elements: tuple, var: str,
-               max_conj_atoms: int) -> tuple:
+def _open_pool(sig: Signature, elements: tuple, var: str) -> tuple:
     consts = [Const(f"c_{e}") for e in elements]
     atoms = list(dict.fromkeys(a for a in _atomic(sig, consts + [Var(var)])
                                if var in free_vars(a)))
-    conj_base = _spread(atoms, max_conj_atoms)
+    conj_base = _spread(atoms, _MAX_CONJ_ATOMS)
     pool = list(atoms)
     pool.extend(Not(a) for a in atoms)
     pool.extend(And(a, b) for i, a in enumerate(conj_base)
@@ -586,21 +589,18 @@ def _open_pool(sig: Signature, elements: tuple, var: str,
     return tuple(dict.fromkeys(pool))
 
 
-def closed_pool(sig: Signature, elements, depth: int,
-                max_nested: int = 48, max_conj_atoms: int = 20):
+def closed_pool(sig: Signature, elements, depth: int):
     """Canonical closed formulas to the given quantifier depth: closed atoms
     and their negations, then per level the existential closures of the open
     pool plus nested quantifications obtained by re-generalizing a strided
-    selection of the previous level's quantified formulas.  Built once per
-    key (sig, tuple(elements), depth, max_nested, max_conj_atoms); each call
+    selection of at most _MAX_NESTED of the previous level's quantified
+    formulas.  Built once per key (sig, tuple(elements), depth); each call
     returns a fresh list."""
-    return list(_closed_pool(sig, tuple(elements), depth, max_nested,
-                             max_conj_atoms))
+    return list(_closed_pool(sig, tuple(elements), depth))
 
 
 @lru_cache(maxsize=64)
-def _closed_pool(sig: Signature, elements: tuple, depth: int,
-                 max_nested: int, max_conj_atoms: int) -> tuple:
+def _closed_pool(sig: Signature, elements: tuple, depth: int) -> tuple:
     consts = [Const(f"c_{e}") for e in elements]
     closed_atoms = list(dict.fromkeys(_atomic(sig, consts)))
     pool = list(closed_atoms)
@@ -608,10 +608,9 @@ def _closed_pool(sig: Signature, elements: tuple, depth: int,
     prev_quantified: list[Formula] = []
     for d in range(1, depth + 1):
         var = f"x{d}"
-        level = [Exists(var, f)
-                 for f in _open_pool(sig, elements, var, max_conj_atoms)]
+        level = [Exists(var, f) for f in _open_pool(sig, elements, var)]
         nested = []
-        for f in _spread(prev_quantified, max_nested):
+        for f in _spread(prev_quantified, _MAX_NESTED):
             for e in elements:
                 g = generalize(f, f"c_{e}", var)
                 if g != f:

@@ -83,16 +83,16 @@ def hom_from_json(ws: "Workspace", data) -> BAHom:
 
 def topology_from_json(data) -> FinTop:
     try:
-        return FinTop(tuple(data["points"]),
-                      frozenset(frozenset(u) for u in data["opens"]))
+        return FinTop(_ids(data["points"], "topology points"), frozenset(
+            frozenset(_ids(u, "an open")) for u in data["opens"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad topology object: {exc}") from exc
 
 
 def poset_from_json(data) -> FinPoset:
     try:
-        return FinPoset.from_pairs(tuple(data["elements"]),
-                                   [tuple(p) for p in data["leq"]])
+        return FinPoset.from_pairs(_ids(data["elements"], "poset elements"),
+                                   [_ids(p, "a leq pair") for p in data["leq"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad poset object: {exc}") from exc
 

@@ -325,19 +325,6 @@ def _levels_of_opens(ps: Presheaf, x: FinTop) -> dict:
     return out
 
 
-def _stalk(ps: Presheaf, point: str, levels, key, germ_of: dict) -> tuple:
-    """The germs at point of the sections over levels, two sections sharing
-    a germ iff key gives them the same value; each germ is one string, named
-    after the first (level, section) with its key, in whose order the stalk
-    is returned.  germ_of is filled in."""
-    reps = {}
-    for lev in levels:
-        for f in ps.sections[lev]:
-            rep = reps.setdefault(key(lev, f), (lev, f, f"{point}:{lev}:{f}"))
-            germ_of[lev, f, point] = rep[2]
-    return tuple(germ for _, _, germ in sorted(reps.values()))
-
-
 def _etale(base: FinTop, stalks: dict, basics: dict, germ_of: dict) -> EtaleSpace:
     """The etale space with these stalks, germs in stalk order.  Its basics
     form a base by construction (see lambda0 and lambda1); the test suite
@@ -354,29 +341,26 @@ def lambda0(ps: Presheaf, x: FinTop) -> EtaleSpace:
     restrict to the same section on U_x, the smallest open around x.  Proof:
     U_x lies inside every open around x, so agreement on some open around x
     restricts to agreement on U_x, and U_x is itself an open around x.  So
-    the restriction to U_x is each section's germ key.
+    the germ of f in F(u) at x is named x:U_x:f|U_x, and the stalk is F(U_x)
+    in sorted order: U_x is the first open around x in size order.
 
     The basics B(u, f), the germs of f over u, form a base.  If the germs of
     f in F(u) and h in F(v) agree at x, then f|U_x = h|U_x, and the basic of
     that section over U_x lies in both: U_x is inside u and v, and f|U_x has
     f's germ at each y in U_x, since U_y is inside U_x and F composes.  So
     the meet of two basics is the union of such basics, one per point."""
-    levels, stalks, germ_of = _lambda0_germs(ps, x)
-    basics = {f"{lev}:{f}": frozenset(germ_of[lev, f, pt] for pt in u)
-              for u, lev in levels.items() for f in ps.sections[lev]}
-    return _etale(x, stalks, basics, germ_of)
-
-
-def _lambda0_germs(ps: Presheaf, x: FinTop) -> tuple[dict, dict, dict]:
-    """Lambda0's levels of opens, stalks and germ_of, with no basic built."""
     levels = _levels_of_opens(ps, x)
     stalks, germ_of = {}, {}
     for point in x.points:
-        around = [u for u in levels if point in u]
-        u_x = levels[min(around, key=len)]
-        stalks[point] = _stalk(ps, point, [levels[u] for u in around],
-                               lambda lev, f: ps.res(u_x, lev, f), germ_of)
-    return levels, stalks, germ_of
+        around = [lev for u, lev in levels.items() if point in u]
+        u_x = around[0]
+        for lev in around:
+            for f in ps.sections[lev]:
+                germ_of[lev, f, point] = f"{point}:{u_x}:{ps.res(u_x, lev, f)}"
+        stalks[point] = tuple(f"{point}:{u_x}:{r}" for r in sorted(ps.sections[u_x]))
+    basics = {f"{lev}:{f}": frozenset(germ_of[lev, f, pt] for pt in u)
+              for u, lev in levels.items() for f in ps.sections[lev]}
+    return _etale(x, stalks, basics, germ_of)
 
 
 def gamma0(e: EtaleSpace, u) -> list[dict]:
@@ -442,20 +426,23 @@ def _lambda1(ps: Presheaf, x: FinTop, ro) -> tuple[FinTop, dict, dict]:
     contains m by minimality; a family of opens where f and h agree that is
     predense below W has a member meeting m, and that member contains m.
     And g holds exactly one such m: g is Reg m for any minimal m inside it,
-    and a second minimal open, disjoint from m, misses Cl m.  So the
-    restriction to that one m is each section's germ key."""
+    and a second minimal open, disjoint from m, misses Cl m.  So the germ of
+    f in F(u) at g is named g:m:f|m, and the stalk is F(m) in sorted order:
+    m lies in the filter and inside each of its opens, so it is the first
+    of them in size order."""
     levels = _levels_of_opens(ps, x)
     mask_of = {u: x._check_subset(u) for u in levels}
-    minimal = [u for u in levels if not any(v < u for v in levels)]
     stalks, germ_of = {}, {}
     base = stone_space(ro.alg).space
     for g_label in base.points:
         g_mask = x._check_subset(ro.atom_subsets[g_label])
-        m = next(levels[u] for u in minimal if mask_of[u] & g_mask == mask_of[u])
         in_filter = [lev for u, lev in levels.items()
                      if g_mask & x._reg(mask_of[u]) == g_mask]
-        stalks[g_label] = _stalk(
-            ps, g_label, in_filter, lambda lev, f: ps.res(m, lev, f), germ_of)
+        m = in_filter[0]
+        for lev in in_filter:
+            for f in ps.sections[lev]:
+                germ_of[lev, f, g_label] = f"{g_label}:{m}:{ps.res(m, lev, f)}"
+        stalks[g_label] = tuple(f"{g_label}:{m}:{r}" for r in sorted(ps.sections[m]))
     return base, stalks, germ_of
 
 

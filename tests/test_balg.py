@@ -6,7 +6,7 @@ from bvmsheaf.balg import (AlgebraError, BAHom, Elem, Filter, mk_powerset,
                            quotient, stone_space, ultrafilters)
 
 from util import (all_homs, antichains, brute_force_left_adjoint,
-                  brute_force_ultrafilters, filter_members)
+                  brute_force_ultrafilters, dual_scan, filter_members)
 
 B2 = mk_powerset(["a1"])
 B4 = mk_powerset(["a1", "a2"])
@@ -205,6 +205,23 @@ def test_dual_map_examples():
     assert i.is_injective
     images = {i.dual(u) for u in ultrafilters(B4)}
     assert images == set(ultrafilters(B2))
+
+
+def test_dual_reads_the_left_adjoint_as_the_preimage_scan():
+    """dual(G) = up pi_i(gen G) equals the preimage i^{-1}[G] found by
+    scanning the source, on every hom between algebras of 1-3 and 1-4 atoms
+    and every filter on the target."""
+    cases = 0
+    for s in range(1, 4):
+        src = mk_powerset([f"b{k}" for k in range(s)])
+        for t in range(1, 5):
+            tgt = mk_powerset([f"c{k}" for k in range(t)])
+            filters = [Filter(tgt, c) for c in tgt.elements() if not c.is_bottom]
+            for i in all_homs(src, tgt):
+                for g in filters:
+                    assert i.dual(g) == dual_scan(i, g)
+                    cases += 1
+    assert cases == 1770
 
 
 def test_dual_map_injective_iff_surjective_and_reconstruction():

@@ -23,8 +23,8 @@ from util import (_gamma1_structured, _stone_etale, basic_opens,
                   basic_opens_scan, bundle_clauses_scan, chain_mixify,
                   deep_sample_inline, eager_pullback, eager_restrictions,
                   elem_from_label, find_model_isomorphism,
-                  fullness_via_sections_inline, label_L, level_join_R,
-                  quotient_L, random_model, random_separated_presheaf,
+                  fullness_via_sections_inline, label_L,
+                  lambda0_sections_leg, level_join_R, quotient_L, random_model, random_separated_presheaf,
                   random_subpresheaf, section_sheaf, stalk_at_filter)
 
 B2 = mk_powerset(["a1"])
@@ -183,6 +183,28 @@ def test_mixing_iff_sheaf_positive_cases():
     prod = product_model([g, g])
     rep = mixing_iff_sheaf(prod)
     assert rep.equivalent and rep.mixing and rep.sheaf
+
+
+def test_mixing_iff_sheaf_sections_leg_matches_lambda0_and_gamma0():
+    """The sections leg, read off L(M)'s atom stalks, equals Gamma0 of
+    Lambda0 of ext(L(M)) over St(B) with the induced sections read off
+    germ_of: on MNM, its mixification, a product model, MNM on the ids x
+    and x1 (whose least witness id is not the first choice in product
+    order) and a seeded sample of models up to 4 atoms and 4 elements, both
+    outcomes occurring."""
+    from bvmsheaf.bvm import TarskiModel, product_model
+    g = TarskiModel(Signature.make({"R": 1}), ("u", "v"),
+                    {"R": frozenset({("u",)})}, {})
+    rng = random.Random(2029)
+    models = [mnm(), mixify(mnm())[0], product_model([g, g]),
+              BVModel.make(B4, ["x", "x1"], sig=Signature.make({})),
+              *(random_model(rng, 4, 4) for _ in range(64))]
+    outcomes = Counter()
+    for m in models:
+        rep = mixing_iff_sheaf(m)
+        assert (rep.sections_all_induced, rep.witness) == lambda0_sections_leg(m)
+        outcomes[rep.sections_all_induced] += 1
+    assert outcomes[True] > 5 and outcomes[False] > 5
 
 
 def test_mixify_mnm_is_stalk_product_with_agreement_equalities():
@@ -632,11 +654,11 @@ def test_on_demand_tables_match_the_eager_reference():
 def test_bridge_bases_are_built_once(monkeypatch):
     """One L and one R per model or presheaf, and no is_separated on L(m),
     which is separated by construction; one class-representative scan per
-    model and mask, one St(B) per algebra and one poset per base across R o L, the
-    adjunction witness, mixing <-> sheaf and mixify; a second model on the
-    same algebra builds no Stone space and no poset.  Posets are counted on
-    both paths: the checked constructor and the unchecked one of the
-    inclusion posets."""
+    model and mask and one poset per base across R o L, the adjunction
+    witness, mixing <-> sheaf and mixify, none of which builds St(B) or
+    O(St(B))+; a second model on the same algebra builds no poset.  Posets
+    are counted on both paths: the checked constructor and the unchecked
+    one of the inclusion posets."""
     from bvmsheaf import balg, bridge, bvm, sheaf, topo
     for cache in (balg.stone_space, topo.opens_poset, sheaf.alg_poset):
         cache.cache_clear()
@@ -694,7 +716,7 @@ def test_bridge_bases_are_built_once(monkeypatch):
     m, m2 = models
     run(m)
     assert sum(built is m for built in l_builds) == 1
-    assert stone_builds == [m.alg]
+    assert stone_builds == []
     assert len(poset_builds) == len(set(poset_builds))
     assert L(m) is L(m)
     assert R(L(m)) is R(L(m))
@@ -703,9 +725,10 @@ def test_bridge_bases_are_built_once(monkeypatch):
     scans = [(id(ev), g) for ev, g in rep_scans]
     assert len(scans) == len(set(scans))
     assert {(id(m._evaluator), g) for g in range(1, 8)} <= set(scans)
+    built = list(poset_builds)
     _assert_same_presheaf(L(m), quotient_L(m))
     stone_base = topo.opens_poset(balg.stone_space(m.alg).space).elements
-    assert stone_base in poset_builds
+    assert stone_base not in built and stone_base in poset_builds
     del stone_builds[:], poset_builds[:]
     run(m2)
     assert stone_builds == [] and poset_builds == []

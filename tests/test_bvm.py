@@ -907,11 +907,10 @@ def test_cached_pools_equal_the_uncached_builders():
         ids = tuple(m.domain)
         for depth in (0, 1, 2, 3):
             pool = closed_pool(m.sig, m.domain, depth)
-            assert pool == \
-                list(_closed_pool.__wrapped__(m.sig, ids, depth, 48, 20))
+            assert pool == list(_closed_pool.__wrapped__(m.sig, ids, depth))
             assert pool == closed_pool_dedupe(m.sig, m.domain, depth)
         assert open_pool(m.sig, m.domain, "x") == \
-            list(_open_pool.__wrapped__(m.sig, ids, "x", 20))
+            list(_open_pool.__wrapped__(m.sig, ids, "x"))
 
 
 def test_pools_depend_only_on_signature_and_domain():

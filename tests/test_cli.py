@@ -158,17 +158,44 @@ def test_unknown_command_exits_two_before_dispatch(capsys):
     assert "invalid choice: 'nosuch'" in capsys.readouterr().err
 
 
-def test_malformed_topology_exit_two_with_one_line(tmp_path, capsys):
+def _space_ws(points, opens):
+    return {"topologies": {"T": {"points": points, "opens": opens}}}
+
+
+def _poset_ws(elements, leq):
+    return {"posets": {"P": {"elements": elements, "leq": leq}}}
+
+
+@pytest.mark.parametrize("workspace, message", [
     # {a} and {b} are open, their union {a,b} is not
+    pytest.param(_space_ws(["a", "b", "c"], [[], ["a"], ["b"], ["a", "b", "c"]]),
+                 "bad topology object: opens not closed under union and "
+                 "intersection: {a,b} missing", id="union-missing"),
+    pytest.param(_space_ws([1, 2], [[], [1], [1, 2]]),
+                 "bad topology object: topology points must be an array of "
+                 "ids, got [1, 2]", id="number-points"),
+    pytest.param(_space_ws("pq", [[], "pq"]),
+                 "bad topology object: topology points must be an array of "
+                 "ids, got 'pq'", id="string-points"),
+    pytest.param(_space_ws(["p", "q"], [[], "pq"]),
+                 "bad topology object: an open must be an array of ids, "
+                 "got 'pq'", id="string-open"),
+    pytest.param(_poset_ws("ab", []),
+                 "bad poset object: poset elements must be an array of ids, "
+                 "got 'ab'", id="string-elements"),
+    pytest.param(_poset_ws(["a", "b"], ["ab"]),
+                 "bad poset object: a leq pair must be an array of ids, "
+                 "got 'ab'", id="string-pair"),
+])
+def test_malformed_topology_exit_two_with_one_line(tmp_path, capsys,
+                                                   workspace, message):
     path = tmp_path / "t.json"
-    path.write_text(json.dumps({"topologies": {"T": {
-        "points": ["a", "b", "c"], "opens": [[], ["a"], ["b"], ["a", "b", "c"]]}}}))
-    message = "opens not closed under union and intersection: {a,b} missing"
+    path.write_text(json.dumps(workspace))
     with pytest.raises(InputError, match=re.escape(message)):
         load_workspace([str(path)])
     code, out, err = _run(capsys, "duality-check", "T", "-f", str(path))
     assert code == 2 and out == ""
-    assert err == f"input error: bad topology object: {message}\n"
+    assert err == f"input error: {message}\n"
 
 
 def test_grammar_error_exit_two_with_position(capsys):

@@ -27,8 +27,8 @@ from bvmsheaf.sheaf import (_MAX_FAILURES, EtaleSpace, NotSeparatedError,
                             Presheaf, PresheafMorphism, SheafError,
                             SheafReport, _choices, _gamma_half, _lambda1,
                             _section_id, alg_poset,
-                            check_presheaf_morphism, is_separated,
-                            lift_i_star)
+                            check_presheaf_morphism, gamma0, is_separated,
+                            lambda0, lift_i_star)
 from bvmsheaf.topo import (FinPoset, FinTop, TopologyError, clop_algebra,
                            down_topology, is_extremally_disconnected,
                            opens_poset, ro_algebra, subset_label)
@@ -71,6 +71,15 @@ def brute_force_left_adjoint(i, c: Elem) -> Elem:
     """inf of { b : i(b) >= c }, scanned over every source element."""
     candidates = [b for b in i.source.elements() if c <= i(b)]
     return i.source.meet_all(candidates)
+
+
+def dual_scan(i, g: Filter) -> Filter:
+    """i^{-1}[G], scanned over every source element: the body BAHom.dual had
+    before it read the left adjoint, kept as its oracle."""
+    if g.alg != i.target:
+        raise AlgebraError("filter lives on a different algebra")
+    preimage = [b for b in i.source.elements() if i(b) in g]
+    return Filter(i.source, i.source.meet_all(preimage))
 
 
 def all_homs(src: BoolAlg, tgt: BoolAlg):
@@ -681,6 +690,23 @@ def _gamma1_structured(m: BVModel, e1: tuple, tarski: dict,
     const_top = {c: phi[t] for c, t in m.consts.items()}
     return StructuredPresheaf(poset, sections, restrict, alg,
                               m.sig, rel_top, const_top)
+
+
+def lambda0_sections_leg(m: BVModel) -> tuple:
+    """mixing_iff_sheaf's sections leg as Lambda0 and Gamma0 compute it:
+    Gamma0 of Lambda0 of ext(L(M)) over all of St(B), against the sections
+    the top sections of L(M) induce, read off germ_of at the top level.
+    Returns (every section induced, the least id of one that is not, as a
+    1-tuple, or None).  The route mixing_iff_sheaf replaced by L(M)'s atom
+    stalks, kept as its oracle."""
+    lm, stone = L(m), stone_space(m.alg).space
+    e = lambda0(ext_to_stone(lm), stone)
+    top = subset_label(stone.points)
+    induced = [{pt: e.germ_of[top, s, pt] for pt in stone.points}
+               for s in lm.sections[m.alg.top.label]]
+    missing = sorted(_section_id(s) for s in gamma0(e, stone.points)
+                     if s not in induced)
+    return not missing, tuple(missing[:1]) or None
 
 
 def chain_mixify(m: BVModel):
@@ -1348,12 +1374,11 @@ def _has_mixer(m: BVModel, chain, assignment) -> bool:
 
 # -- the closed pool with a final dedupe, kept as the oracle of closed_pool ------
 
-def closed_pool_dedupe(sig: Signature, elements, depth: int,
-                       max_nested: int = 48, max_conj_atoms: int = 20) -> list:
+def closed_pool_dedupe(sig: Signature, elements, depth: int) -> list:
     """closed_pool by deduping at the end: every level, its repeated
     E x. x = x included, goes into the pool, and dict.fromkeys removes the
-    repeats.  Uncached; the oracle of closed_pool, which puts no repeat in
-    the pool."""
+    repeats; 48 of a level's quantified formulas are re-generalized.
+    Uncached; the oracle of closed_pool, which puts no repeat in the pool."""
     elements = tuple(elements)
     consts = [Const(f"c_{e}") for e in elements]
     closed_atoms = list(dict.fromkeys(_atomic(sig, consts)))
@@ -1362,10 +1387,9 @@ def closed_pool_dedupe(sig: Signature, elements, depth: int,
     prev_quantified = []
     for d in range(1, depth + 1):
         var = f"x{d}"
-        level = [Exists(var, f)
-                 for f in open_pool(sig, elements, var, max_conj_atoms)]
+        level = [Exists(var, f) for f in open_pool(sig, elements, var)]
         nested = []
-        for f in _spread(prev_quantified, max_nested):
+        for f in _spread(prev_quantified, 48):
             for e in elements:
                 g = generalize(f, f"c_{e}", var)
                 if g != f:
