@@ -10,13 +10,14 @@ from itertools import product
 from operator import or_
 
 from .balg import BAHom, BoolAlg, Elem, stone_space
-from .bvm import (_EVAL, BVModel, BVMorphism, ModelError, _class_reps,
-                  _column, _deep_sample, has_mixing, open_pool)
+from .bvm import (_EVAL, BVModel, BVMorphism, ModelError, _atom_tables,
+                  _class_reps, _column, _deep_sample, check_morphism,
+                  has_mixing, open_pool)
 from .logic import Eq, Formula, Rel, Signature, Var, free_vars
 from .record import Record, field
 from .sheaf import (NotSeparatedError, Presheaf, PresheafMorphism, SheafError,
-                    _along, _choices, alg_poset, is_separated,
-                    is_stonean_sheaf)
+                    _along, _choices, _section_id, alg_poset,
+                    check_presheaf_morphism, is_separated, is_stonean_sheaf)
 from .topo import opens_poset, subset_label
 
 
@@ -66,38 +67,6 @@ def _L(m: BVModel) -> StructuredPresheaf:
     return StructuredPresheaf.by_rule(
         lambda q, p, f: reps_at[q][f], poset, sections, m.alg, sig=m.sig,
         rel_top=rel_top, const_top=const_top, _separated=True)
-
-
-def _atom_tables(alg: BoolAlg, domain: tuple, arity: dict,
-                 atoms) -> tuple[dict, dict]:
-    """The equality and relation tables over domain, in product order, built
-    as bitmasks one atom bit at a time.  atoms yields (bit, cls, holds): cls
-    sends each element to its class at the atom, and holds(sym, key) says
-    whether sym holds there on the tuple of classes key.  The bit goes into
-    each tuple of a key that holds (for equality, sym None, the pairs inside
-    a class), and into every entry at once for an atom with one class.  The
-    tables share one Elem per distinct mask."""
-    arity = {None: 2, **arity}
-    tables = {sym: dict.fromkeys(product(domain, repeat=k), 0)
-              for sym, k in arity.items()}
-    every = dict.fromkeys(arity, 0)  # the bits of every entry of a table
-    for bit, cls, holds in atoms:
-        groups = {}
-        for s in domain:
-            groups.setdefault(cls[s], []).append(s)
-        for sym, values in tables.items():
-            for key in product(groups, repeat=arity[sym]):
-                if (key[0] == key[1]) if sym is None else holds(sym, key):
-                    if len(groups) == 1:
-                        every[sym] |= bit
-                        continue
-                    for tup in product(*map(groups.__getitem__, key)):
-                        values[tup] |= bit
-    elem = {v: Elem(alg, v) for v in set().union(*(
-        map(every[sym].__or__, values.values()) for sym, values in tables.items()))}
-    out = {sym: {tup: elem[v | every[sym]] for tup, v in values.items()}
-           for sym, values in tables.items()}
-    return out.pop(None), out
 
 
 def R(f: Presheaf) -> BVModel:
@@ -172,9 +141,6 @@ def adjunction_witness(m: BVModel, f: Presheaf | None = None) -> AdjunctionWitne
     the counit's naturality squares, and verifies both triangle identities
     componentwise.  L(M), R(L(M)) and L(R(L(M))) are built once each; with
     the default F the counit at F is the counit at L(M)."""
-    from .bvm import check_morphism
-    from .sheaf import check_presheaf_morphism
-
     lm = L(m)
     rlm = R(lm)
     unit = _unit(m, rlm)
@@ -246,7 +212,7 @@ def mixing_iff_sheaf(m: BVModel) -> MixSheafReport:
     lm, top = L(m), m.alg.top.label
     atoms = sorted(m.alg.atoms)
     induced = {tuple(lm.res(a, top, s) for a in atoms) for s in lm.sections[top]}
-    missing = min((";".join(f"{a}={a}:{{{a}}}:{r}" for a, r in zip(atoms, c))
+    missing = min((_section_id({a: f"{a}:{{{a}}}:{r}" for a, r in zip(atoms, c)})
                    for c in product(*(sorted(lm.sections[a]) for a in atoms))
                    if c not in induced), default=None)
     witness = None if missing is None else (missing,)
@@ -278,19 +244,15 @@ def mixify(m: BVModel) -> tuple[BVModel, BVMorphism]:
     order = sorted(range(n), key=points.__getitem__)  # atom k of alg is m's order[k]
     alg = BoolAlg(tuple(points[i] for i in order))
     reps = [_class_reps(m, 1 << i) for i in order]
-
-    def section_id(classes) -> str:
-        return ";".join(f"{g}={g}:{g}:{r}" for g, r in zip(alg.atoms, classes))
-
-    comps = {section_id(c): c
-             for c in product(*(sorted(set(r.values())) for r in reps))}
-    domain = tuple(sorted(comps))
+    sid = {c: _section_id({g: f"{g}:{g}:{r}" for g, r in zip(alg.atoms, c)})
+           for c in product(*(sorted(set(r.values())) for r in reps))}
+    domain = tuple(sorted(sid.values()))
     tables = m._evaluator.rels
-    atoms = ((1 << k, {s: c[k] for s, c in comps.items()},
+    atoms = ((1 << k, {s: c[k] for c, s in sid.items()},
               lambda sym, key, a=1 << order[k]: tables[sym][key] & a)
              for k in range(n))
     eq, rels = _atom_tables(alg, domain, m.sig.rel_arity, atoms)
-    phi = {d: section_id(tuple(r[d] for r in reps)) for d in m.domain}
+    phi = {d: sid[tuple(r[d] for r in reps)] for d in m.domain}
     mx = BVModel(alg, m.sig, domain, eq, rels,
                  {c: phi[t] for c, t in m.consts.items()})
     i = BAHom.from_dict(m.alg, alg, dict(zip(points, m.alg.atoms)))

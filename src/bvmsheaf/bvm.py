@@ -747,9 +747,44 @@ def _stirling2(n: int, k: int) -> int:
 
 # -- products and ultraproducts ----------------------------------------------
 
+def _atom_tables(alg: BoolAlg, domain: tuple, arity: dict,
+                 atoms) -> tuple[dict, dict]:
+    """The equality and relation tables over domain, in product order, built
+    as bitmasks one atom bit at a time.  atoms yields (bit, cls, holds): cls
+    sends each element to its class at the atom, and holds(sym, key) says
+    whether sym holds there on the tuple of classes key.  The bit goes into
+    each tuple of a key that holds (for equality, sym None, the pairs inside
+    a class), and into every entry at once for an atom with one class.  The
+    tables share one Elem per distinct mask.  product_model, bridge.R and
+    bridge.mixify build their tables here."""
+    arity = {None: 2, **arity}
+    tables = {sym: dict.fromkeys(product(domain, repeat=k), 0)
+              for sym, k in arity.items()}
+    every = dict.fromkeys(arity, 0)  # the bits of every entry of a table
+    for bit, cls, holds in atoms:
+        groups = {}
+        for s in domain:
+            groups.setdefault(cls[s], []).append(s)
+        for sym, values in tables.items():
+            for key in product(groups, repeat=arity[sym]):
+                if (key[0] == key[1]) if sym is None else holds(sym, key):
+                    if len(groups) == 1:
+                        every[sym] |= bit
+                        continue
+                    for tup in product(*map(groups.__getitem__, key)):
+                        values[tup] |= bit
+    elem = {v: Elem(alg, v) for v in set().union(*(
+        map(every[sym].__or__, values.values()) for sym, values in tables.items()))}
+    out = {sym: {tup: elem[v | every[sym]] for tup, v in values.items()}
+           for sym, values in tables.items()}
+    return out.pop(None), out
+
+
 def product_model(factors: list[TarskiModel]) -> BVModel:
     """The P(I)-valued model of choice functions over the factors;
-    [R(fbar)] is the set of indices where the factors satisfy R."""
+    [R(fbar)] is the set of indices where the factors satisfy R.  Factor k
+    is atom k: a choice's class there is its k-th component, and a tuple of
+    components holds iff it is in factor k's relation."""
     if not factors:
         raise ModelError("a product needs at least one factor")
     sig = factors[0].sig
@@ -758,28 +793,13 @@ def product_model(factors: list[TarskiModel]) -> BVModel:
     if any("." in d for t in factors for d in t.domain):
         raise ModelError("factor element ids may not contain '.'")
     alg = BoolAlg(tuple(f"i{k}" for k in range(len(factors))))
-    choices = [".".join(tup) for tup in product(*(t.domain for t in factors))]
-    parts = {c: c.split(".") for c in choices}
-    eq = {
-        (f, g): alg.from_labels(
-            f"i{k}" for k in range(len(factors)) if parts[f][k] == parts[g][k]
-        )
-        for f in choices for g in choices
-    }
-    rels = {}
-    for sym, arity in sig.rel_arity.items():
-        table = {}
-        for tup in product(choices, repeat=arity):
-            table[tup] = alg.from_labels(
-                f"i{k}" for k, t in enumerate(factors)
-                if tuple(parts[f][k] for f in tup) in t.rels.get(sym, frozenset())
-            )
-        rels[sym] = table
-    consts = {
-        c: ".".join(t.consts[c] for t in factors)
-        for c in factors[0].consts
-    }
-    return BVModel(alg, sig, tuple(choices), eq, rels, consts)
+    parts = {".".join(tup): tup for tup in product(*(t.domain for t in factors))}
+    atoms = ((1 << k, {c: tup[k] for c, tup in parts.items()},
+              lambda sym, key, rels=t.rels: key in rels.get(sym, ()))
+             for k, t in enumerate(factors))
+    eq, rels = _atom_tables(alg, tuple(parts), sig.rel_arity, atoms)
+    consts = {c: ".".join(t.consts[c] for t in factors) for c in factors[0].consts}
+    return BVModel(alg, sig, tuple(parts), eq, rels, consts)
 
 
 def ultraproduct(factors: list[TarskiModel], g: Filter) -> TarskiModel:

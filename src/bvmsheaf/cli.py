@@ -14,7 +14,7 @@ import sys
 from . import balg, bridge, bvm, sheaf, topo
 from .jsonio import (InputError, Workspace, elem_to_json, load_workspace,
                      model_to_json)
-from .logic import ParseError, parse, print_formula
+from .logic import ParseError, free_vars, parse, print_formula
 
 
 def _common() -> argparse.ArgumentParser:
@@ -233,7 +233,6 @@ def _dispatch(args, ws: Workspace) -> int:
     if cmd == "phi-bundle":
         m = _valid_model(ws, args.model)
         f = parse(m.sig, args.formula)
-        from .logic import free_vars
         if not free_vars(f):
             raise InputError("phi-bundle needs a formula with free variables")
         pb = bridge.phi_bundle(m, f)

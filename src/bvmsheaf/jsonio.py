@@ -42,6 +42,12 @@ def _object(data, what: str) -> dict:
     return data or {}
 
 
+def _array(data, what: str) -> list:
+    if not isinstance(data, list):
+        raise InputError(f"{what} must be an array, got {data!r}")
+    return data
+
+
 def _ids(data, what: str) -> tuple:
     if not isinstance(data, list) or not all(isinstance(e, str) for e in data):
         raise InputError(f"{what} must be an array of ids, got {data!r}")
@@ -84,7 +90,8 @@ def hom_from_json(ws: "Workspace", data) -> BAHom:
 def topology_from_json(data) -> FinTop:
     try:
         return FinTop(_ids(data["points"], "topology points"), frozenset(
-            frozenset(_ids(u, "an open")) for u in data["opens"]))
+            frozenset(_ids(u, "an open"))
+            for u in _array(data["opens"], "topology opens")))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad topology object: {exc}") from exc
 
@@ -92,7 +99,8 @@ def topology_from_json(data) -> FinTop:
 def poset_from_json(data) -> FinPoset:
     try:
         return FinPoset.from_pairs(_ids(data["elements"], "poset elements"),
-                                   [_ids(p, "a leq pair") for p in data["leq"]])
+                                   [_ids(p, "a leq pair")
+                                    for p in _array(data["leq"], "poset leq")])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad poset object: {exc}") from exc
 

@@ -54,9 +54,8 @@ class Presheaf(Record, frozen=False):
 
     @cached_property
     def restrict(self) -> dict:  # of a presheaf by rule
-        base = self.base
-        return {(q, p): self._table(q, p)
-                for p in base.elements for q in sorted(base.down(p))}
+        return {(q, p): {f: self.res(q, p, f) for f in self.sections[p]}
+                for p in self.base.elements for q in sorted(self.base.down(p))}
 
     @staticmethod
     def make(base: FinPoset, sections: dict, restrict: dict,
@@ -88,9 +87,6 @@ class Presheaf(Record, frozen=False):
         ps = object.__new__(cls)
         vars(ps).update(base=base, sections=sections, alg=alg, res=res, **fields)
         return ps
-
-    def _table(self, q: str, p: str) -> dict:
-        return {f: self.res(q, p, f) for f in self.sections[p]}
 
     def res(self, q: str, p: str, f: str) -> str:
         if q == p:
@@ -367,17 +363,13 @@ def gamma0(e: EtaleSpace, u) -> list[dict]:
     """All continuous right inverses of the projection over the open set u.
 
     A choice is continuous iff the preimage of every basic is open in the
-    subspace u, that is, equal to v & u for an open v of the base.  When
-    every subset of u is open (2^|u| subspace opens, as over St(B)), every
-    choice is, and the sections are the stalk product in product order."""
+    subspace u, that is, equal to v & u for an open v of the base."""
     u = frozenset(u)
     if not u or u not in e.base.opens:
         raise SheafError(f"{subset_label(u)} is not a nonempty open of the base")
     points = sorted(u)
     um = e.base._check_subset(u)
     sub_opens = {v & um for v in e.base._masks}
-    if len(sub_opens) == 1 << len(points):
-        return _choices(e.stalks, points)
     point_bits = [e.base._bit[p] for p in points]
     bit = e._bit
     out = []
@@ -488,19 +480,18 @@ def _section_id(s: dict) -> str:
 def gamma_half(p: Bundle) -> Presheaf:
     """Gamma1 restricted to RO(base)+ (= all nonempty subsets of the discrete
     base), as a presheaf keyed by subset labels."""
-    return _gamma_half(p.space.base, p.space.stalks)[0]
+    return _gamma_half(p.space.base, p.space.stalks)
 
 
-def _gamma_half(x: FinTop, stalks: dict) -> tuple[Presheaf, dict]:
-    """gamma_half of the bundle over the discrete base x with these stalks,
-    with each level's sections as choice functions by id.  Restricting a
-    choice function to the points of q composes."""
+def _gamma_half(x: FinTop, stalks: dict) -> Presheaf:
+    """gamma_half of the bundle over the discrete base x with these stalks.
+    Restricting a choice function to the points of q composes."""
     points = {subset_label(u): u for u in x.nonempty_opens()}
     choices = {lev: {_section_id(s): s for s in _choices(stalks, u)}
                for lev, u in points.items()}
     sections = {lev: tuple(sorted(secs)) for lev, secs in choices.items()}
     return Presheaf.by_rule(lambda q, lev, sid: _section_id(
-        {pt: choices[lev][sid][pt] for pt in points[q]}), opens_poset(x), sections), choices
+        {pt: choices[lev][sid][pt] for pt in points[q]}), opens_poset(x), sections)
 
 
 class SheafifyUnit(Record, frozen=False):
@@ -523,7 +514,7 @@ def sheafify(ps: Presheaf, x: FinTop):
     base, stalks, germ_of = _lambda1(ps, x, ro)
     if not all(stalks.values()):  # Bundle's check, on a discrete base
         raise SheafError("projection image is not dense in the base")
-    sheaf = _gamma_half(base, stalks)[0]
+    sheaf = _gamma_half(base, stalks)
     theta = {}
     for u in x.nonempty_opens():
         lev, points = subset_label(u), ro.reg_embed(u).atom_labels()
@@ -538,12 +529,10 @@ def sheafify(ps: Presheaf, x: FinTop):
 def _along(ps: Presheaf, base: FinPoset, pi: dict,
            alg: BoolAlg | None = None) -> Presheaf:
     """F pulled back along the monotone map pi from base to F's base: level
-    u is F(pi u), restricted by F's rule at (pi q, pi p), which composes;
-    the table at (q, p), when read, is F's at (pi q, pi p), shared."""
+    u is F(pi u), restricted by F's rule at (pi q, pi p), which composes."""
     res = ps.res
     return Presheaf.by_rule(lambda q, p, f: res(pi[q], pi[p], f), base,
-                            {u: ps.sections[pi[u]] for u in base.elements}, alg,
-                            _table=lambda q, p: ps.restrict[pi[q], pi[p]])
+                            {u: ps.sections[pi[u]] for u in base.elements}, alg)
 
 
 def _left_adjoint_levels(i: BAHom, ps: Presheaf) -> tuple[FinPoset, dict]:

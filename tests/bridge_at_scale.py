@@ -39,8 +39,8 @@ def main(atoms: int) -> None:
     del lm
     m = first_model(atoms)
     mx, emb = timed("mixify", mixify, m)
-    assert has_mixing(mx).passed
-    assert check_morphism(emb).is_embedding
+    assert timed("has_mixing on the mixified model", has_mixing, mx).passed
+    assert timed("check_morphism on the embedding", check_morphism, emb).is_embedding
     print(f"mixified model: {len(mx.domain)} elements over {atoms} atoms")
     rep = timed("fullness_via_sections", fullness_via_sections, m, 2)
     assert rep.all_agree

@@ -14,8 +14,8 @@ from bvmsheaf.bvm import (BVModel, _closed_pool, _deep_sample, check_morphism,
                           has_mixing, is_elementary, quotient_model,
                           tarski_quotient, validate)
 from bvmsheaf.logic import Signature, parse
-from bvmsheaf.sheaf import (Bundle, NotSeparatedError, Presheaf, _gamma_half,
-                            _lambda1, _section_id, alg_poset, gamma_half,
+from bvmsheaf.sheaf import (Bundle, NotSeparatedError, Presheaf, _lambda1,
+                            _section_id, alg_poset, gamma_half,
                             is_separated, lambda1, lift_i_star, sheafify)
 from bvmsheaf.topo import FinTop, opens_poset, ro_algebra, subset_label
 
@@ -23,9 +23,11 @@ from util import (_gamma1_structured, _stone_etale, basic_opens,
                   basic_opens_scan, bundle_clauses_scan, chain_mixify,
                   deep_sample_inline, eager_pullback, eager_restrictions,
                   elem_from_label, find_model_isomorphism,
-                  fullness_via_sections_inline, label_L,
-                  lambda0_sections_leg, level_join_R, quotient_L, random_model, random_separated_presheaf,
-                  random_subpresheaf, section_sheaf, stalk_at_filter)
+                  fullness_via_sections_inline, gamma_half_choices, label_L,
+                  lambda0_sections_leg, level_join_R, model_tables, quotient_L,
+                  random_model, random_separated_presheaf, random_subpresheaf,
+                  section_sheaf, small_models, small_models_by_tables,
+                  stalk_at_filter, sweep_small_models)
 
 B2 = mk_powerset(["a1"])
 B4 = mk_powerset(["a1", "a2"])
@@ -183,6 +185,19 @@ def test_mixing_iff_sheaf_positive_cases():
     prod = product_model([g, g])
     rep = mixing_iff_sheaf(prod)
     assert rep.equivalent and rep.mixing and rep.sheaf
+
+
+def test_every_small_model_counted_two_ways():
+    """n = 2 atoms, d = 3 elements, one unary symbol.  Brute force over all
+    4,096 tables with reflexive, symmetric equality keeps the 484 = 22^2
+    that validate accepts, the same set small_models builds from its atom
+    data (22 per atom: a partition and the blocks where R holds).  On each
+    of them has_mixing passes iff D -> prod_a D/~_a is onto, 84 times, and
+    mixing_iff_sheaf's three legs agree."""
+    built = {model_tables(m) for m, _ in small_models(2, 3)}
+    assert len(built) == 484
+    assert {model_tables(m) for m in small_models_by_tables(2, 3)} == built
+    assert sweep_small_models(2, 3) == {"models": 484, "mixing": 84}
 
 
 def test_mixing_iff_sheaf_sections_leg_matches_lambda0_and_gamma0():
@@ -638,7 +653,7 @@ def test_on_demand_tables_match_the_eager_reference():
             ext = ext_to_stone(lm)
             _assert_tables_match(ext, eager_pullback(lm, opens_poset(stone), at))
             base, stalks, _ = _lambda1(ext, stone, ro)
-            sh, choices = sheafify(ext, stone)[0], _gamma_half(base, stalks)[1]
+            sh, choices = sheafify(ext, stone)[0], gamma_half_choices(base, stalks)
             points = {subset_label(u): u for u in base.nonempty_opens()}
             _assert_tables_match(sh, eager_restrictions(
                 opens_poset(base), sh.sections,

@@ -186,6 +186,18 @@ def _poset_ws(elements, leq):
     pytest.param(_poset_ws(["a", "b"], ["ab"]),
                  "bad poset object: a leq pair must be an array of ids, "
                  "got 'ab'", id="string-pair"),
+    pytest.param(_space_ws(["p"], "p"),
+                 "bad topology object: topology opens must be an array, "
+                 "got 'p'", id="string-opens"),
+    pytest.param(_space_ws(["p"], {"p": ["p"]}),
+                 "bad topology object: topology opens must be an array, "
+                 "got {'p': ['p']}", id="object-opens"),
+    pytest.param(_poset_ws(["a", "b"], "ab"),
+                 "bad poset object: poset leq must be an array, got 'ab'",
+                 id="string-leq"),
+    pytest.param(_poset_ws(["a", "b"], {"a": "b"}),
+                 "bad poset object: poset leq must be an array, "
+                 "got {'a': 'b'}", id="object-leq"),
 ])
 def test_malformed_topology_exit_two_with_one_line(tmp_path, capsys,
                                                    workspace, message):

@@ -1,5 +1,7 @@
 """Property tests: procedures against their oracles on drawn inputs."""
 
+import json
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -12,6 +14,7 @@ from bvmsheaf.bridge import (L, R, StructuredPresheaf,  # noqa: E402
 from bvmsheaf.bvm import (_class_reps, check_morphism, closed_pool,  # noqa: E402
                           eval_formula, has_mixing, is_full, quotient_model,
                           tarski_quotient)
+from bvmsheaf.jsonio import Workspace, model_from_json, model_to_json  # noqa: E402
 from bvmsheaf.logic import Exists, parse  # noqa: E402
 from bvmsheaf.sheaf import (PresheafMorphism,  # noqa: E402
                             check_presheaf_morphism, is_separated)
@@ -154,3 +157,12 @@ def test_is_full_reads_the_closed_memo_as_it_would_evaluate(rng):
                 for d in m.domain}
         else:
             assert body is None
+
+
+@DRAWS
+@given(st.randoms(use_true_random=False))
+def test_model_json_round_trip(rng):
+    """A model written as JSON text and read back is the same model."""
+    m = random_model(rng, max_atoms=4, max_domain=4)
+    text = json.dumps(model_to_json(m))
+    assert model_from_json(Workspace(), json.loads(text)) == m

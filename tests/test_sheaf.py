@@ -1093,11 +1093,11 @@ def test_lift_i_star_nonidentity_levels():
     assert lifted.sections["a3"] == f.sections["a2"]          # pi(a3)=a2
     assert lifted.sections["a1\u2228a2\u2228a3"] == \
         f.sections["a1\u2228a2"]
-    # and the table at (q, p) is F's own at (pi q, pi p), shared, not copied
+    # and the table at (q, p), built from the rule, equals F's at (pi q, pi p)
     pi = {u: i.left_adjoint(elem_from_label(b8, u)).label
           for u in lifted.base.elements}
     for (q, p), table in lifted.restrict.items():
-        assert table is f.restrict[pi[q], pi[p]]
+        assert table == f.restrict[pi[q], pi[p]]
 
 
 # the down-topology of the three-element poset q < p > r: a non-discrete

@@ -15,12 +15,12 @@ from bvmsheaf.balg import (AlgebraError, BAHom, BoolAlg, Elem, Filter,
                            stone_space)
 from bvmsheaf.bridge import (FullnessClauses, FullnessSectionsReport, L, R,
                              StructuredPresheaf, _clause_row, _tuple_values,
-                             ext_to_stone)
+                             ext_to_stone, mixing_iff_sheaf)
 from bvmsheaf.bvm import (_EVAL, BVModel, BVMorphism, MixingReport,
                           ModelError, MorphismReport, _atomic, _class_reps,
                           _smallest_cover, _spread, check_morphism,
                           closed_pool, generalize, has_mixing, open_pool,
-                          tarski_quotient)
+                          tarski_quotient, validate)
 from bvmsheaf.logic import (And, Const, Eq, Exists, Forall, Implies, Not, Or,
                             Rel, Signature, Var, free_vars)
 from bvmsheaf.sheaf import (_MAX_FAILURES, EtaleSpace, NotSeparatedError,
@@ -543,6 +543,92 @@ def random_model(rng: Random, max_atoms: int = 3,
     return BVModel(alg, sig, dom, eq, rels, consts)
 
 
+# -- every small model, from its atom data ------------------------------------
+
+def _partitions(items: tuple) -> list:
+    """Every partition of items into nonempty blocks, each block a tuple."""
+    if not items:
+        return [()]
+    out = []
+    for p in _partitions(items[1:]):
+        out.append(((items[0],), *p))
+        out.extend((*p[:i], (items[0], *b), *p[i + 1:]) for i, b in enumerate(p))
+    return out
+
+
+def small_models(n: int, d: int):
+    """Every valid model on n atoms and d elements with one unary symbol R,
+    built from its atom data and yielded with its partitions.  At finite
+    scale a model is fixed by what each atom sees: a partition of the
+    domain (the classes of equality there) and the blocks where R holds.
+    So [s=t] is the join of the atoms whose partition puts s and t in one
+    block, and [R(s)] the join of the atoms where s's block holds."""
+    alg = BoolAlg(tuple(f"a{k + 1}" for k in range(n)))
+    dom = tuple(f"d{i}" for i in range(d))
+    per_atom = [(p, [b for i, b in enumerate(p) if w >> i & 1])
+                for p in _partitions(dom) for w in range(1 << len(p))]
+    for data in product(per_atom, repeat=n):
+        eq = dict.fromkeys(product(dom, repeat=2), 0)
+        r = dict.fromkeys(dom, 0)
+        for k, (blocks, held) in enumerate(data):
+            for b in blocks:
+                for pair in product(b, repeat=2):
+                    eq[pair] |= 1 << k
+            for b in held:
+                for s in b:
+                    r[s] |= 1 << k
+        m = BVModel(alg, Signature.make({"R": 1}), dom,
+                    {pair: Elem(alg, v) for pair, v in eq.items()},
+                    {"R": {(s,): Elem(alg, v) for s, v in r.items()}}, {})
+        yield m, [blocks for blocks, _ in data]
+
+
+def small_models_by_tables(n: int, d: int):
+    """Every model on n atoms and d elements with one unary symbol R that
+    validate accepts, among all tables with reflexive, symmetric equality."""
+    alg = BoolAlg(tuple(f"a{k + 1}" for k in range(n)))
+    dom, elems = tuple(f"d{i}" for i in range(d)), list(alg.elements())
+    pairs = list(combinations(dom, 2))
+    for values in product(elems, repeat=len(pairs)):
+        eq = {(s, s): alg.top for s in dom}
+        for (s, t), v in zip(pairs, values):
+            eq[s, t] = eq[t, s] = v
+        for r in product(elems, repeat=d):
+            m = BVModel(alg, Signature.make({"R": 1}), dom, eq,
+                        {"R": {(s,): v for s, v in zip(dom, r)}}, {})
+            if validate(m).ok:
+                yield m
+
+
+def model_tables(m: BVModel) -> tuple:
+    """The equality and relation bits of m in product order, as a key."""
+    return (tuple(m.eq[pair].bits for pair in product(m.domain, repeat=2)),
+            tuple(tuple(v.bits for v in m.rels[sym].values())
+                  for sym in sorted(m.rels)))
+
+
+def onto_stalk_product(domain: tuple, partitions: list) -> bool:
+    """D -> prod_a D/~_a is onto, read off the atoms' partitions."""
+    block = [{s: b for b in blocks for s in b} for blocks in partitions]
+    image = {tuple(bl[s] for bl in block) for s in domain}
+    return len(image) == prod(len(blocks) for blocks in partitions)
+
+
+def sweep_small_models(n: int, d: int) -> dict:
+    """validate, has_mixing against the onto closed form and
+    mixing_iff_sheaf on every model small_models builds; returns the
+    counts."""
+    counts = {"models": 0, "mixing": 0}
+    for m, partitions in small_models(n, d):
+        assert validate(m).ok
+        mixing = has_mixing(m).passed
+        assert mixing == onto_stalk_product(m.domain, partitions)
+        assert mixing_iff_sheaf(m).equivalent
+        counts["models"] += 1
+        counts["mixing"] += mixing
+    return counts
+
+
 def random_separated_presheaf(rng, max_atoms: int = 3, max_stalk: int = 3):
     """A random separated presheaf on B+ for a random small algebra, sampled
     as a restriction-closed subfamily of the full choice sheaf."""
@@ -660,6 +746,13 @@ def _stone_etale(m: BVModel):
     return stone, e1, point_of, tarski, germ_class, phi
 
 
+def gamma_half_choices(x: FinTop, stalks: dict) -> dict:
+    """Each level of _gamma_half over the discrete base x, as its sections'
+    choice functions by _section_id."""
+    return {subset_label(u): {_section_id(s): s for s in _choices(stalks, u)}
+            for u in x.nonempty_opens()}
+
+
 def _gamma1_structured(m: BVModel, e1: tuple, tarski: dict,
                        germ_class: dict, phi: dict) -> StructuredPresheaf:
     """Gamma1 of the bundle as gamma_half computes it, relabelled along the
@@ -668,7 +761,7 @@ def _gamma1_structured(m: BVModel, e1: tuple, tarski: dict,
     restrictions still compose.  Relation structure is read stalkwise, and
     each constant's top section is phi of its element."""
     base, stalks, _ = e1
-    g1, choices = _gamma_half(base, stalks)
+    g1, choices = _gamma_half(base, stalks), gamma_half_choices(base, stalks)
     alg = BoolAlg(tuple(sorted(base.points)))
     poset = alg_poset(alg)
     points_of = {w.label: w.atom_labels() for w in alg.elements()
