@@ -10,10 +10,9 @@ from itertools import product
 from operator import or_
 
 from .balg import BAHom, BoolAlg, Elem, stone_space
-from .bvm import (_EVAL, BVModel, BVMorphism, ModelError, _atom_tables,
-                  _class_reps, _column, _deep_sample, check_morphism,
-                  has_mixing, open_pool)
-from .logic import Eq, Formula, Rel, Signature, Var, free_vars
+from .bvm import (BVModel, BVMorphism, ModelError, _atom_tables, _class_reps,
+                  _families, check_morphism, has_mixing)
+from .logic import Formula, Signature, free_vars
 from .record import Record, field
 from .sheaf import (NotSeparatedError, Presheaf, PresheafMorphism, SheafError,
                     _along, _choices, _section_id, alg_poset,
@@ -294,7 +293,8 @@ def phi_bundle(m: BVModel, f: Formula) -> PhiBundle:
     free = tuple(sorted(free_vars(f)))
     if not free:
         raise ModelError("phi_bundle needs a formula with free variables")
-    bits = dict(zip(product(m.domain, repeat=len(free)), _tuple_values(m, f, free, {})))
+    bits = dict(zip(product(m.domain, repeat=len(free)),
+                    m._evaluator.tuples(f, free)))
     b_phi = Elem(m.alg, reduce(or_, bits.values(), 0))
     n_b = frozenset(b_phi.atom_labels())
     stalks = {}
@@ -306,18 +306,6 @@ def phi_bundle(m: BVModel, f: Formula) -> PhiBundle:
     a_phi = frozenset(pt for pt, stalk in stalks.items() if stalk)
     values = {tup: Elem(m.alg, val) for tup, val in bits.items()}
     return PhiBundle(f, free, b_phi, a_phi, n_b, stalks, values)
-
-
-def _tuple_values(m: BVModel, f: Formula, free: tuple, cols: dict) -> list:
-    """phi's values at the tuples of ids for its sorted free variables, in
-    product order: its column, kept in cols, or a run per tuple in one env."""
-    if len(free) == 1:
-        return _column(m._evaluator, free[0], f, cols)
-    ev, run, env, values = m._evaluator, _EVAL[type(f)], {}, []
-    for tup in product(m.domain, repeat=len(free)):
-        env.update(zip(free, tup))
-        values.append(run(ev, env, f))
-    return values
 
 
 def _clause_row(f: Formula, values: list,
@@ -375,16 +363,10 @@ class FullnessSectionsReport(Record):
 def fullness_via_sections(m: BVModel, depth: int = 2) -> FullnessSectionsReport:
     """Run the clause comparison over the canonical open-formula pool: the
     quantifier-free one-variable formulas, and from depth 2 on the x, y
-    atoms and _deep_sample's formulas.  Each row is read off the formula's
-    tuple values by _clause_row, with no bundle built; a one-variable
-    formula's are its column, the columns kept for this call only."""
-    mixing, cols = has_mixing(m).passed, {}
-    x, y = Var("x"), Var("y")
-    pool = [(f, ("x",)) for f in open_pool(m.sig, m.domain, "x")]
-    if depth >= 2:
-        pool += [(f, ("x", "y")) for f in (Eq(x, y), *(
-            Rel(sym, (x, y)) for sym, k in m.sig.rel_arity.items() if k == 2))]
-        pool += [(g, ("x",)) for g in _deep_sample(m.sig, m.domain, depth)]
-    rows = tuple(_clause_row(f, _tuple_values(m, f, free, cols), mixing)
-                 for f, free in pool)
+    atoms and a sample of deeper closed formulas made open.  Each row is
+    read off the formula's tuple values by _clause_row, with no bundle
+    built: the table the key's plan keeps on the model's evaluator."""
+    mixing, ev = has_mixing(m).passed, m._evaluator
+    rows = tuple(_clause_row(f, ev.table(f), mixing)
+                 for f in _families(m.sig, m.domain).sections(depth))
     return FullnessSectionsReport(rows, all(c.agree for c in rows), mixing)

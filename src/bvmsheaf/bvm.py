@@ -8,8 +8,9 @@ model here is automatically well behaved.
 
 from __future__ import annotations
 
+from array import array
 from functools import cached_property, lru_cache, reduce
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import comb, factorial, prod
 from operator import and_, or_
 
@@ -175,50 +176,22 @@ def eval_formula(m: BVModel, f: Formula, env: dict | None = None) -> Elem:
     if env:
         return Elem(m.alg, ev.bits(f, env))
     if (hit := ev.closed.get(id(f))) is None:
-        hit = ev.closed[id(f)] = (*_closed_value(ev, f, ev.cols), f)
+        hit = ev.value(f)
     return Elem(m.alg, hit[0])
-
-
-def _closed_value(ev: "_Evaluator", f: Formula, cols: dict) -> tuple:
-    """([f], column) for a closed f: for an E-rooted f, the body's column as
-    _column keeps it in cols, shared, so never mutated; otherwise None."""
-    if not isinstance(f, Exists):
-        return _EVAL[type(f)](ev, {}, f), None
-    col = _column(ev, f.var, f.body, cols)
-    return reduce(or_, col, 0), col
-
-
-def _column(ev: "_Evaluator", var: str, f, cols: dict) -> list:
-    """f's values with var bound to each domain element in turn, and nothing
-    else bound.  A _COLUMN node combines its children's columns elementwise;
-    others run their _EVAL runner per element under one env rebinding var.
-    Kept in cols under (id(f), var), with f, so the id is not reused."""
-    if (hit := cols.get(key := (id(f), var))) is not None:
-        return hit[0]
-    if (combine := _COLUMN.get(type(f))) is None:
-        run, env, col = _EVAL[type(f)], {}, []
-        for d in ev.domain:
-            env[var] = d
-            col.append(run(ev, env, f))
-    elif type(f) is Not:
-        col = combine(ev.top, _column(ev, var, f.body, cols))
-    else:
-        col = combine(ev.top, _column(ev, var, f.lhs, cols),
-                      _column(ev, var, f.rhs, cols))
-    cols[key] = col, f
-    return col
 
 
 class _Evaluator:
     """[f] as a bitmask, on the model's tables read into ints and its constants
-    resolved once; reps holds _class_reps' dict per mask, closed maps id(f) to
-    _closed_value's (bits, column) and f per closed formula eval_formula was
-    given (f kept, so its id is not reused), cols the columns read for them.
+    resolved once; reps holds _class_reps' dict per mask.  closed maps id(f)
+    to (bits, body column or None, f) per closed formula: every closed
+    family member once the key's plan has run (plan, False if it could not
+    run), and each other formula eval_formula was given (f kept, so its id
+    is not reused); opened maps id(f) to the table of each open member.
     It holds no reference to the model, so no cycle delays freeing it."""
 
     def __init__(self, m: BVModel):
         self.domain, self.top, self.reps = m.domain, m.alg.top.bits, {}
-        self.closed, self.cols = {}, {}
+        self.key, self.plan, self.closed, self.opened = (m.sig, m.domain), None, {}, {}
         self.eq = {pair: v.bits for pair, v in m.eq.items()}
         self.rels = {sym: {tup: v.bits for tup, v in table.items()}
                      for sym, table in m.rels.items()}
@@ -228,6 +201,59 @@ class _Evaluator:
     def bits(self, f: Formula, env: dict) -> int:
         """Every subformula is evaluated, so a bad term always raises."""
         return _EVAL[type(f)](self, env, f)
+
+    def value(self, f: Formula, keep: bool = True) -> tuple:
+        """(bits, column, f) for a closed f, the column the body's values at
+        each element for an E-rooted f (else None): the memo's, filled by
+        the key's plan on the first miss; else the runners', kept if keep."""
+        if (hit := self.closed.get(id(f))) is None and self.run_plan():
+            hit = self.closed.get(id(f))
+        if hit is None:
+            if type(f) is Exists:
+                col = self.tuples(f.body, (f.var,))
+                hit = reduce(or_, col, 0), col, f
+            else:
+                hit = _EVAL[type(f)](self, {}, f), None, f
+            if keep:
+                self.closed[id(f)] = hit
+        return hit
+
+    def table(self, f: Formula) -> list:
+        """An open f's values: the plan's table for a family member, else
+        the runners' at the tuples for its sorted free variables."""
+        if (hit := self.opened.get(id(f))) is None and self.run_plan():
+            hit = self.opened.get(id(f))
+        return self.tuples(f, tuple(sorted(free_vars(f)))) if hit is None else hit
+
+    def tuples(self, f: Formula, free: tuple) -> list:
+        """f's values at the tuples of ids for the variables free, in product
+        order, one runner run per tuple under one env that each rebinds."""
+        run, env, values = _EVAL[type(f)], {}, []
+        for tup in product(self.domain, repeat=len(free)):
+            env.update(zip(free, tup))
+            values.append(run(self, env, f))
+        return values
+
+    def run_plan(self) -> bool:
+        """Run the key's plan, if there is one and it is not the one run
+        last, and fill both memos for its members; whether it ran.  A table
+        without an entry a member reads leaves every formula to the runners,
+        which name the fault."""
+        plan = _families(*self.key).plan()
+        if plan is None or plan is self.plan or self.plan is False:
+            return False
+        try:
+            tables = _run(plan, self)
+        except KeyError:
+            self.plan = False
+            return False
+        self.plan, ops, body = plan, plan.ops, plan.a
+        for f, s in zip(chain.from_iterable(plan.closed), plan.closed_slots):
+            self.closed[id(f)] = (tables[s][0], tables[body[s]]
+                                  if ops[s] == _EXISTS else None, f)
+        self.opened = {id(f): tables[s] for f, s in zip(
+            chain.from_iterable(plan.opened), plan.opened_slots)}
+        return True
 
     def _lookup(self, sym, terms, env: dict) -> int:
         """The entry of relation sym (equality if None) at the ids of terms,
@@ -324,13 +350,6 @@ _EVAL = _EvalRunners({
                                  | _EVAL[type(f.rhs)](ev, env, f.rhs)),
 })
 
-# _column's combinators; both sides are built, so a bad term always raises.
-_COLUMN = {Not: lambda top, a: [top & ~x for x in a],
-           And: lambda top, a, b: list(map(and_, a, b)),
-           Or: lambda top, a, b: list(map(or_, a, b)),
-           Implies: lambda top, a, b: [top & ~x | y for x, y in zip(a, b)]}
-
-
 def quotient_model(m: BVModel, f: Filter) -> BVModel:
     """M/F over B/F: the domain collapses to equivalence classes
     (sigma ~ tau iff [sigma=tau] in F) represented by their least id, and all
@@ -360,8 +379,20 @@ def _class_reps(m: BVModel, g: int) -> dict:
 
 
 def _scan_reps(ev: _Evaluator, g: int) -> dict:
-    eq, dom = ev.eq, ev.domain
-    return {a: min(b for b in dom if eq[b, a] & g == g) for a in dom}
+    """Each element is compared with the first member of each class found
+    so far (equality is transitive on a valid model), so d x (classes)
+    entries are read; a class is named by its least id, met in any order."""
+    eq, least, first = ev.eq, {}, {}  # a class's first member -> least id
+    for a in ev.domain:
+        for r in least:
+            if eq[r, a] & g == g:
+                break
+        else:
+            r = a
+        first[a] = r
+        if a <= least.get(r, a):
+            least[r] = a
+    return {a: least[r] for a, r in first.items()}
 
 
 class TarskiModel(Record):
@@ -594,45 +625,239 @@ def closed_pool(sig: Signature, elements, depth: int):
     and their negations, then per level the existential closures of the open
     pool plus nested quantifications obtained by re-generalizing a strided
     selection of at most _MAX_NESTED of the previous level's quantified
-    formulas.  Built once per key (sig, tuple(elements), depth); each call
-    returns a fresh list."""
-    return list(_closed_pool(sig, tuple(elements), depth))
+    formulas.  Built once per key (sig, tuple(elements)), each depth by
+    extending the depth below with the same objects; each call returns a
+    fresh list."""
+    return list(_families(sig, tuple(elements)).pool(depth))
 
 
 @lru_cache(maxsize=64)
-def _closed_pool(sig: Signature, elements: tuple, depth: int) -> tuple:
-    consts = [Const(f"c_{e}") for e in elements]
-    closed_atoms = list(dict.fromkeys(_atomic(sig, consts)))
-    pool = list(closed_atoms)
-    pool.extend(Not(a) for a in closed_atoms)
-    prev_quantified: list[Formula] = []
-    for d in range(1, depth + 1):
-        var = f"x{d}"
-        level = [Exists(var, f) for f in _open_pool(sig, elements, var)]
-        nested = []
-        for f in _spread(prev_quantified, _MAX_NESTED):
-            for e in elements:
-                g = generalize(f, f"c_{e}", var)
-                if g != f:
-                    nested.append(Exists(var, g))
-        level.extend(dict.fromkeys(nested))
-        every = Forall(var, Eq(Var(var), Var(var)))
-        pool.extend(level)
-        pool.append(every)
-        # E x. x = x is already in the level, from the open pool's atom
-        # x = x; the repeat stays in the level only for the next _spread
-        level.extend((Exists(var, Eq(Var(var), Var(var))), every))
-        prev_quantified = level
-    return tuple(pool)
+def _families(sig: Signature, elements: tuple) -> "_Families":
+    return _Families(sig, elements)
 
 
-@lru_cache(maxsize=64)
-def _deep_sample(sig: Signature, elements: tuple, depth: int) -> tuple:
-    """fullness_via_sections' rows from every 29th depth - 1 closed formula,
-    c_<first element> made x: the first 10 with x free.  Built once per key."""
-    deep = (generalize(f, f"c_{elements[0]}", "x")
-            for f in closed_pool(sig, elements, depth - 1)[::29])
-    return tuple([g for g in deep if "x" in free_vars(g)][:10])
+class _Families:
+    """Every formula family bvm generates for one key (sig, elements), each
+    built once: the closed pool, each depth's pool a prefix of the next with
+    the same objects, the deep samples, fullness_via_sections' x and x, y
+    rows and the validity list; and the plan that evaluates them all in
+    one pass per model, compiled when first asked for after a family grew.
+    The plan covers the pools to depth 2 at least and the families of every
+    depth built, so one run serves eval_formula, is_full and the rows."""
+
+    def __init__(self, sig: Signature, elements: tuple):
+        self.sig, self.elements = sig, elements
+        self.closed, self.ends, self.quantified, self.deep = (), [], [], {}
+        self._validities = self._plan = None
+
+    @cached_property
+    def open_x(self) -> tuple:
+        return _open_pool(self.sig, self.elements, "x")
+
+    @cached_property
+    def xy(self) -> tuple:
+        x, y = Var("x"), Var("y")
+        return (Eq(x, y), *(Rel(sym, (x, y))
+                            for sym, k in self.sig.rel_arity.items() if k == 2))
+
+    def pool(self, depth: int) -> tuple:
+        while len(self.ends) <= depth:
+            self._level(len(self.ends))
+        return self.closed[:self.ends[depth]]
+
+    def _level(self, d: int) -> None:
+        sig, elements = self.sig, self.elements
+        if d == 0:
+            atoms = list(dict.fromkeys(_atomic(
+                sig, [Const(f"c_{e}") for e in elements])))
+            level = atoms + [Not(a) for a in atoms]
+        else:
+            var = f"x{d}"
+            level = [Exists(var, f) for f in _open_pool(sig, elements, var)]
+            nested = []
+            for f in _spread(self.quantified, _MAX_NESTED):
+                for e in elements:
+                    g = generalize(f, f"c_{e}", var)
+                    if g != f:
+                        nested.append(Exists(var, g))
+            level.extend(dict.fromkeys(nested))
+            every = Forall(var, Eq(Var(var), Var(var)))
+            # E x. x = x is already in the level, from the open pool's atom
+            # x = x; the repeat is quantified only for the next _spread
+            self.quantified = [*level, Exists(var, Eq(Var(var), Var(var))), every]
+            level.append(every)
+        self.closed += tuple(level)
+        self.ends.append(len(self.closed))
+        self._plan = None
+
+    def sections(self, depth: int) -> tuple:
+        """fullness_via_sections' rows: open_pool(., "x"), and from depth 2
+        on the x, y atoms and the deep sample."""
+        return self.open_x + (self.xy + self.deep_sample(depth) if depth >= 2 else ())
+
+    def deep_sample(self, depth: int) -> tuple:
+        """Every 29th depth - 1 closed formula, c_<first element> made x:
+        the first 10 with x free."""
+        if depth not in self.deep:
+            deep = (generalize(f, f"c_{self.elements[0]}", "x")
+                    for f in self.pool(depth - 1)[::29])
+            self.deep[depth] = tuple(
+                [g for g in deep if "x" in free_vars(g)][:10])
+            self._plan = None
+        return self.deep[depth]
+
+    def validities(self) -> tuple:
+        if self._validities is None:  # built before any plan is compiled
+            self._validities = _validities(self.sig, self.elements)
+        return self._validities
+
+    def plan(self) -> "_Plan | None":
+        """None while no family is built, so that an ad-hoc evaluation
+        builds none."""
+        if self._plan is None and (self.ends or self._validities):
+            depth = max(2, len(self.ends) - 1)
+            closed = (self.pool(depth),
+                      self.validities() if self.sig.relations else ())
+            opened = (self.open_x, self.xy,
+                      *(self.deep_sample(d) for d in range(2, depth + 1)))
+            self._plan = _compile(closed, opened, len(self.elements))[0]
+        return self._plan
+
+
+# -- plans: α-shared nodes evaluated as tables ---------------------------------
+#
+# A node's value is its table over its free variables in the order of their
+# first free occurrence, read left to right, in product order: so nodes equal
+# up to a renaming of variables share one slot and one table.  A connective
+# combines its children's tables elementwise, each gathered onto its own
+# axes; a quantifier folds its variable's axis.  Generated families quantify
+# only variables their bodies mention.
+
+_ATOM, _NOT, _AND, _OR, _IMPLIES, _EXISTS, _FORALL = range(7)
+_OP = {Eq: _ATOM, Rel: _ATOM, Not: _NOT, And: _AND, Or: _OR,
+       Implies: _IMPLIES, Exists: _EXISTS, Forall: _FORALL}
+
+# The plan's elementwise connectives; both sides are built for every node.
+_COMBINE = {_NOT: lambda top, a: [top & ~x for x in a],
+            _AND: lambda top, a, b: list(map(and_, a, b)),
+            _OR: lambda top, a, b: list(map(or_, a, b)),
+            _IMPLIES: lambda top, a, b: [top & ~x | y for x, y in zip(a, b)]}
+
+
+class _Plan:
+    """A key's nodes in topological order as flat int arrays, per slot: ops,
+    and a, b, x, y by op.  An atom: a its symbol's index in syms (None for
+    equality), b its axis count, x and y the offset and length of its terms
+    in args (an axis index, or ~i for the constant consts[i]; equal terms
+    are stored once).  A
+    connective: a and b its children, x and y the index in gathers of each
+    child's map onto its axes (-1 if it has them all, in order).  A
+    quantifier: a its body, x the stride of the folded axis in the body's
+    table.  closed and opened hold the member families, closed_slots and
+    opened_slots their members' slots in order."""
+
+    __slots__ = ("ops", "a", "b", "x", "y", "syms", "consts", "args",
+                 "gathers", "closed", "closed_slots", "opened", "opened_slots")
+
+
+def _compile(closed: tuple, opened: tuple, n: int) -> tuple:
+    """The plan of the families closed and opened over n elements, and the
+    slot and axes of every node visited, by id (for the test suite).  Equal
+    nodes are found by a dict of canonical keys dropped after compiling."""
+    plan, cons, seen, rows, args = _Plan(), {}, {}, ([], [], [], [], []), []
+    syms, consts, codes, layouts = {}, {}, {}, {}
+
+    def gather(k: int, pos: tuple) -> int:
+        return -1 if pos == tuple(range(k)) else layouts.setdefault(
+            (k, pos), len(layouts))
+
+    def node(f) -> tuple:
+        if (hit := seen.get(id(f))) is not None:
+            return hit
+        op = _OP[type(f)]
+        if op == _ATOM:
+            terms = (f.lhs, f.rhs) if type(f) is Eq else f.args
+            axes = tuple(dict.fromkeys(t.name for t in terms if type(t) is Var))
+            code = tuple(axes.index(t.name) if type(t) is Var
+                         else ~consts.setdefault(t.name, len(consts)) for t in terms)
+            sym = syms.setdefault(f.sym if type(f) is Rel else None, len(syms))
+            if (at := codes.get(code)) is None:
+                at = codes[code] = len(args)
+                args.extend(code)
+            key = (op, sym, len(axes), at, len(code))
+        elif op == _NOT:
+            sa, axes = node(f.body)
+            key = (op, sa, 0, -1, -1)
+        elif op < _EXISTS:
+            (sa, ax_a), (sb, ax_b) = node(f.lhs), node(f.rhs)
+            axes = ax_a + tuple(v for v in ax_b if v not in ax_a)
+            key = (op, sa, sb, gather(len(axes), tuple(range(len(ax_a)))),
+                   gather(len(axes), tuple(map(axes.index, ax_b))))
+        else:
+            sa, ax_b = node(f.body)
+            i = ax_b.index(f.var)
+            axes = ax_b[:i] + ax_b[i + 1:]
+            key = (op, sa, 0, n ** (len(ax_b) - 1 - i), -1)
+        if (slot := cons.get(key)) is None:
+            slot = cons[key] = len(cons)
+            for row, v in zip(rows, key):
+                row.append(v)
+        seen[id(f)] = slot, axes
+        return slot, axes
+
+    plan.closed_slots, plan.opened_slots = (array("i", [
+        node(f)[0] for f in chain.from_iterable(fams)]) for fams in (closed, opened))
+    plan.ops, plan.a, plan.b, plan.x, plan.y, plan.args = (
+        array("i", v) for v in (*rows, args))
+    plan.syms, plan.consts, plan.closed, plan.opened = (
+        tuple(syms), tuple(consts), closed, opened)
+    plan.gathers = tuple(array("i", (
+        sum(t[p] * n ** (len(pos) - 1 - j) for j, p in enumerate(pos))
+        for t in product(range(n), repeat=k))) for k, pos in layouts)
+    return plan, seen
+
+
+def _run(plan: _Plan, ev: _Evaluator) -> list:
+    """Every node's table on the model of ev, in slot order."""
+    top, dom, n = ev.top, ev.domain, len(ev.domain)
+    args, gathers, out = plan.args, plan.gathers, []
+    tables = [ev.eq if sym is None else ev.rels[sym] for sym in plan.syms]
+    ids = [ev.consts[c] for c in plan.consts]
+    for op, a, b, x, y in zip(plan.ops, plan.a, plan.b, plan.x, plan.y):
+        if op == _ATOM:
+            table = tables[a]
+            terms = [t if t >= 0 else ids[~t] for t in args[x:x + y]]
+            if b == 0:
+                out.append([table[tuple(terms)]])
+            else:
+                out.append([table[tuple([row[t] if type(t) is int else t
+                                         for t in terms])]
+                            for row in product(dom, repeat=b)])
+        elif op >= _EXISTS:
+            out.append(_fold(out[a], n, x, or_ if op == _EXISTS else and_))
+        elif op == _NOT:
+            out.append(_COMBINE[op](top, out[a]))
+        else:
+            lhs, rhs = out[a], out[b]
+            if x >= 0:
+                lhs = list(map(lhs.__getitem__, gathers[x]))
+            if y >= 0:
+                rhs = list(map(rhs.__getitem__, gathers[y]))
+            out.append(_COMBINE[op](top, lhs, rhs))
+    return out
+
+
+def _fold(body: list, n: int, stride: int, join) -> list:
+    """The join over one axis of a table, the axis's stride given."""
+    if stride == 1:
+        return [reduce(join, body[h:h + n]) for h in range(0, len(body), n)]
+    out = []
+    for h in range(0, len(body), n * stride):
+        acc = body[h:h + stride]
+        for k in range(h + stride, h + n * stride, stride):
+            acc = list(map(join, acc, body[k:k + stride]))
+        out.extend(acc)
+    return out
 
 
 # -- fullness (Los) and mixing ----------------------------------------------
@@ -663,15 +888,16 @@ def is_full(m: BVModel, depth: int = 2, formulas=None) -> FullnessReport:
     procedures_agree reduces to full; (a) tests the evaluator.  An E-rooted
     body is evaluated as its column, whose join is the value, so a cover is
     found once per distinct column in a dict of this call (covers name m's
-    elements).  eval_formula's kept values and columns are read from its
-    memo; the rest are evaluated into columns of this call only, so is_full
-    stores nothing.  formulas may be any iterable, counted as it is read.
+    elements).  A family member's value and column are read from the
+    evaluator's memo, which the key's plan fills on the first miss; any
+    other formula is run by the runners and not kept.  formulas may be any
+    iterable, counted as it is read.
     """
     pool = formulas if formulas is not None else closed_pool(
         m.sig, m.domain, depth)
-    ev, values, covers, cols, cover_of = m._evaluator, [], [], {}, {}
+    ev, values, covers, cover_of = m._evaluator, [], [], {}
     for f in pool:
-        value, col = (ev.closed.get(id(f)) or _closed_value(ev, f, cols))[:2]
+        value, col, _ = ev.value(f, keep=False)
         if col is not None:
             if (cover := cover_of.get(key := tuple(col))) is None:
                 cover = cover_of[key] = _smallest_cover(
@@ -898,18 +1124,22 @@ def is_elementary(mor: BVMorphism, depth: int = 2) -> bool:
 def standard_validities(m: BVModel) -> list[Formula]:
     """Ten classical validities instantiated in the model's own signature
     (needs at least one relation symbol); each must evaluate to the top
-    truth value."""
+    truth value.  Built once per key (sig, domain)."""
     if not m.sig.relations:
         raise ModelError("the validity list needs a relation symbol")
-    c0 = Const(f"c_{m.domain[0]}")
-    c1 = Const(f"c_{m.domain[-1]}")
-    sym, arity = next(iter(m.sig.rel_arity.items()))
+    return list(_families(m.sig, m.domain).validities())
+
+
+def _validities(sig: Signature, elements: tuple) -> tuple:
+    c0 = Const(f"c_{elements[0]}")
+    c1 = Const(f"c_{elements[-1]}")
+    sym, arity = next(iter(sig.rel_arity.items()))
     a = Rel(sym, (c0,) * arity)
     b = Rel(sym, (c1,) * arity)
     x, y = Var("x"), Var("y")
     phi_x = Rel(sym, (x,) * arity)
     psi_xy = Eq(x, y)
-    return [
+    return (
         Or(a, Not(a)),
         Not(And(a, Not(a))),
         Implies(a, a),
@@ -922,4 +1152,4 @@ def standard_validities(m: BVModel) -> list[Formula]:
         Implies(Rel(sym, (c0,) * arity), Exists("x", phi_x)),
         Implies(Exists("x", Forall("y", psi_xy)),
                 Forall("y", Exists("x", psi_xy))),
-    ]
+    )

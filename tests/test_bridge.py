@@ -10,9 +10,9 @@ from bvmsheaf.bridge import (L, R, adjunction_witness,
                              ext_to_stone, fullness_via_sections,
                              global_sections_of_bundle,
                              mixify, mixing_iff_sheaf, phi_bundle)
-from bvmsheaf.bvm import (BVModel, _closed_pool, _deep_sample, check_morphism,
-                          has_mixing, is_elementary, quotient_model,
-                          tarski_quotient, validate)
+from bvmsheaf.bvm import (BVModel, _families, check_morphism, has_mixing,
+                          is_elementary, quotient_model, tarski_quotient,
+                          validate)
 from bvmsheaf.logic import Signature, parse
 from bvmsheaf.sheaf import (Bundle, NotSeparatedError, Presheaf, _lambda1,
                             _section_id, alg_poset, gamma_half,
@@ -381,11 +381,11 @@ def test_phi_bundle_requires_free_variable():
 
 
 def test_deep_sample_is_the_inline_sample():
-    """_deep_sample holds the formulas fullness_via_sections built inline on
-    every call, in the same order, at depth 2 and 3 on unary, binary and
+    """The deep sample holds the formulas fullness_via_sections built inline
+    on every call, in the same order, at depth 2 and 3 on unary, binary and
     mixed signatures, and the reports equal the inline reference's; it is
-    built once per key, so a repeated fullness_via_sections reads no closed
-    pool.  At depth 4 on five elements with a binary symbol, 14 formulas
+    built once per key, so a repeated fullness_via_sections builds no pool
+    level.  At depth 4 on five elements with a binary symbol, 14 formulas
     have x free, and the sample keeps the first 10."""
     rng, kinds = random.Random(29), Counter()
     while len(kinds) < 3 or min(kinds.values()) < 3:
@@ -397,17 +397,17 @@ def test_deep_sample_is_the_inline_sample():
             continue
         kinds[kind] += 1
         for depth in (2, 3):
-            sample = _deep_sample(m.sig, m.domain, depth)
+            sample = _families(m.sig, m.domain).deep_sample(depth)
             assert list(sample) == deep_sample_inline(m, depth)
             assert fullness_via_sections(m, depth) == \
                 fullness_via_sections_inline(m, depth)
-            before = _closed_pool.cache_info()
+            before = _families(m.sig, m.domain).closed
             assert fullness_via_sections(m, depth).all_agree
-            assert _closed_pool.cache_info() == before
-            assert _deep_sample(m.sig, m.domain, depth) is sample
+            assert _families(m.sig, m.domain).closed is before
+            assert _families(m.sig, m.domain).deep_sample(depth) is sample
     m = BVModel.make(B2, [f"d{i}" for i in range(5)],
                      rels={"R": {("d0", "d1"): B2.top}})
-    sample = _deep_sample(m.sig, m.domain, 4)
+    sample = _families(m.sig, m.domain).deep_sample(4)
     assert len(sample) == 10 and list(sample) == deep_sample_inline(m, 4)
 
 

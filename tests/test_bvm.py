@@ -12,23 +12,25 @@ from operator import and_, or_
 import pytest
 
 from bvmsheaf.balg import AlgebraError, Filter, mk_powerset
-from bvmsheaf.bridge import (_tuple_values, fullness_via_sections, mixify,
-                             phi_bundle)
-from bvmsheaf.bvm import (_COLUMN, _EVAL, _SAT, BVModel, BVMorphism,
+from bvmsheaf import bvm
+from bvmsheaf.bridge import fullness_via_sections, mixify, phi_bundle
+from bvmsheaf.bvm import (_COMBINE, _EVAL, _NOT, _SAT, BVModel, BVMorphism,
                           MixingReport, ModelError, TarskiModel,
-                          UnknownConstantError, _closed_value, _column,
-                          _smallest_cover, check_morphism, closed_pool,
+                          UnknownConstantError, _compile, _families, _Families,
+                          _run, _smallest_cover, check_morphism, closed_pool,
                           eval_formula, generalize, has_mixing, is_elementary,
                           is_full, open_pool, product_model, quotient_model,
                           satisfies, standard_validities,
                           tarski_quotient, ultraproduct, validate)
 from bvmsheaf.logic import (And, Const, Eq, Exists, Forall, Implies, Not, Or,
-                            Rel, Signature, Var, free_vars, parse, substitute)
+                            Rel, Signature, Var, free_vars, map_terms, parse,
+                            substitute)
 
-from util import (bundle_clauses_scan, closed_pool_dedupe,
+from util import (bundle_clauses_scan, class_reps_scan, closed_pool_dedupe,
                   closed_value_per_element, elem_check_morphism,
-                  elem_validate, find_model_isomorphism, random_model,
-                  recursive_eval_bits, search_mixing, tuple_values_per_tuple,
+                  elem_validate, find_model_isomorphism, plan_against_runners,
+                  random_model, recursive_eval_bits, search_mixing,
+                  small_models, tuple_values_per_tuple,
                   witness_covers_per_formula)
 
 B2 = mk_powerset(["a1"])
@@ -185,23 +187,35 @@ def test_satisfies_raises_the_evaluators_errors():
 
 
 def test_los_check_catches_a_fault_in_either_walker(monkeypatch):
-    """The evaluator and satisfies dispatch through separate runner tables,
-    so breaking one runner of either side alone makes is_full report
-    mismatches on a model that passes: the connective Not, in the
-    evaluator's runner table and in its column table, and each quantifier
-    skipping the last domain element.  The closed pool holds no
-    universal with a body that can fail, so the formulas checked add the
-    universal closures of the open pool."""
+    """The evaluator's runners, its plan and satisfies are separate code,
+    so breaking one of them alone makes is_full report mismatches on a
+    model that passes: the connective Not in the runner table, in the
+    plan's combinators and in satisfies' table, each quantifier runner
+    skipping the last domain element, and the plan's fold skipping it.
+    The formulas checked are the closed pool, whose values the plan gives,
+    the universal closures of the open pool (the closed pool holds no
+    universal with a body that can fail), and a copy of each, which no
+    family holds, so the runners evaluate it.  Each fault is met on a
+    fresh model, whose plan has not run."""
     m = m_r()
     pool = closed_pool(m.sig, m.domain, 2)
     pool += [Forall("x", f) for f in open_pool(m.sig, m.domain, "x")]
+    pool += [_copy(f) for f in pool]
     assert is_full(m, formulas=pool).full
+    fold = bvm._fold
 
     def eval_not_drops_a1(ev, env, f):
         return ev.top & ~ev.bits(f.body, env) & ~1
 
-    def column_not_drops_a1(top, col):
-        return [top & ~v & ~1 for v in col]
+    def combine_not_drops_a1(top, a):
+        return [top & ~v & ~1 for v in a]
+
+    def fold_skips_last(body, n, stride, join):
+        body = list(body)  # the last slice of each group made the first's
+        for h in range(0, len(body), n * stride):
+            last = h + (n - 1) * stride
+            body[last:last + stride] = body[h:h + stride]
+        return fold(body, n, stride, join)
 
     def sat_not_ignored(t, env, f):
         return _SAT[type(f.body)](t, env, f.body)
@@ -220,11 +234,12 @@ def test_los_check_catches_a_fault_in_either_walker(monkeypatch):
             _SAT[type(f.body)](t, {**env, f.var: d}, f.body)
             for d in t.domain[:-1])
 
-    # is_full evaluates an E-rooted formula's body itself, so the evaluator's
-    # Exists runner is caught on the nested existentials of depth 2
+    # is_full evaluates an E-rooted copy's body itself, so the evaluator's
+    # Exists runner is caught on the copies of the nested existentials
     for table, kind, runner, caught in (
             (_EVAL, Not, eval_not_drops_a1, "~R(c_t)"),
-            (_COLUMN, Not, column_not_drops_a1, "E x1. ~R(x1)"),
+            (_COMBINE, _NOT, combine_not_drops_a1, "E x1. ~R(x1)"),
+            (vars(bvm), "_fold", fold_skips_last, "E x1. c_t = x1"),
             (_SAT, Not, sat_not_ignored, "~R(c_t)"),
             (_SAT, Exists, sat_skips_last(any), "E x1. c_t = x1"),
             (_EVAL, Exists, eval_skips_last(or_, False),
@@ -233,10 +248,15 @@ def test_los_check_catches_a_fault_in_either_walker(monkeypatch):
             (_EVAL, Forall, eval_skips_last(and_, True), "A x. R(x)")):
         with monkeypatch.context() as patch:
             patch.setitem(table, kind, runner)
-            report = is_full(m, formulas=pool)
+            report = is_full(m_r(), formulas=pool)
         assert not report.full and report.los_mismatches
         assert ("F(a1)", parse(m.sig, caught)) in report.los_mismatches
-    assert is_full(m, formulas=pool).full
+    assert is_full(m_r(), formulas=pool).full
+
+
+def _copy(f):
+    """A formula equal to f that is another object, down to its atoms."""
+    return map_terms(f, lambda t, bound: t)
 
 
 def test_satisfies_resolves_quotient_aliases_as_resolve_constant():
@@ -415,16 +435,21 @@ def test_is_full_reads_the_values_eval_formula_kept(monkeypatch):
 
 
 def test_is_full_keeps_nothing(monkeypatch):
-    """On a fresh model two is_full calls run the same number of runners,
-    more than none: is_full leaves no value behind for the next call."""
+    """is_full keeps no value of a formula no family holds: on a fresh
+    model two is_full calls over copies of the closed pool run the same
+    number of runners, more than none, and the memo holds no copy; the
+    pool itself then runs none, its values kept by the key's plan."""
     m = m_r()
+    copies = [_copy(f) for f in closed_pool(m.sig, m.domain, 2)]
     calls = _count_runner_calls(monkeypatch)
-    first = is_full(m, 2)
+    first = is_full(m, formulas=copies)
     counted = sum(calls.values())
     calls.clear()
-    assert is_full(m, 2) == first
+    assert is_full(m, formulas=copies) == first
     assert sum(calls.values()) == counted > 0
-    assert not m._evaluator.closed
+    assert not any(id(f) in m._evaluator.closed for f in copies)
+    calls.clear()
+    assert is_full(m, 2).full and not calls
 
 
 def test_the_closed_memo_is_keyed_by_node_identity(monkeypatch):
@@ -444,13 +469,14 @@ def test_the_closed_memo_is_keyed_by_node_identity(monkeypatch):
 
 def test_the_memos_hold_no_reference_to_the_model():
     """With the collector off only reference counts free the model, so it
-    is gone right after del once eval_formula and is_full have filled and
-    read the evaluator's memos, the columns among them: nothing there refers
-    back to it."""
+    is gone right after del once eval_formula, is_full and the clause rows
+    have filled and read the evaluator's memos, the plan's tables among
+    them: nothing there refers back to it."""
     m = m_r()
     for f in closed_pool(m.sig, m.domain, 2):
         eval_formula(m, f)
-    assert is_full(m, 2).full and m._evaluator.closed and m._evaluator.cols
+    assert is_full(m, 2).full and fullness_via_sections(m, 2).all_agree
+    assert m._evaluator.closed and m._evaluator.opened and m._evaluator.plan
     ref, enabled = weakref.ref(m), gc.isenabled()
     gc.disable()
     try:
@@ -462,19 +488,48 @@ def test_the_memos_hold_no_reference_to_the_model():
 
 
 def test_is_full_and_the_clause_rows_leave_the_columns_alone():
-    """is_full and fullness_via_sections keep their columns in a dict of
-    their own call: the evaluator's column memo holds the same entries
-    before and after each, empty on a fresh model and filled by
-    eval_formula."""
+    """is_full and fullness_via_sections read the tables the key's plan
+    kept and change none: after the first of them ran the plan, each memo
+    holds the same entries, the same objects, before and after each, and
+    an ad-hoc formula given to is_full adds none."""
     m = m_r()
     assert is_full(m, 2).full and fullness_via_sections(m, 2).all_agree
-    assert not m._evaluator.cols and not m._evaluator.closed
-    for f in closed_pool(m.sig, m.domain, 1):
-        eval_formula(m, f)
-    before = dict(m._evaluator.cols)
-    assert before
+    ev = m._evaluator
+    before = dict(ev.closed), dict(ev.opened)
+    assert all(before) and ev.plan is _families(m.sig, m.domain).plan()
     assert is_full(m, 2).full and fullness_via_sections(m, 2).all_agree
-    assert m._evaluator.cols == before
+    assert is_full(m, formulas=[parse(m.sig, "E x. R(x)")]).full
+    for memo, kept in zip((ev.closed, ev.opened), before):
+        assert memo.keys() == kept.keys()
+        assert all(memo[k] is v for k, v in kept.items())
+
+
+def test_the_plan_runs_once_per_model(monkeypatch):
+    """On fresh models, eval_formula over the closed pool, is_full,
+    standard_validities and fullness_via_sections, as the benchmark calls
+    them, run the key's plan once per model and no runner; the plan is
+    compiled once per key, whichever of them comes first."""
+    runs, compiles = Counter(), []
+    run, build = bvm._run, bvm._compile
+    monkeypatch.setattr(bvm, "_run", lambda plan, ev: runs.update(
+        [id(ev)]) or run(plan, ev))
+    monkeypatch.setattr(bvm, "_compile", lambda *a: compiles.append(
+        a) or build(*a))
+    calls = _count_runner_calls(monkeypatch)
+    rng, models = random.Random(31), []
+    _families.cache_clear()
+    for i in range(24):
+        m = random_model(rng, 3, 4)
+        steps = [
+            lambda: [eval_formula(m, f) for f in closed_pool(m.sig, m.domain, 2)],
+            lambda: is_full(m, 2),
+            lambda: [eval_formula(m, f) for f in standard_validities(m)],
+            lambda: fullness_via_sections(m, 2)]
+        for step in steps[i % 4:] + steps[:i % 4]:
+            step()
+        models.append(m)
+    assert sorted(runs.values()) == [1] * 24 and not calls
+    assert len(compiles) == len({(m.sig, m.domain) for m in models}) < 24
 
 
 def _renamed(m, prefix: str) -> BVModel:
@@ -559,40 +614,54 @@ def _as_body_dict(m, hit: tuple) -> tuple:
 
 def test_columns_match_the_per_element_loops():
     """On seeded random models of 1-4 atoms and 2-4 elements, every closed
-    formula's value and E-rooted body column, read off columns shared across
-    the pool (eval_formula's memo, and a dict per pass), equal the
+    formula's value and E-rooted body column, read off the key's plan for
+    the pool's members and run by the runners for the rest, equal the
     per-element loop's value and body dict, the column in domain order; so
-    do _tuple_values for one and two free variables, in the same order."""
+    do the tables of one and two free variables, in the same order: the
+    rows of fullness_via_sections from the plan, the others from the
+    runners.  The plans hold every node kind."""
     rng = random.Random(27)
     kinds = set()
     for _ in range(40):
         m = random_model(rng, 4, 4)
         closed, one, two = _column_pools(m)
-        cols = {}
+        ev = m._evaluator
         for f in closed:
             want = closed_value_per_element(m, f)
-            got = _closed_value(m._evaluator, f, cols)
-            assert _as_body_dict(m, got) == want
+            assert _as_body_dict(m, ev.value(f, keep=False)[:2]) == want
             assert eval_formula(m, f).bits == want[0]
-            assert _as_body_dict(m, m._evaluator.closed[id(f)][:2]) == want
-        for free, pool in ((("x",), one), (("x", "y"), two)):
+            assert _as_body_dict(m, ev.closed[id(f)][:2]) == want
+        rows = _families(m.sig, m.domain).sections(2)
+        two += [f for f in rows if len(free_vars(f)) == 2]
+        for free, pool in ((("x",), one + list(rows[:-len(two)])),
+                           (("x", "y"), two)):
             for f in pool:
                 want = tuple_values_per_tuple(m, f, free)
                 assert list(want) == list(product(m.domain, repeat=len(free)))
-                assert _tuple_values(m, f, free, cols) == list(want.values())
-        kinds.update(type(f) for _, f in cols.values())
-    assert {Not, And, Or, Implies, Eq, Rel, Exists} <= kinds
+                assert ev.table(f) == list(want.values())
+        assert all(id(f) in ev.opened for f in rows)
+        kinds.update(ev.plan.ops)
+    assert kinds == set(range(7))
 
 
 def test_a_column_is_kept_per_variable():
-    """The column memo is keyed by the node and the bound variable: R(x)'s
-    column under x is no answer for R(x) under y, which has x free."""
+    """A node's table is kept per layout of its variables, its axes in the
+    order of their first free occurrence: R(x) and R(y) share one slot,
+    but (R(x) & x = y), over (x, y), and (R(y) & x = y), over (y, x), lay
+    x = y on their axes differently, so they get their own slots, each
+    with the runners' table over its axes; and R(x) run for y alone has x
+    free."""
     m = m_r()
-    ev, cols, f = m._evaluator, {}, parse(m.sig, "R(x)")
-    assert _column(ev, "x", f, cols) == [1, 2]
+    f, g = parse(m.sig, "(R(x) & x = y)"), parse(m.sig, "(R(y) & x = y)")
+    plan, nodes = _compile((), ((f, g),), len(m.domain))
+    assert nodes[id(f.lhs)][0] == nodes[id(g.lhs)][0]
+    (sf, axes_f), (sg, axes_g) = nodes[id(f)], nodes[id(g)]
+    assert sf != sg and axes_f == ("x", "y") and axes_g == ("y", "x")
+    tables, ev = _run(plan, m._evaluator), m._evaluator
+    assert tables[sf] == ev.tuples(f, ("x", "y"))
+    assert tables[sg] == ev.tuples(g, ("y", "x"))
     with pytest.raises(ModelError, match="free variable 'x'"):
-        _column(ev, "y", f, cols)
-    assert [key[1] for key in cols] == ["x"]
+        ev.tuples(f.lhs, ("y",))
 
 
 def _outcome(run, *args):
@@ -605,20 +674,44 @@ def _outcome(run, *args):
 
 def test_columns_raise_as_the_per_element_loops():
     """Each eval error row, as a closed formula and as a formula of x or of
-    x and y: _closed_value and _tuple_values raise the per-element loop's
-    exception, type and message, or return its values."""
+    x and y: eval_formula, the evaluator's closed value and its tables,
+    which no family holds, raise the per-element loop's exception, type and
+    message, or return its values."""
     m = m_r()
-    raised = 0
+    ev, raised = m._evaluator, 0
     for f, _, _, _, _ in _error_rows(m.sig):
         want = _outcome(closed_value_per_element, m, f)
-        assert _outcome(_closed_value, m._evaluator, f, {}) == want
+        assert _outcome(lambda: _as_body_dict(
+            m, ev.value(f, keep=False)[:2])) == want
+        bits = want if want[0] != "returned" else ("returned", want[1][0])
+        assert _outcome(lambda: eval_formula(m, f).bits) == bits
         raised += want[0] != "returned"
         for free in (("x",), ("x", "y")):
             want = _outcome(lambda: list(tuple_values_per_tuple(
                 m, f, free).values()))
-            assert _outcome(_tuple_values, m, f, free, {}) == want
+            assert _outcome(ev.tuples, f, free) == want
             raised += want[0] != "returned"
     assert raised > 20
+
+
+def test_a_table_missing_an_entry_leaves_the_plan_to_the_runners():
+    """A model built without one relation entry cannot run its key's plan,
+    so every formula goes to the runners, which raise the ModelError that
+    names the entry wherever a formula reads it, and give the values of
+    the formulas that do not."""
+    m = m_r()
+    del m.rels["R"][("t",)]
+    pool = closed_pool(m.sig, m.domain, 2)
+    for f in pool:
+        want = _outcome(closed_value_per_element, m, f)
+        assert _outcome(lambda: _as_body_dict(m, m._evaluator.value(f)[:2])) \
+            == want
+        assert want[0] == "returned" or want == (ModelError,
+                                                 "no table entry at ('t',)")
+    assert m._evaluator.plan is False
+    assert any(id(f) in m._evaluator.closed for f in pool)
+    with pytest.raises(ModelError, match="no table entry"):
+        fullness_via_sections(m, 2)
 
 
 def test_has_mixing_mnm_fails_with_smallest_witness():
@@ -898,19 +991,37 @@ def test_pool_cache_hands_out_fresh_lists():
 
 
 def test_cached_pools_equal_the_uncached_builders():
-    """The cached pools against the uncached builders, and the closed pool,
-    built with no final dedupe, against the builder that dedupes."""
-    from bvmsheaf.bvm import _closed_pool, _open_pool
+    """The cached pools against the uncached builders (a fresh family of the
+    key, built straight to each depth), and the closed pool, built with no
+    final dedupe, against the builder that dedupes."""
+    from bvmsheaf.bvm import _open_pool
     rng = random.Random(9)
     for _ in range(12):
         m = random_model(rng)
         ids = tuple(m.domain)
         for depth in (0, 1, 2, 3):
             pool = closed_pool(m.sig, m.domain, depth)
-            assert pool == list(_closed_pool.__wrapped__(m.sig, ids, depth))
+            assert pool == list(_Families(m.sig, ids).pool(depth))
             assert pool == closed_pool_dedupe(m.sig, m.domain, depth)
         assert open_pool(m.sig, m.domain, "x") == \
             list(_open_pool.__wrapped__(m.sig, ids, "x"))
+
+
+def test_closed_pools_share_their_prefix():
+    """The depth d pool extends the depth d - 1 pool with the very same
+    objects, and a deep sample builds no pool of its own; on fresh keys
+    built deepest first or shallowest first alike."""
+    rng = random.Random(12)
+    for i in range(20):
+        m = random_model(rng, 3, 4)
+        fam = _Families(m.sig, m.domain)
+        depths = (3, 2, 1) if i % 2 else (1, 2, 3)
+        pools = {d: fam.pool(d) for d in depths}
+        for d in (2, 3):
+            assert len(pools[d]) > len(pools[d - 1])
+            assert all(a is b for a, b in zip(pools[d], pools[d - 1]))
+        before = fam.closed
+        assert fam.deep_sample(2) and fam.closed is before
 
 
 def test_pools_depend_only_on_signature_and_domain():
@@ -929,6 +1040,71 @@ def test_quotient_representatives_are_least_ids():
                      sig=Signature.make({}))
     q = quotient_model(m, Filter(B4, B4.top))
     assert q.domain == ("a",)
+
+
+def _sample_200() -> list:
+    """The acceptance suite's fixed-seed sample of 200 random models."""
+    rng = random.Random(2026)
+    return [random_model(rng) for _ in range(200)]
+
+
+def test_class_scan_matches_the_min_scan():
+    """_scan_reps, which compares each element with the classes found so
+    far, gives the min scan's dict, in the same order, at every mask of the
+    200-model sample and of each sample model's mixification, and of a
+    model whose domain is out of id order."""
+    m = BVModel.make(B4, ["z", "b", "a", "c"], eq={
+        ("z", "a"): B4.top, ("b", "c"): B4.atom("a1")}, sig=Signature.make({}))
+    models = [m]
+    for m in _sample_200():
+        models += [m, mixify(m)[0]]
+    for m in models:
+        for g in range(1, 1 << m.alg.atom_count):
+            assert list(bvm._scan_reps(m._evaluator, g).items()) == \
+                list(class_reps_scan(m, g).items())
+
+
+class _CountingDict(dict):
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+def test_class_scan_reads_d_times_classes_entries():
+    """On the 256-element mixification of a discrete model on 4 atoms and
+    4 elements, _scan_reps reads at most d x (classes) equality entries per
+    mask, against the min scan's d^2."""
+    alg = mk_powerset(["a1", "a2", "a3", "a4"])
+    m = BVModel.make(alg, ["s", "t", "u", "v"], rels={"R": {
+        ("s",): alg.atom("a1"), ("t",): alg.atom("a2") | alg.atom("a3")}})
+    mx = mixify(m)[0]
+    ev, d = mx._evaluator, len(mx.domain)
+    ev.eq = _CountingDict(ev.eq)
+    assert d == 256
+    for g in range(1, 16):
+        before = ev.eq.reads
+        classes = len(set(bvm._scan_reps(ev, g).values()))
+        assert ev.eq.reads - before <= d * classes
+        assert classes == 4 ** bin(g).count("1")
+
+
+def test_every_plan_node_matches_the_runners_on_the_sample():
+    """Every node of every family to depth 3 (the pools of depths 1-3, the
+    deep samples, the sections' rows, the validity list) on the 200-model
+    sample: each slot's table is the runners', and the slots are alpha_key's
+    classes, one to one."""
+    assert plan_against_runners(_sample_200(), 3) > 50000
+
+
+def test_every_plan_node_matches_the_runners_on_every_small_model():
+    """As on the sample, on all 484 models of 2 atoms and 3 elements with
+    one unary symbol, which share one key and so one plan."""
+    models = [m for m, _ in small_models(2, 3)]
+    assert len(models) == 484
+    assert plan_against_runners(models, 3) == 484 * plan_against_runners(
+        models[:1], 3)
 
 
 def test_model_needs_nonempty_distinct_domain():

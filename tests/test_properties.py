@@ -1,6 +1,7 @@
 """Property tests: procedures against their oracles on drawn inputs."""
 
 import json
+from itertools import chain
 
 import pytest
 
@@ -11,9 +12,9 @@ from bvmsheaf.balg import ultrafilters  # noqa: E402
 from bvmsheaf.bridge import (L, R, StructuredPresheaf,  # noqa: E402
                              _counit, adjunction_witness, mixify,
                              mixing_iff_sheaf, phi_bundle)
-from bvmsheaf.bvm import (_class_reps, check_morphism, closed_pool,  # noqa: E402
-                          eval_formula, has_mixing, is_full, quotient_model,
-                          tarski_quotient)
+from bvmsheaf.bvm import (_class_reps, _families, check_morphism,  # noqa: E402
+                          closed_pool, eval_formula, has_mixing, is_full,
+                          quotient_model, tarski_quotient)
 from bvmsheaf.jsonio import Workspace, model_from_json, model_to_json  # noqa: E402
 from bvmsheaf.logic import Exists, parse  # noqa: E402
 from bvmsheaf.sheaf import (PresheafMorphism,  # noqa: E402
@@ -138,8 +139,9 @@ def test_class_reps_memo_matches_the_scan_before_and_after_the_bridge(rng):
 def test_is_full_reads_the_closed_memo_as_it_would_evaluate(rng):
     """is_full(m, 2) gives an equal report, witness covers and Los
     mismatches in the same order, before and after eval_formula has kept
-    the value of every pool formula; each kept value, and each body value
-    of the kept column in domain order, is the recursive oracle's."""
+    the value of every pool formula; the memo holds the closed members of
+    the key's plan, the pool among them, and each kept value, and each body
+    value of the kept column in domain order, is the recursive oracle's."""
     m = random_model(rng, max_atoms=4, max_domain=4)
     fresh = is_full(m, 2)
     pool = closed_pool(m.sig, m.domain, 2)
@@ -147,7 +149,8 @@ def test_is_full_reads_the_closed_memo_as_it_would_evaluate(rng):
         eval_formula(m, f)
     assert is_full(m, 2) == fresh
     top, memo = m.alg.top.bits, m._evaluator.closed
-    assert len(memo) == len(pool)
+    assert memo.keys() == {id(f) for f in chain.from_iterable(
+        _families(m.sig, m.domain).plan().closed)} >= {id(f) for f in pool}
     for f in pool:
         value, body, kept = memo[id(f)]
         assert kept is f and value == recursive_eval_bits(m, f, {}, top)

@@ -6,7 +6,7 @@ all elements, spaces and posets by filtering all candidate families.
 """
 
 from functools import reduce
-from itertools import combinations, islice, permutations, product
+from itertools import chain, combinations, islice, permutations, product
 from math import prod
 from operator import or_
 from random import Random
@@ -14,13 +14,14 @@ from random import Random
 from bvmsheaf.balg import (AlgebraError, BAHom, BoolAlg, Elem, Filter,
                            stone_space)
 from bvmsheaf.bridge import (FullnessClauses, FullnessSectionsReport, L, R,
-                             StructuredPresheaf, _clause_row, _tuple_values,
+                             StructuredPresheaf, _clause_row,
                              ext_to_stone, mixing_iff_sheaf)
 from bvmsheaf.bvm import (_EVAL, BVModel, BVMorphism, MixingReport,
                           ModelError, MorphismReport, _atomic, _class_reps,
+                          _compile, _Families, _run,
                           _smallest_cover, _spread, check_morphism,
-                          closed_pool, generalize, has_mixing, open_pool,
-                          tarski_quotient, validate)
+                          closed_pool, eval_formula, generalize, has_mixing,
+                          open_pool, tarski_quotient, validate)
 from bvmsheaf.logic import (And, Const, Eq, Exists, Forall, Implies, Not, Or,
                             Rel, Signature, Var, free_vars)
 from bvmsheaf.sheaf import (_MAX_FAILURES, EtaleSpace, NotSeparatedError,
@@ -629,6 +630,20 @@ def sweep_small_models(n: int, d: int) -> dict:
     return counts
 
 
+def sweep_small_model_pools(n: int, d: int, depth: int) -> dict:
+    """eval_formula, which reads the key's plan, against the runners on
+    every formula of the depth closed pool, on every model small_models
+    builds; returns the counts."""
+    counts = {"models": 0, "formulas": 0}
+    for m, _ in small_models(n, d):
+        ev = m._evaluator
+        for f in closed_pool(m.sig, m.domain, depth):
+            assert eval_formula(m, f).bits == _EVAL[type(f)](ev, {}, f), f
+        counts["models"] += 1
+        counts["formulas"] += len(closed_pool(m.sig, m.domain, depth))
+    return counts
+
+
 def random_separated_presheaf(rng, max_atoms: int = 3, max_stalk: int = 3):
     """A random separated presheaf on B+ for a random small algebra, sampled
     as a restriction-closed subfamily of the full choice sheaf."""
@@ -645,8 +660,9 @@ def filter_reps(m: BVModel, filt: Filter) -> dict:
 
 def class_reps_scan(m: BVModel, g: int) -> dict:
     """The least id of each element's class at the mask g, by a fresh scan
-    of the evaluator's int equality table: the body of _class_reps before
-    its per-mask memo, kept as the memo's oracle."""
+    of the evaluator's int equality table, a min over every element: the
+    body of _scan_reps before it compared each element with the classes
+    found so far only, kept as the oracle of both."""
     eq, dom = m._evaluator.eq, m.domain
     return {a: min(b for b in dom if eq[b, a] & g == g) for a in dom}
 
@@ -1567,7 +1583,7 @@ def witness_covers_per_formula(m: BVModel, formulas) -> tuple:
 
 def deep_sample_inline(m: BVModel, depth: int) -> list:
     """The quantified rows fullness_via_sections built on every call before
-    _deep_sample kept them per pool key: every 29th formula of the depth - 1
+    they were kept per pool key: every 29th formula of the depth - 1
     closed pool with c_<first element> made x, the first 10 with x free."""
     deep = (generalize(f, f"c_{m.domain[0]}", "x")
             for f in closed_pool(m.sig, m.domain, depth - 1)[::29])
@@ -1575,17 +1591,18 @@ def deep_sample_inline(m: BVModel, depth: int) -> list:
 
 
 def fullness_via_sections_inline(m: BVModel, depth: int = 2):
-    """fullness_via_sections with its deep sample built inline per call, as
-    before _deep_sample: the reference of its reports."""
-    mixing, cols = has_mixing(m).passed, {}
+    """fullness_via_sections with its rows built inline per call, as before
+    they were kept per pool key, and each row's values run per tuple by the
+    runners: the reference of its reports."""
+    mixing = has_mixing(m).passed
     x, y = Var("x"), Var("y")
     pool = [(f, ("x",)) for f in open_pool(m.sig, m.domain, "x")]
     if depth >= 2:
         pool += [(f, ("x", "y")) for f in (Eq(x, y), *(
             Rel(sym, (x, y)) for sym, k in m.sig.rel_arity.items() if k == 2))]
         pool += [(g, ("x",)) for g in deep_sample_inline(m, depth)]
-    rows = tuple(_clause_row(f, _tuple_values(m, f, free, cols), mixing)
-                 for f, free in pool)
+    rows = tuple(_clause_row(f, list(tuple_values_per_tuple(m, f, free).values()),
+                             mixing) for f, free in pool)
     return FullnessSectionsReport(rows, all(c.agree for c in rows), mixing)
 
 
@@ -1599,6 +1616,78 @@ def tuple_values_per_tuple(m: BVModel, f, free: tuple) -> dict:
         env.update(zip(free, tup))
         values[tup] = run(ev, env, f)
     return values
+
+
+# -- plans against the runners ---------------------------------------------------
+
+def subformulas(f):
+    """f and every node below it, each node before its children, left to
+    right."""
+    yield f
+    if isinstance(f, (Not, Exists, Forall)):
+        yield from subformulas(f.body)
+    elif isinstance(f, (And, Or, Implies)):
+        yield from subformulas(f.lhs)
+        yield from subformulas(f.rhs)
+
+
+def alpha_key(f) -> str:
+    """f printed with each binder renamed apart and then every variable,
+    free or bound, numbered by its first occurrence in an atom, read left to
+    right: two nodes print alike iff a renaming of variables makes them
+    alpha-equivalent.  Shares no code with the plan's canonical keys."""
+    numbers, binders = {}, iter(range(1 << 30))
+
+    def number(v) -> str:
+        return numbers.setdefault(v, f"v{len(numbers)}")
+
+    def walk(g, scope: dict) -> str:
+        if isinstance(g, (Eq, Rel)):
+            terms = (g.lhs, g.rhs) if isinstance(g, Eq) else g.args
+            names = [number(scope.get(t.name, t.name)) if isinstance(t, Var)
+                     else t.name for t in terms]
+            return f"{'=' if isinstance(g, Eq) else g.sym}({', '.join(names)})"
+        if isinstance(g, Not):
+            return "~" + walk(g.body, scope)
+        if isinstance(g, (And, Or, Implies)):
+            return (f"({type(g).__name__} {walk(g.lhs, scope)}"
+                    f" {walk(g.rhs, scope)})")
+        bound = ("bound", next(binders))
+        body = walk(g.body, {**scope, g.var: bound})
+        return f"{type(g).__name__} {number(bound)}. {body}"
+
+    return walk(f, {})
+
+
+def plan_against_runners(models, depth: int) -> int:
+    """Compile afresh the families of each key of models to depth (the
+    pools and deep samples of every depth up to it) and run the plan on
+    each model.  At each slot the plan's table equals the runners' table,
+    over the slot's axes, of the first node met there, the members read in
+    order; the slots map one to one onto alpha_key's classes of every node.
+    Returns the number of slots checked, summed over the models."""
+    keys, checked = {}, 0
+    for m in models:
+        if (m.sig, m.domain) not in keys:
+            fam = _Families(m.sig, m.domain)
+            fam.pool(depth)
+            kept = fam.plan()
+            plan, nodes = _compile(kept.closed, kept.opened, len(m.domain))
+            assert list(plan.ops) == list(kept.ops)
+            firsts, classes = {}, {}
+            for g in chain.from_iterable(map(subformulas, chain.from_iterable(
+                    (*kept.closed, *kept.opened)))):
+                slot, axes = nodes[id(g)]
+                firsts.setdefault(slot, (g, axes))
+                assert classes.setdefault(slot, alpha_key(g)) == alpha_key(g)
+            assert len(set(classes.values())) == len(classes) == len(plan.ops)
+            keys[m.sig, m.domain] = plan, firsts
+        plan, firsts = keys[m.sig, m.domain]
+        tables, ev = _run(plan, m._evaluator), m._evaluator
+        for slot, (g, axes) in firsts.items():
+            assert tables[slot] == ev.tuples(g, axes), (g, axes)
+        checked += len(firsts)
+    return checked
 
 
 # -- isomorphism searches -------------------------------------------------------
